@@ -14,6 +14,9 @@ Grammar:
 Integers in exponent and argument position may carry a leading minus.  Call
 arguments are integers except for ``symbol(name)`` and the first argument of
 ``subq(expr, k)``, which substitutes q -> q^k in a subexpression.
+
+Parentheses, unary minus, ``sqrt`` and calls nest at most MAX_NESTING levels
+deep; deeper input is a DSLError rather than a RecursionError.
 """
 
 import re
@@ -47,7 +50,11 @@ __all__ = [
     "parse_identity",
     "to_text",
     "evaluate",
+    "MAX_NESTING",
 ]
+
+#: deepest nesting of parentheses, unary minus, sqrt and calls that parses
+MAX_NESTING = 100
 
 
 # -- syntax tree ---------------------------------------------------------------
@@ -162,6 +169,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -175,6 +183,16 @@ class _Parser:
         tok = self.peek()
         got = repr(tok.text) if tok.kind != "END" else "end of input"
         raise DSLError(f"expected {expected}, got {got}", tok.line, tok.col)
+
+    def enter(self, tok: _Token):
+        # the parser recurses once per nesting level; bound it
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise DSLError(
+                f"expression nested more than {MAX_NESTING} levels deep",
+                tok.line,
+                tok.col,
+            )
 
     def expect(self, text: str, expected=None):
         tok = self.peek()
@@ -244,11 +262,16 @@ class _Parser:
         tok = self.peek()
         if tok.text == "-":
             self.next()
-            return self._neg(self.factor())
+            self.enter(tok)
+            node = self._neg(self.factor())
+            self.depth -= 1
+            return node
         if tok.text == "(":
             self.next()
+            self.enter(tok)
             node = self.expr()
             self.expect(")")
+            self.depth -= 1
             return node
         if tok.kind == "INT":
             self.next()
@@ -264,13 +287,16 @@ class _Parser:
             return Q(Fraction(1))
         if name == "sqrt":
             self.expect("(", "'(' after 'sqrt'")
+            self.enter(tok)
             node = self.expr()
             self.expect(")")
+            self.depth -= 1
             return Sqrt(node)
         kinds = _CALLS.get(name)
         if kinds is None:
             raise DSLError(f"unknown function {name!r}", tok.line, tok.col)
         self.expect("(", f"'(' after {name!r}")
+        self.enter(tok)
         arity = "%d argument%s" % (len(kinds), "s" if len(kinds) > 1 else "")
         args = []
         for k, kind in enumerate(kinds):
@@ -286,6 +312,7 @@ class _Parser:
             else:
                 args.append(self.expr())
         self.expect(")", f"')' ({name} takes {arity})")
+        self.depth -= 1
         if name == "subq":
             node, power = args
             if power < 1:

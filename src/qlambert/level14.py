@@ -34,10 +34,8 @@ __all__ = [
     "G2",
     "G3",
     "GAMMA_CYCLE",
-    "G_SQUARED_ETA",
     "H1_ETA",
     "H1_GEN",
-    "H1H2_ETA",
     "H2_ETA",
     "H2_GEN",
     "K_POLY",
@@ -65,11 +63,9 @@ G1 = GenEtaQuotient(14, {6: 2, 1: -2})
 G2 = GenEtaQuotient(14, {4: 2, 3: -2})
 G3 = GenEtaQuotient(14, {2: 2, 5: -2})
 
-# eta-quotient forms of g^2, h1, h2, h1*h2
-G_SQUARED_ETA = EtaQuotient(14, {2: 8, 7: 4, 1: -4, 14: -8})
+# eta-quotient forms of h1 and h2
 H1_ETA = EtaQuotient(28, {2: 4, 14: 8, 1: -2, 7: -2, 28: -8})
 H2_ETA = EtaQuotient(28, {1: 2, 14: 16, 2: -4, 7: -6, 28: -8})
-H1H2_ETA = EtaQuotient(28, {14: 24, 7: -8, 28: -16})
 
 # generalized-eta forms of h1 and h2 on level 28 (even indices over odd,
 # and the reverse, with the 14/7 pair shared)

@@ -31,7 +31,6 @@ __all__ = [
     "MultiPoly",
     "eval_poly",
     "find_relation",
-    "poly_arithmetic",
     "resultant_eliminate",
     "vanishing_factor",
     "variables",
@@ -365,17 +364,6 @@ def exact_divide(p: MultiPoly, q: MultiPoly) -> MultiPoly:
         quot = quot + t
         rem = rem - t * q
     return quot
-
-
-def poly_arithmetic(p: MultiPoly, q: MultiPoly, operator: str) -> MultiPoly:
-    """Dispatch for the three exact polynomial operations."""
-    if operator == "add":
-        return p + q
-    if operator == "multiply":
-        return p * q
-    if operator == "exact_divide":
-        return exact_divide(p, q)
-    raise ValueError(f"unknown operator {operator!r}")
 
 
 # ---------------------------------------------------------------- resultants

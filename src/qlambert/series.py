@@ -17,6 +17,14 @@ and the grid is compressed by the gcd of the support (the compression divisor
 is also required to divide ``T``, so no knowledge is silently lost).  Two
 series that print the same are equal regardless of the grid they were built
 on.
+
+Coefficients are stored in canonical form: a Python ``int`` when the value is
+integral, otherwise a ``Fraction``.  The kernels (sum, product, inverse,
+square root, and powers through the product) are fraction-free: they clear
+each operand's common denominator once, run on plain ``int``s, and divide
+once at the end.  ``Fraction`` appears only at the public boundary: the
+readers ``coefficient``, ``leading_coefficient``, ``items`` and
+``valuation`` always return ``Fraction`` values.
 """
 
 from __future__ import annotations
@@ -27,18 +35,44 @@ from fractions import Fraction
 from .errors import PrecisionError
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
-def _rat(x) -> Fraction:
-    """Coerce to Fraction, refusing floats (exactness is the whole point)."""
-    if isinstance(x, Fraction):
-        return x
+def _rat(x):
+    """Coerce to a canonical exact rational, refusing floats (exactness is
+    the whole point): an int when integral, otherwise a Fraction."""
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     if isinstance(x, str):
-        return Fraction(x)
+        x = Fraction(x)
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
+
+
+def _frac(c) -> Fraction:
+    # a stored coefficient as the Fraction the public readers return
+    return c if type(c) is Fraction else Fraction(c)
+
+
+def _ratio(n: int, d: int):
+    # n/d in canonical form, for d > 0
+    if d == 1:
+        return n
+    x = Fraction(n, d)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _cleared(cs):
+    """(L, ints) with ints[k] == cs[k] * L for the least common denominator L."""
+    L = 1
+    for c in cs:
+        if type(c) is not int:
+            L = math.lcm(L, c.denominator)
+    if L == 1:
+        return 1, cs
+    return L, [
+        c * L if type(c) is int else c.numerator * (L // c.denominator) for c in cs
+    ]
 
 
 def _ceil_div(n: int, d: int) -> int:
@@ -46,10 +80,11 @@ def _ceil_div(n: int, d: int) -> int:
 
 
 class QSeries:
-    """One truncated Laurent series in q^(1/D) with Fraction coefficients.
+    """One truncated Laurent series in q^(1/D) with exact rational coefficients.
 
-    ``coeffs[k]`` is the coefficient of ``q^((v+k)/D)``.  Instances are
-    immutable; all operations return new series.
+    ``coeffs[k]`` is the coefficient of ``q^((v+k)/D)``, stored as an ``int``
+    when integral and as a ``Fraction`` otherwise; the public readers return
+    ``Fraction``.  Instances are immutable; all operations return new series.
     """
 
     __slots__ = ("D", "v", "coeffs", "T")
@@ -57,45 +92,48 @@ class QSeries:
     def __init__(self, coeffs=(), v=0, D=1, T=None):
         if not isinstance(D, int) or D <= 0:
             raise ValueError("grid denominator D must be a positive integer")
-        cs = [_rat(c) for c in coeffs]
-        v = int(v)
+        self._set([_rat(c) for c in coeffs], int(v), D, None if T is None else int(T))
+
+    def _set(self, cs, v, D, T):
+        # normalise canonical coefficients cs into self
+        n = len(cs)
         lead = 0
-        while lead < len(cs) and cs[lead] == 0:
+        while lead < n and not cs[lead]:
             lead += 1
-        if lead:
-            v += lead
-            cs = cs[lead:]
-        if T is not None:
-            T = int(T)
-            if cs and v + len(cs) > T:
-                cs = cs[: max(0, T - v)]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        if not cs:
+        end = n
+        if T is not None and v + end > T:
+            end = max(lead, T - v)
+        while end > lead and not cs[end - 1]:
+            end -= 1
+        if end == lead:
             if T is None:
                 self.D, self.v, self.coeffs, self.T = 1, 0, (), None
             else:
                 s = math.gcd(D, T)
-                if s > 1:
-                    D //= s
-                    T //= s
-                self.D, self.v, self.coeffs, self.T = D, T, (), T
+                self.D, self.v, self.coeffs, self.T = D // s, T // s, (), T // s
             return
-        s = D
-        for k, c in enumerate(cs):
-            if c:
-                s = math.gcd(s, v + k)
-        if T is not None:
-            s = math.gcd(s, T)
+        v += lead
+        s = D if T is None else math.gcd(D, T)
         if s > 1:
-            cs = [cs[j] for j in range(0, len(cs), s)]
-            v //= s
-            D //= s
-            if T is not None:
-                T //= s
-        self.D, self.v, self.coeffs, self.T = D, v, tuple(cs), T
+            for k in range(lead, end):
+                if cs[k]:
+                    s = math.gcd(s, v + k - lead)
+                    if s == 1:
+                        break
+        if s > 1:
+            self.D, self.v, self.coeffs = D // s, v // s, tuple(cs[lead:end:s])
+            self.T = None if T is None else T // s
+        else:
+            self.D, self.v, self.coeffs, self.T = D, v, tuple(cs[lead:end]), T
 
     # -- raw construction ------------------------------------------------
+
+    @staticmethod
+    def _make(cs, v, D, T) -> "QSeries":
+        # normalising construction from canonical coefficients (no coercion)
+        s = object.__new__(QSeries)
+        s._set(cs, v, D, T)
+        return s
 
     @staticmethod
     def _raw(coeffs, v, D, T):
@@ -116,7 +154,7 @@ class QSeries:
     @classmethod
     def monomial(cls, c, e=0) -> "QSeries":
         """The exact single term c * q^e, for rational e."""
-        e = _rat(e)
+        e = Fraction(_rat(e))
         return cls((c,), e.numerator, e.denominator, None)
 
     # -- inspection -------------------------------------------------------
@@ -150,7 +188,7 @@ class QSeries:
 
     def leading_coefficient(self) -> Fraction:
         if self.coeffs:
-            return self.coeffs[0]
+            return _frac(self.coeffs[0])
         if self.T is None:
             raise ValueError("the zero series has no leading term")
         raise PrecisionError("series is zero through its truncation")
@@ -164,12 +202,12 @@ class QSeries:
         Exponents off the grid or outside the stored window are exactly zero
         as long as they lie below the truncation order.
         """
-        e = _rat(e)
+        e = Fraction(_rat(e))
         t = e * self.D
         if t.denominator == 1:
             j = t.numerator
             if self.coeffs and self.v <= j < self.v + len(self.coeffs):
-                return self.coeffs[j - self.v]
+                return _frac(self.coeffs[j - self.v])
             if self.T is None or j < self.T:
                 return _ZERO
         elif self.T is None or e < Fraction(self.T, self.D):
@@ -183,34 +221,7 @@ class QSeries:
         """Yield (exponent, coefficient) for each stored nonzero term."""
         for k, c in enumerate(self.coeffs):
             if c:
-                yield Fraction(self.v + k, self.D), c
-
-    def _nz(self):
-        # (grid index, coefficient) pairs, ascending
-        v = self.v
-        for k, c in enumerate(self.coeffs):
-            if c:
-                yield v + k, c
-
-    # -- grid handling ----------------------------------------------------
-
-    def _rescaled(self, m: int) -> "QSeries":
-        # same series viewed on the finer grid D*m; bypasses normalisation
-        # (which would immediately compress it back)
-        if m == 1:
-            return self
-        if self.coeffs:
-            cs = [_ZERO] * ((len(self.coeffs) - 1) * m + 1)
-            for k, c in enumerate(self.coeffs):
-                cs[k * m] = c
-        else:
-            cs = ()
-        T = None if self.T is None else self.T * m
-        return QSeries._raw(cs, self.v * m, self.D * m, T)
-
-    def _common(self, other):
-        D = math.lcm(self.D, other.D)
-        return self._rescaled(D // self.D), other._rescaled(D // other.D), D
+                yield Fraction(self.v + k, self.D), _frac(c)
 
     # -- ring operations --------------------------------------------------
 
@@ -218,22 +229,28 @@ class QSeries:
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        f, g, D = self._common(o)
-        ts = [t for t in (f.T, g.T) if t is not None]
+        D = math.lcm(self.D, o.D)
+        ms = [(s, D // s.D) for s in (self, o)]
+        ts = [s.T * m for s, m in ms if s.T is not None]
         T = min(ts) if ts else None
-        parts = [s for s in (f, g) if s.coeffs]
+        parts = [(s, m) for s, m in ms if s.coeffs]
         if not parts:
-            return QSeries((), 0, D, T)
-        lo = min(s.v for s in parts)
-        hi = max(s.v + len(s.coeffs) for s in parts)
+            return QSeries._make((), 0, D, T)
+        lo = min(s.v * m for s, m in parts)
+        hi = max((s.v + len(s.coeffs) - 1) * m + 1 for s, m in parts)
         if T is not None:
             hi = min(hi, T)
-        out = [_ZERO] * max(0, hi - lo)
-        for s in parts:
-            for j, c in s._nz():
-                if j < hi:
-                    out[j - lo] += c
-        return QSeries(out, lo, D, T)
+        cleared = [(s.v * m - lo, m, *_cleared(s.coeffs)) for s, m in parts]
+        L = math.lcm(*(Ls for _, _, Ls, _ in cleared))
+        out = [0] * max(0, hi - lo)
+        for j, m, Ls, cs in cleared:
+            scale = L // Ls
+            # zip stops at whichever ends first: the terms or the window
+            summed = [x + c * scale for x, c in zip(out[j::m], cs)]
+            out[j : j + len(summed) * m : m] = summed
+        if L > 1:
+            out = [_ratio(x, L) if x else 0 for x in out]
+        return QSeries._make(out, lo, D, T)
 
     __radd__ = __add__
 
@@ -258,33 +275,43 @@ class QSeries:
             return NotImplemented
         if (not self.coeffs and self.T is None) or (not o.coeffs and o.T is None):
             return QSeries()
-        f, g, D = self._common(o)
+        D = math.lcm(self.D, o.D)
+        mf, mg = D // self.D, D // o.D
+        fv, gv = self.v * mf, o.v * mg
         # empty truncated factors carry v = T, so the min rule below treats
         # their (unknown) valuation by its lower bound
         cands = []
-        if f.T is not None:
-            cands.append(f.T + g.v)
-        if g.T is not None:
-            cands.append(g.T + f.v)
+        if self.T is not None:
+            cands.append(self.T * mf + gv)
+        if o.T is not None:
+            cands.append(o.T * mg + fv)
         T = min(cands) if cands else None
-        if not f.coeffs or not g.coeffs:
-            return QSeries((), 0, D, T)
-        v = f.v + g.v
-        hi = (f.v + len(f.coeffs) - 1) + (g.v + len(g.coeffs) - 1) + 1
+        if not self.coeffs or not o.coeffs:
+            return QSeries._make((), 0, D, T)
+        v = fv + gv
+        n = (len(self.coeffs) - 1) * mf + (len(o.coeffs) - 1) * mg + 1
         if T is not None:
-            hi = min(hi, T)
-        out = [_ZERO] * max(0, hi - v)
-        fnz = list(f._nz())
-        gnz = list(g._nz())
+            n = min(n, T - v)
+        Lf, fc = _cleared(self.coeffs)
+        Lg, gc = _cleared(o.coeffs)
+        # walk the nonzero pairs only, by offset from v on the common grid
+        fnz = [(k * mf, c) for k, c in enumerate(fc) if c]
+        gnz = [(k * mg, c) for k, c in enumerate(gc) if c]
         if len(fnz) > len(gnz):
             fnz, gnz = gnz, fnz
-        for i, ci in fnz:
-            for j, cj in gnz:
-                k = i + j
-                if k >= hi:
+        out = [0] * max(0, n)
+        for i, a in fnz:
+            lim = n - i
+            if lim <= 0:
+                break  # fnz ascends
+            for j, b in gnz:
+                if j >= lim:
                     break  # gnz ascends
-                out[k - v] += ci * cj
-        return QSeries(out, v, D, T)
+                out[i + j] += a * b
+        L = Lf * Lg
+        if L > 1:
+            out = [_ratio(x, L) if x else 0 for x in out]
+        return QSeries._make(out, v, D, T)
 
     __rmul__ = __mul__
 
@@ -319,9 +346,21 @@ class QSeries:
 
     def _unit_part(self):
         # self with the leading monomial divided out; auto-compressed
-        return QSeries(
+        return QSeries._make(
             self.coeffs, 0, self.D, None if self.T is None else self.T - self.v
         )
+
+    @staticmethod
+    def _window(u, terms, what):
+        # grid slots of u to compute for an inverse or square root
+        if u.T is None:
+            if terms is None:
+                raise PrecisionError(
+                    f"{what} an exact series gives an infinite expansion; "
+                    "pass terms=<orders past the leading exponent>"
+                )
+            return int(terms) * u.D
+        return u.T if terms is None else min(u.T, int(terms) * u.D)
 
     def invert(self, terms=None) -> "QSeries":
         """Multiplicative inverse.
@@ -339,30 +378,36 @@ class QSeries:
                 "cannot invert a series that is zero through its truncation"
             )
         u = self._unit_part()
-        mono = QSeries((_ONE,), -self.v, self.D)
         if u.T is None and len(u.coeffs) == 1:
-            return QSeries((1 / u.coeffs[0],), -self.v, self.D)
-        if u.T is None:
-            if terms is None:
-                raise PrecisionError(
-                    "inverting an exact series gives an infinite expansion; "
-                    "pass terms=<orders past the leading exponent>"
-                )
-            R = int(terms) * u.D
-        else:
-            R = u.T if terms is None else min(u.T, int(terms) * u.D)
-        a = list(u.coeffs[:R]) + [_ZERO] * max(0, R - len(u.coeffs))
-        b = [_ZERO] * R
-        inv0 = 1 / a[0]
-        b[0] = inv0
+            return QSeries._make((_rat(1 / Fraction(u.coeffs[0])),), -self.v, self.D, None)
+        mono = QSeries._make((1,), -self.v, self.D, None)
+        R = self._window(u, terms, "inverting")
+        # u = A/L with integer A, so 1/u = L * B with B = 1/A; writing
+        # B_k = P_k / c^(k+1) for c = A_0 keeps P integral:
+        #   P_k = -sum_{i=1..k} A_i c^(i-1) P_(k-i)
+        L, A = _cleared(u.coeffs[:R])
+        c = A[0]
+        weights = []
+        power = 1
+        for i in range(1, len(A)):
+            if A[i]:
+                weights.append((i, A[i] * power))
+            power *= c
+        P = [0] * R
+        P[0] = 1
         for k in range(1, R):
-            acc = _ZERO
-            for i in range(1, k + 1):
-                if a[i]:
-                    acc += a[i] * b[k - i]
-            if acc:
-                b[k] = -inv0 * acc
-        return QSeries(b, 0, u.D, R) * mono
+            acc = 0
+            for i, w in weights:
+                if i > k:
+                    break
+                acc += w * P[k - i]
+            P[k] = -acc
+        b = []
+        den = c  # c^(k+1); b stays integral when c is 1 or -1
+        for x in P:
+            b.append(_ratio(L * x, den) if den > 0 else _ratio(-L * x, -den))
+            den *= c
+        return QSeries._make(b, 0, u.D, R) * mono
 
     def div(self, other, terms=None) -> "QSeries":
         """self / other.
@@ -409,70 +454,71 @@ class QSeries:
             raise PrecisionError(
                 "series is zero through its truncation; square root undetermined"
             )
-        c0 = self.coeffs[0]
+        c0 = Fraction(self.coeffs[0])
         if c0 < 0:
             raise ValueError(
                 f"no rational square root: leading coefficient {c0} is negative"
             )
-        rn, rd = math.isqrt(c0.numerator), math.isqrt(c0.denominator)
-        if rn * rn != c0.numerator or rd * rd != c0.denominator:
+        num, den = c0.numerator, c0.denominator
+        rn, rd = math.isqrt(num), math.isqrt(den)
+        if rn * rn != num or rd * rd != den:
             raise ValueError(
                 f"no rational square root: leading coefficient {c0} "
                 "is not the square of a rational"
             )
-        r0 = Fraction(rn, rd)
         u = self._unit_part()
         e = Fraction(self.v, 2 * self.D)
-        mono = QSeries((r0,), e.numerator, e.denominator)
+        mono = QSeries._make((_ratio(rn, rd),), e.numerator, e.denominator, None)
         if u.T is None and len(u.coeffs) == 1:
             return mono
-        if u.T is None:
-            if terms is None:
-                raise PrecisionError(
-                    "square root of an exact series gives an infinite "
-                    "expansion; pass terms=<orders past the leading exponent>"
-                )
-            R = int(terms) * u.D
-        else:
-            R = u.T if terms is None else min(u.T, int(terms) * u.D)
-        inv_c0 = 1 / c0
-        a = [c * inv_c0 for c in u.coeffs[:R]] + [_ZERO] * max(0, R - len(u.coeffs))
-        b = [_ZERO] * R
-        b[0] = _ONE
-        half = Fraction(1, 2)
+        R = self._window(u, terms, "square root of")
+        # u/c0 = A/L with integer A and A_0 = L.  Its square root b has
+        # b_k = G_k / (4L)^k with integer G: G_0 = 1 and
+        #   G_k = 2^(2k-1) L^(k-1) A_k - (1/2) sum_{i=1..k-1} G_i G_(k-i),
+        # where every G_i (i >= 1) is even, so the halving is exact.
+        Lu, A = _cleared(u.coeffs[:R])
+        if den > 1:
+            A = [x * den for x in A]
+        L = Lu * num
+        G = [0] * R
+        G[0] = 1
+        nonzero = []
+        scale = 2  # 2^(2k-1) L^(k-1)
         for k in range(1, R):
-            acc = a[k]
-            for i in range(1, k):
-                if b[i]:
-                    acc -= b[i] * b[k - i]
+            acc = A[k] * scale if k < len(A) and A[k] else 0
+            for i in nonzero:
+                if 2 * i >= k:
+                    if 2 * i == k:
+                        acc -= (G[i] * G[i]) >> 1
+                    break
+                acc -= G[i] * G[k - i]
             if acc:
-                b[k] = acc * half
-        return QSeries(b, 0, u.D, R) * mono
+                G[k] = acc
+                nonzero.append(k)
+            scale *= 4 * L
+        b = [_ratio(x, (4 * L) ** k) if x else 0 for k, x in enumerate(G)]
+        return QSeries._make(b, 0, u.D, R) * mono
 
     # -- reshaping ---------------------------------------------------------
 
     def truncate(self, e) -> "QSeries":
         """Forget all coefficients at exponents >= e."""
-        t = _rat(e) * self.D
+        t = Fraction(_rat(e)) * self.D
         T = _ceil_div(t.numerator, t.denominator)
         if self.T is not None:
             T = min(T, self.T)
-        return QSeries(self.coeffs, self.v, self.D, T)
+        return QSeries._make(self.coeffs, self.v, self.D, T)
 
     def subs_qpow(self, m) -> "QSeries":
         """Substitute q -> q^m for a positive rational m."""
-        m = _rat(m)
+        m = Fraction(_rat(m))
         if m <= 0:
             raise ValueError("substitution exponent must be positive")
         p, r = m.numerator, m.denominator
-        if self.coeffs:
-            cs = [_ZERO] * ((len(self.coeffs) - 1) * p + 1)
-            for k, c in enumerate(self.coeffs):
-                cs[k * p] = c
-        else:
-            cs = ()
+        cs = [0] * ((len(self.coeffs) - 1) * p + 1) if self.coeffs else []
+        cs[::p] = self.coeffs
         T = None if self.T is None else self.T * p
-        return QSeries(cs, self.v * p, self.D * r, T)
+        return QSeries._make(cs, self.v * p, self.D * r, T)
 
     # -- comparison and display --------------------------------------------
 
@@ -527,7 +573,7 @@ def _coerce(x):
     if isinstance(x, QSeries):
         return x
     if isinstance(x, (int, Fraction)):
-        return QSeries._raw((Fraction(x),), 0, 1, None) if x else QSeries._raw((), 0, 1, None)
+        return QSeries._raw((_rat(x),), 0, 1, None) if x else QSeries._raw((), 0, 1, None)
     return None
 
 

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qlambert.constructors import gosper_symbols, lambert_L, pi_q
+from qlambert.cli import main
 from qlambert.dsl import (
+    MAX_NESTING,
     BinOp,
     Call,
     Lit,
@@ -116,6 +118,30 @@ def test_syntax_errors(text, message):
     with pytest.raises(DSLError) as err:
         parse(text)
     assert message in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "wrap",
+    [
+        lambda n: "(" * n + "q" + ")" * n,
+        lambda n: "-" * n + "q",
+        lambda n: "sqrt(" * n + "q^2" + ")" * n,
+        lambda n: "subq(" * n + "q" + ", 1)" * n,
+    ],
+    ids=["parentheses", "minus", "sqrt", "subq"],
+)
+def test_nesting_limit(wrap):
+    evaluate(parse(wrap(MAX_NESTING)), 5)  # parses and evaluates at the limit
+    with pytest.raises(DSLError, match="nested more than"):
+        parse(wrap(MAX_NESTING + 1))
+
+
+def test_too_deep_an_expression_is_a_usage_error(capsys):
+    deep = "(" * (MAX_NESTING + 1) + "q" + ")" * (MAX_NESTING + 1)
+    assert main(["verify", "--expr", f"{deep} == q", "--order", "5"]) == 2
+    assert "nested more than" in capsys.readouterr().err
+    at_limit = "(" * MAX_NESTING + "q" + ")" * MAX_NESTING
+    assert main(["verify", "--expr", f"{at_limit} == q", "--order", "5"]) == 0
 
 
 def test_identity_needs_the_separator():

@@ -43,6 +43,13 @@ def test_find_relation_recovers_z_cubic():
     assert rel == F3_RELATION
 
 
+def test_find_relation_returns_fraction_coefficients():
+    # the exact linear solve divides coefficients read from the series; an
+    # int leaking out of QSeries.coefficient would turn those into floats
+    rel = find_relation(_sym("z") ** 2, _sym("g") ** 2)
+    assert rel.coeffs and all(type(c) is Fraction for c in rel.coeffs.values())
+
+
 def test_find_relation_recovers_t_cubic():
     t, g = _sym("t"), _sym("g")
     rel = find_relation(t, g * g)

@@ -12,7 +12,6 @@ from qlambert.relations import (
     eval_poly,
     exact_divide,
     find_relation,
-    poly_arithmetic,
     resultant_eliminate,
     vanishing_factor,
     variables,
@@ -96,14 +95,6 @@ def test_content_stripping():
 
 
 # ---------------------------------------------------------- arithmetic ops
-
-
-def test_poly_arithmetic_dispatch():
-    assert poly_arithmetic(X, Y, "add") == X + Y
-    assert poly_arithmetic(X, Y, "multiply") == X * Y
-    assert poly_arithmetic(X**2 - Y**2, X + Y, "exact_divide") == X - Y
-    with pytest.raises(ValueError):
-        poly_arithmetic(X, Y, "power")
 
 
 @given(polys(), polys())

@@ -3,7 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qlambert import ONE, PrecisionError, QSeries, qpow
@@ -285,3 +285,18 @@ def test_truncate():
     assert g.truncation_exponent() == 2
     assert g == QSeries([1, 1], 0, 1, 2)
     assert f.truncate(F(3, 2)).truncation_exponent() == 2  # ceil onto the grid
+
+
+# -- the Fraction boundary -----------------------------------------------------
+
+
+@example(QSeries([1, 2, 3], v=-1, D=2, T=6) ** 3)  # stored as ints
+@given(series(min_len=1, nonzero=True))
+def test_public_readers_return_fractions(f):
+    # integral coefficients are stored as ints; readers must not leak them
+    assert type(f.leading_coefficient()) is F
+    assert type(f.valuation()) is F
+    for e, c in f.items():
+        assert type(e) is F and type(c) is F
+        assert type(f.coefficient(e)) is F
+    assert type(f.coefficient(f.valuation() - 1)) is F
