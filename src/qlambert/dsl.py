@@ -16,7 +16,10 @@ arguments are integers except for ``symbol(name)`` and the first argument of
 ``subq(expr, k)``, which substitutes q -> q^k in a subexpression.
 
 Parentheses, unary minus, ``sqrt`` and calls nest at most MAX_NESTING levels
-deep; deeper input is a DSLError rather than a RecursionError.
+deep, and so does the text ``to_text`` prints for a parsed tree, where each
+binary operator of a chain such as ``a + b + c`` adds a pair of parentheses.
+Deeper input is a DSLError rather than a RecursionError, and every tree that
+parses prints to text that parses back to it.
 """
 
 import re
@@ -354,7 +357,7 @@ def parse(text: str):
     node = p.expr()
     if p.peek().kind != "END":
         p.fail("end of input")
-    return node
+    return _bounded(node)
 
 
 def parse_identity(text: str):
@@ -367,7 +370,19 @@ def parse_identity(text: str):
     right = p.expr()
     if p.peek().kind != "END":
         p.fail("end of input")
-    return left, right
+    return _bounded(left), _bounded(right)
+
+
+def _bounded(node):
+    # trees deeper than the parser accepts would overflow the recursive
+    # evaluator and printer, and print to text that does not parse back
+    if _nesting(node) > MAX_NESTING:
+        raise DSLError(
+            f"expression nested more than {MAX_NESTING} levels deep: each "
+            "binary operator in a chain counts one level; group long sums "
+            "and products with parentheses"
+        )
+    return node
 
 
 # -- printer -------------------------------------------------------------------
@@ -379,20 +394,24 @@ def _exponent_text(e: Fraction) -> str:
     return f"({e.numerator}/{e.denominator})"
 
 
+def _bare_base(node) -> bool:
+    # whether node prints as a single atom, so it needs no parentheses as
+    # the base of ^
+    if isinstance(node, (Call, Sqrt, Subq)):
+        return True
+    if isinstance(node, Lit):
+        return node.value >= 0 and node.value.denominator == 1
+    return isinstance(node, Q) and node.exponent == 1
+
+
 def _base_text(node) -> str:
     # the base of ^ must be a single atom
-    if isinstance(node, (Call, Sqrt, Subq)):
-        return to_text(node)
-    if isinstance(node, Lit) and node.value >= 0 and node.value.denominator == 1:
-        return to_text(node)
-    if isinstance(node, Q) and node.exponent == 1:
-        return "q"
-    return f"({to_text(node)})"
+    return to_text(node) if _bare_base(node) else f"({to_text(node)})"
 
 
 def _factor_text(node) -> str:
-    # operand of unary minus
-    if isinstance(node, (BinOp, Neg)):
+    # operand of unary minus: "--x" parses as a double negation
+    if isinstance(node, BinOp):
         return f"({to_text(node)})"
     return to_text(node)
 
@@ -421,6 +440,36 @@ def to_text(node) -> str:
     if isinstance(node, Subq):
         return f"subq({to_text(node.node)}, {node.power})"
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def _nesting(root) -> int:
+    """The parser nesting depth of ``to_text(root)``, without recursion.
+
+    Each "(", unary "-", "sqrt(" and call in the printed text opens a level;
+    the per-node counts below follow the printer.
+    """
+    deepest = 0
+    stack = [(root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if isinstance(node, BinOp):
+            depth += 1
+            stack.append((node.left, depth))
+            stack.append((node.right, depth))
+        elif isinstance(node, Call):
+            depth += 1
+        elif isinstance(node, Lit):
+            v = node.value
+            depth += (v.numerator < 0) + (v.denominator != 1)
+        elif isinstance(node, Pow):
+            stack.append((node.base, depth + (not _bare_base(node.base))))
+        elif isinstance(node, Neg):
+            stack.append((node.node, depth + 1 + isinstance(node.node, BinOp)))
+        elif isinstance(node, (Sqrt, Subq)):
+            stack.append((node.node, depth + 1))
+        if depth > deepest:
+            deepest = depth
+    return deepest
 
 
 # -- evaluation ----------------------------------------------------------------

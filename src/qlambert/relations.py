@@ -10,10 +10,17 @@ Two polynomial types:
   with poles of coprime orders m and n at infinity, all monomials
   satisfying a*m + b*n <= m*n.
 
-Linear systems are solved by exact Gaussian elimination; pivots are
-chosen by smallest numerator-plus-denominator bit length to keep the
-intermediate rationals modest.  Resultants use fraction-free
-Bareiss elimination over the polynomial ring.
+The arithmetic runs on private dict kernels (multiply, subtract a scaled
+shifted multiple, exact divide) over plain ``dict[monomial, int]``:
+``MultiPoly`` operands have their denominators cleared once on the way in
+and restored once on the way out, and a ``Fraction`` appears inside a
+kernel only where an exact quotient is not integral.  Resultants use
+Bareiss's fraction-free elimination over the integer polynomial ring in the
+remaining variables; relation fitting solves its linear system by
+fraction-free Gauss-Jordan elimination on integer rows, removing each row's
+gcd after every step.  ``Fraction`` is the public boundary: the
+coefficients of ``MultiPoly`` and ``BivarPoly`` are always ``Fraction``
+values.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ExactDivisionError, PrecisionError
@@ -43,6 +51,74 @@ def _rat(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"expected a rational coefficient, got {type(x).__name__}")
+
+
+# ---------------------------------------------------------------- kernels
+#
+# A kernel polynomial is a plain dict from exponent tuples to nonzero exact
+# coefficients: an int when integral, a Fraction only where an exact quotient
+# was not.  Kernels never see MultiPoly and never validate their input.
+
+
+def _cleared(coeffs) -> tuple[int, dict]:
+    """(L, ints) with ints[m] == coeffs[m] * L for the least common denominator L."""
+    L = math.lcm(*(c.denominator for c in coeffs.values()))
+    return L, {m: c.numerator * (L // c.denominator) for m, c in coeffs.items()}
+
+
+def _quotient(a, b):
+    # the exact rational a/b in canonical form: an int when integral
+    if type(a) is int and type(b) is int and not a % b:
+        return a // b
+    x = Fraction(a, b)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _mul(a: dict, b: dict) -> dict:
+    """The product a*b."""
+    out: dict = {}
+    get = out.get
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            key = tuple(map(add, m1, m2))
+            out[key] = get(key, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def _submul(acc: dict, b: dict, c, shift: tuple) -> None:
+    """acc -= c * x^shift * b, in place; cancelled terms are removed."""
+    get = acc.get
+    for m, v in b.items():
+        key = tuple(map(add, m, shift))
+        x = get(key, 0) - c * v
+        if x:
+            acc[key] = x
+        else:
+            del acc[key]
+
+
+def _divide(p: dict, q: dict, variables: tuple) -> dict:
+    """The exact quotient p/q for nonzero q, by division in descending lex order.
+
+    One remainder dict is updated in place.  Raises ExactDivisionError
+    naming the remainder's leading monomial when q does not divide p.
+    """
+    rem = dict(p)
+    lm_q = max(q)
+    lc_q = q[lm_q]
+    quot = {}
+    while rem:
+        lm_r = max(rem)
+        diff = tuple(map(sub, lm_r, lm_q))
+        if any(d < 0 for d in diff):
+            lead_str = str(MultiPoly(variables, {lm_r: 1}))
+            raise ExactDivisionError(
+                f"not an exact division: remainder has leading monomial {lead_str}"
+            )
+        t = _quotient(rem[lm_r], lc_q)
+        quot[diff] = t
+        _submul(rem, q, t, diff)
+    return quot
 
 
 class MultiPoly:
@@ -73,6 +149,25 @@ class MultiPoly:
                     del clean[key]
         object.__setattr__(self, "variables", vs)
         object.__setattr__(self, "coeffs", clean)
+
+    @staticmethod
+    def _make(variables: tuple, coeffs: dict) -> "MultiPoly":
+        # construction from a kernel dict: no validation, values to Fraction
+        p = object.__new__(MultiPoly)
+        object.__setattr__(p, "variables", variables)
+        object.__setattr__(
+            p,
+            "coeffs",
+            {m: c if type(c) is Fraction else Fraction(c) for m, c in coeffs.items()},
+        )
+        return p
+
+    @staticmethod
+    def _restored(variables: tuple, ints: dict, scale) -> "MultiPoly":
+        # the polynomial ints * scale, for a nonzero rational scale
+        if scale == 1:
+            return MultiPoly._make(variables, ints)
+        return MultiPoly._make(variables, {m: c * scale for m, c in ints.items()})
 
     # -- basic structure ------------------------------------------------
 
@@ -115,7 +210,7 @@ class MultiPoly:
             for pos, e in zip(idx, mono):
                 key[pos] = e
             out[tuple(key)] = c
-        return MultiPoly(vs, out)
+        return MultiPoly._make(vs, out)
 
     def _aligned(self, other: "MultiPoly") -> tuple["MultiPoly", "MultiPoly"]:
         if self.variables == other.variables:
@@ -132,14 +227,13 @@ class MultiPoly:
             return NotImplemented
         a, b = self._aligned(other)
         out = dict(a.coeffs)
-        for m, c in b.coeffs.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return MultiPoly(a.variables, out)
+        _submul(out, b.coeffs, -1, (0,) * len(a.variables))
+        return MultiPoly._make(a.variables, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.variables, {m: -c for m, c in self.coeffs.items()})
+        return MultiPoly._make(self.variables, {m: -c for m, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, MultiPoly) else -_rat(other))
@@ -150,30 +244,31 @@ class MultiPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = _rat(other)
-            return MultiPoly(self.variables, {m: c * v for m, v in self.coeffs.items()})
+            if not c:
+                return MultiPoly._make(self.variables, {})
+            return MultiPoly._make(self.variables, {m: c * v for m, v in self.coeffs.items()})
         if not isinstance(other, MultiPoly):
             return NotImplemented
         a, b = self._aligned(other)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for m1, c1 in a.coeffs.items():
-            for m2, c2 in b.coeffs.items():
-                key = tuple(x + y for x, y in zip(m1, m2))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return MultiPoly(a.variables, out)
+        La, A = _cleared(a.coeffs)
+        Lb, B = _cleared(b.coeffs)
+        return MultiPoly._restored(a.variables, _mul(A, B), Fraction(1, La * Lb))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
-        result = MultiPoly(self.variables, {(0,) * len(self.variables): 1})
-        base = self
+        L, base = _cleared(self.coeffs)
+        result = {(0,) * len(self.variables): 1}
+        scale = Fraction(1, L**n)
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = _mul(result, base)
             n >>= 1
-        return result
+            if n:
+                base = _mul(base, base)
+        return MultiPoly._restored(self.variables, result, scale)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -184,7 +279,17 @@ class MultiPoly:
         return a.coeffs == b.coeffs
 
     def __hash__(self):
-        return hash((self.variables, frozenset(self.coeffs.items())))
+        # equal polynomials hash equal: a constant as its value, any other
+        # polynomial by its (name, exponent) pairs, so that unused variables
+        # and the order of the variables do not matter
+        if all(not any(m) for m in self.coeffs):
+            return hash(self.constant_term())
+        return hash(
+            frozenset(
+                (frozenset((v, e) for v, e in zip(self.variables, m) if e), c)
+                for m, c in self.coeffs.items()
+            )
+        )
 
     # -- content ----------------------------------------------------------
 
@@ -214,12 +319,12 @@ class MultiPoly:
     def strip_content(self) -> tuple["MultiPoly", Fraction, tuple[int, ...]]:
         """Factor out scalar and monomial content; returns (primitive, scalar, monomial)."""
         mono = self.monomial_content()
-        shifted = MultiPoly(
+        shifted = MultiPoly._make(
             self.variables,
-            {tuple(e - d for e, d in zip(m, mono)): c for m, c in self.coeffs.items()},
+            {tuple(map(sub, m, mono)): c for m, c in self.coeffs.items()},
         )
         scal = shifted.scalar_content()
-        prim = MultiPoly(
+        prim = MultiPoly._make(
             self.variables, {m: c / scal for m, c in shifted.coeffs.items()}
         )
         return prim, scal, mono
@@ -349,21 +454,10 @@ def exact_divide(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     if q.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     p, q = p._aligned(q)
-    quot = MultiPoly(p.variables, {})
-    rem = p
-    lm_q, lc_q = q.leading()
-    while not rem.is_zero():
-        lm_r, lc_r = rem.leading()
-        diff = tuple(a - b for a, b in zip(lm_r, lm_q))
-        if any(d < 0 for d in diff):
-            lead_str = str(MultiPoly(rem.variables, {lm_r: 1}))
-            raise ExactDivisionError(
-                f"not an exact division: remainder has leading monomial {lead_str}"
-            )
-        t = MultiPoly(p.variables, {diff: lc_r / lc_q})
-        quot = quot + t
-        rem = rem - t * q
-    return quot
+    Lp, P = _cleared(p.coeffs)
+    Lq, Q = _cleared(q.coeffs)
+    # p/q = (P/Q) * (Lq/Lp); scaling by a constant keeps the remainder's support
+    return MultiPoly._restored(p.variables, _divide(P, Q, p.variables), Fraction(Lq, Lp))
 
 
 # ---------------------------------------------------------------- resultants
@@ -372,9 +466,12 @@ def exact_divide(p: MultiPoly, q: MultiPoly) -> MultiPoly:
 def resultant_eliminate(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
     """Sylvester resultant of p and q with respect to one variable.
 
-    The determinant is computed by fraction-free Bareiss elimination over
-    the polynomial ring in the remaining variables, so it vanishes at
-    every specialization where p and q share a root in ``var``.
+    The determinant is computed by Bareiss's fraction-free elimination over
+    the integer polynomial ring in the remaining variables, so it vanishes
+    at every specialization where p and q share a root in ``var``.  The
+    denominators of p and q are cleared once up front and the scaling is
+    undone on the determinant, so every entry and every exact division in
+    the elimination stays integral.
     """
     p, q = p._aligned(q)
     if var not in p.variables:
@@ -383,58 +480,58 @@ def resultant_eliminate(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
     if dp < 1 or dq < 1:
         raise ValueError(f"resultant requires positive degree in {var}")
     rest = tuple(v for v in p.variables if v != var)
-    if not rest:
-        rest = ("1",)  # degenerate: constants only; keep a dummy axis
     idx = p.variables.index(var)
 
-    def coeff_rows(poly: MultiPoly, deg: int) -> list[MultiPoly]:
+    def coeff_rows(coeffs: dict, deg: int) -> list[dict]:
         rows = [dict() for _ in range(deg + 1)]
-        for mono, c in poly.coeffs.items():
-            rest_mono = tuple(e for i, e in enumerate(mono) if i != idx)
-            if len(rest_mono) == 0:
-                rest_mono = (0,)
-            rows[mono[idx]][rest_mono] = c
-        return [MultiPoly(rest, r) for r in rows]
+        for mono, c in coeffs.items():
+            rows[mono[idx]][mono[:idx] + mono[idx + 1 :]] = c
+        return rows
 
-    pc = coeff_rows(p, dp)
-    qc = coeff_rows(q, dq)
+    Lp, P = _cleared(p.coeffs)
+    Lq, Q = _cleared(q.coeffs)
+    pc = coeff_rows(P, dp)
+    qc = coeff_rows(Q, dq)
     size = dp + dq
-    zero = MultiPoly(rest, {})
-    mat: list[list[MultiPoly]] = []
+    mat: list[list[dict]] = []
     for r in range(dq):
-        row = [zero] * size
+        row = [{}] * size
         for k in range(dp + 1):
             row[r + k] = pc[dp - k]
         mat.append(row)
     for r in range(dp):
-        row = [zero] * size
+        row = [{}] * size
         for k in range(dq + 1):
             row[r + k] = qc[dq - k]
         mat.append(row)
 
+    # entries are shared between rows and never mutated: each step builds
+    # fresh dicts
     sign = 1
-    prev = MultiPoly(rest, {(0,) * len(rest): 1})
+    prev = None
     for k in range(size - 1):
-        if mat[k][k].is_zero():
-            swap = next(
-                (i for i in range(k + 1, size) if not mat[i][k].is_zero()), None
-            )
+        if not mat[k][k]:
+            swap = next((i for i in range(k + 1, size) if mat[i][k]), None)
             if swap is None:
-                return MultiPoly(rest, {})
+                return MultiPoly._make(rest, {})
             mat[k], mat[swap] = mat[swap], mat[k]
             sign = -sign
+        pivot_row = mat[k]
+        pivot = pivot_row[k]
         for i in range(k + 1, size):
+            row = mat[i]
+            lead = row[k]
             for j in range(k + 1, size):
-                num = mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]
-                mat[i][j] = exact_divide(num, prev)
-            mat[i][k] = zero
-        prev = mat[k][k]
-    det = mat[size - 1][size - 1]
-    if sign < 0:
-        det = -det
-    if det.variables == ("1",):
-        det = MultiPoly((), {(): c for (_,), c in det.coeffs.items()})
-    return det
+                num = _mul(row[j], pivot)
+                for shift, c in lead.items():
+                    _submul(num, pivot_row[j], c, shift)
+                row[j] = num if prev is None else _divide(num, prev, rest)
+            row[k] = {}
+        prev = pivot
+    # det(Sylvester(Lp*p, Lq*q)) = Lp^dq * Lq^dp * Res(p, q)
+    return MultiPoly._restored(
+        rest, mat[size - 1][size - 1], Fraction(sign, Lp**dq * Lq**dp)
+    )
 
 
 def vanishing_factor(factors: Sequence[MultiPoly], assignment) -> int:
@@ -453,13 +550,20 @@ def vanishing_factor(factors: Sequence[MultiPoly], assignment) -> int:
 # ---------------------------------------------------------------- relations
 
 
-def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]):
-    """Exact Gaussian elimination; returns (solution, None) or (None, reason).
+def _solve_exact(rows: list[list], rhs: list):
+    """Exact linear solve; returns (solution, None) or (None, reason).
 
-    reason is "underdetermined" or "inconsistent".  Pivots minimize the
-    bit length of numerator plus denominator.
+    reason is "underdetermined" or "inconsistent".  Each row, right-hand
+    side included, is scaled to coprime integers once; the elimination is
+    fraction-free Gauss-Jordan, dividing every updated row by its gcd.
+    Pivots minimize the bit length of the pivot entry.  The solution is
+    returned as Fractions.
     """
-    m = [list(r) + [b] for r, b in zip(rows, rhs)]
+    m = []
+    for r, b in zip(rows, rhs):
+        row = [*r, b]
+        L = math.lcm(*(c.denominator for c in row))
+        m.append(_primitive([c.numerator * (L // c.denominator) for c in row]))
     ncols = len(rows[0]) if rows else 0
     pivots: list[tuple[int, int]] = []
     r = 0
@@ -467,17 +571,14 @@ def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]):
         cand = [i for i in range(r, len(m)) if m[i][col]]
         if not cand:
             continue
-        best = min(
-            cand,
-            key=lambda i: m[i][col].numerator.bit_length()
-            + m[i][col].denominator.bit_length(),
-        )
+        best = min(cand, key=lambda i: abs(m[i][col]).bit_length())
         m[r], m[best] = m[best], m[r]
-        pv = m[r][col]
+        pivot_row = m[r]
+        pv = pivot_row[col]
         for i in range(len(m)):
-            if i != r and m[i][col]:
-                f = m[i][col] / pv
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            f = m[i][col]
+            if i != r and f:
+                m[i] = _primitive([a * pv - f * b for a, b in zip(m[i], pivot_row)])
         pivots.append((r, col))
         r += 1
         if r == len(m):
@@ -489,8 +590,29 @@ def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]):
         return None, "underdetermined"
     sol = [Fraction(0)] * ncols
     for row, col in pivots:
-        sol[col] = m[row][ncols] / m[row][col]
+        sol[col] = Fraction(m[row][ncols], m[row][col])
     return sol, None
+
+
+def _primitive(row: list[int]) -> list[int]:
+    # the row divided by the gcd of its entries
+    g = math.gcd(*row)
+    return row if g < 2 else [a // g for a in row]
+
+
+def _coefficients(s: QSeries, lo: int, hi: int) -> list:
+    """Coefficients of q^lo .. q^(hi-1) of an integer-grid series, read
+    straight from its stored window (ints where integral).
+
+    Nothing is stored at or past the truncation, so exponents there read as
+    zero; the caller asks only below it.
+    """
+    out = [0] * (hi - lo)
+    start = max(lo, s.v)
+    stop = min(hi, s.v + len(s.coeffs))
+    if start < stop:
+        out[start - lo : stop - lo] = s.coeffs[start - s.v : stop - s.v]
+    return out
 
 
 def find_relation(x: QSeries, y: QSeries) -> BivarPoly:
@@ -549,17 +671,11 @@ def find_relation(x: QSeries, y: QSeries) -> BivarPoly:
             f"(have q^{t_min})"
         )
 
-    def coeff_of(s: QSeries, e: int) -> Fraction:
-        te = s.truncation_exponent()
-        if te is not None and Fraction(e) >= te:
-            return Fraction(0)
-        return s.coefficient(e)
-
     fixed = monos[(n, 0)] - monos[(0, m)]
-    rows, rhs = [], []
-    for e in range(-m * n, t_min):
-        rows.append([coeff_of(monos[ab], e) for ab in unknowns])
-        rhs.append(-coeff_of(fixed, e))
+    lo = -m * n
+    columns = [_coefficients(monos[ab], lo, t_min) for ab in unknowns]
+    rows = [list(row) for row in zip(*columns)]
+    rhs = [-c for c in _coefficients(fixed, lo, t_min)]
     sol, reason = _solve_exact(rows, rhs)
     if reason == "inconsistent":
         raise ValueError("no relation at this degree bound")

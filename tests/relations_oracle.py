@@ -1,0 +1,158 @@
+"""Slow reference kernels for the polynomial layer: Fraction arithmetic.
+
+These are the exact division, the Bareiss resultant and the linear solve
+that ``qlambert.relations`` used before its kernels went fraction-free.  They
+work on ``MultiPoly`` values and ``Fraction`` matrices from start to finish,
+through the public ``MultiPoly`` constructor and operators only; those
+operators are checked in turn against the schoolbook product ``mul`` below.
+The differential tests compare them with the integer kernels.
+"""
+
+from fractions import Fraction
+
+from qlambert import ExactDivisionError
+from qlambert.relations import MultiPoly
+
+
+def exact_divide(p: MultiPoly, q: MultiPoly) -> MultiPoly:
+    """Quotient p/q when the division is exact.
+
+    Raises ExactDivisionError carrying the remainder's leading monomial
+    when q does not divide p.
+    """
+    if q.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    p, q = p._aligned(q)
+    quot = MultiPoly(p.variables, {})
+    rem = p
+    lm_q, lc_q = q.leading()
+    while not rem.is_zero():
+        lm_r, lc_r = rem.leading()
+        diff = tuple(a - b for a, b in zip(lm_r, lm_q))
+        if any(d < 0 for d in diff):
+            lead_str = str(MultiPoly(rem.variables, {lm_r: 1}))
+            raise ExactDivisionError(
+                f"not an exact division: remainder has leading monomial {lead_str}"
+            )
+        t = MultiPoly(p.variables, {diff: lc_r / lc_q})
+        quot = quot + t
+        rem = rem - t * q
+    return quot
+
+
+def resultant_eliminate(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
+    """Sylvester resultant of p and q with respect to one variable.
+
+    The determinant is computed by fraction-free Bareiss elimination over
+    the polynomial ring in the remaining variables, so it vanishes at
+    every specialization where p and q share a root in ``var``.
+    """
+    p, q = p._aligned(q)
+    if var not in p.variables:
+        raise ValueError(f"unknown variable {var}")
+    dp, dq = p.degree(var), q.degree(var)
+    if dp < 1 or dq < 1:
+        raise ValueError(f"resultant requires positive degree in {var}")
+    rest = tuple(v for v in p.variables if v != var)
+    if not rest:
+        rest = ("1",)  # degenerate: constants only; keep a dummy axis
+    idx = p.variables.index(var)
+
+    def coeff_rows(poly: MultiPoly, deg: int) -> list[MultiPoly]:
+        rows = [dict() for _ in range(deg + 1)]
+        for mono, c in poly.coeffs.items():
+            rest_mono = tuple(e for i, e in enumerate(mono) if i != idx)
+            if len(rest_mono) == 0:
+                rest_mono = (0,)
+            rows[mono[idx]][rest_mono] = c
+        return [MultiPoly(rest, r) for r in rows]
+
+    pc = coeff_rows(p, dp)
+    qc = coeff_rows(q, dq)
+    size = dp + dq
+    zero = MultiPoly(rest, {})
+    mat: list[list[MultiPoly]] = []
+    for r in range(dq):
+        row = [zero] * size
+        for k in range(dp + 1):
+            row[r + k] = pc[dp - k]
+        mat.append(row)
+    for r in range(dp):
+        row = [zero] * size
+        for k in range(dq + 1):
+            row[r + k] = qc[dq - k]
+        mat.append(row)
+
+    sign = 1
+    prev = MultiPoly(rest, {(0,) * len(rest): 1})
+    for k in range(size - 1):
+        if mat[k][k].is_zero():
+            swap = next(
+                (i for i in range(k + 1, size) if not mat[i][k].is_zero()), None
+            )
+            if swap is None:
+                return MultiPoly(rest, {})
+            mat[k], mat[swap] = mat[swap], mat[k]
+            sign = -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                num = mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]
+                mat[i][j] = exact_divide(num, prev)
+            mat[i][k] = zero
+        prev = mat[k][k]
+    det = mat[size - 1][size - 1]
+    if sign < 0:
+        det = -det
+    if det.variables == ("1",):
+        det = MultiPoly((), {(): c for (_,), c in det.coeffs.items()})
+    return det
+
+
+def solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]):
+    """Exact Gaussian elimination; returns (solution, None) or (None, reason).
+
+    reason is "underdetermined" or "inconsistent".  Pivots minimize the
+    bit length of numerator plus denominator.
+    """
+    m = [list(r) + [b] for r, b in zip(rows, rhs)]
+    ncols = len(rows[0]) if rows else 0
+    pivots: list[tuple[int, int]] = []
+    r = 0
+    for col in range(ncols):
+        cand = [i for i in range(r, len(m)) if m[i][col]]
+        if not cand:
+            continue
+        best = min(
+            cand,
+            key=lambda i: m[i][col].numerator.bit_length()
+            + m[i][col].denominator.bit_length(),
+        )
+        m[r], m[best] = m[best], m[r]
+        pv = m[r][col]
+        for i in range(len(m)):
+            if i != r and m[i][col]:
+                f = m[i][col] / pv
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append((r, col))
+        r += 1
+        if r == len(m):
+            break
+    for i in range(r, len(m)):
+        if m[i][ncols]:
+            return None, "inconsistent"
+    if len(pivots) < ncols:
+        return None, "underdetermined"
+    sol = [Fraction(0)] * ncols
+    for row, col in pivots:
+        sol[col] = m[row][ncols] / m[row][col]
+    return sol, None
+
+
+def mul(p: MultiPoly, q: MultiPoly) -> dict:
+    """Schoolbook product of two polynomials over the same variables, in Fractions."""
+    out: dict[tuple[int, ...], Fraction] = {}
+    for m1, c1 in p.coeffs.items():
+        for m2, c2 in q.coeffs.items():
+            key = tuple(x + y for x, y in zip(m1, m2))
+            out[key] = out.get(key, Fraction(0)) + c1 * c2
+    return {m: c for m, c in out.items() if c}

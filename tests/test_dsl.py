@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qlambert import dsl
 from qlambert.constructors import gosper_symbols, lambert_L, pi_q
 from qlambert.cli import main
 from qlambert.dsl import (
@@ -127,11 +128,18 @@ def test_syntax_errors(text, message):
         lambda n: "-" * n + "q",
         lambda n: "sqrt(" * n + "q^2" + ")" * n,
         lambda n: "subq(" * n + "q" + ", 1)" * n,
+        # a chain of n binary operators prints n parentheses deep
+        lambda n: "q" + " + q" * n,
+        lambda n: "q" + " * q^2" * n,
+        # minus, its parentheses and the chain inside: 1 + 1 + (n - 2)
+        lambda n: "-(q" + " - q" * (n - 2) + ")",
     ],
-    ids=["parentheses", "minus", "sqrt", "subq"],
+    ids=["parentheses", "minus", "sqrt", "subq", "sum-chain", "product-chain", "neg-sum"],
 )
 def test_nesting_limit(wrap):
-    evaluate(parse(wrap(MAX_NESTING)), 5)  # parses and evaluates at the limit
+    node = parse(wrap(MAX_NESTING))  # parses and evaluates at the limit
+    evaluate(node, 5)
+    assert parse(to_text(node)) == node
     with pytest.raises(DSLError, match="nested more than"):
         parse(wrap(MAX_NESTING + 1))
 
@@ -142,6 +150,15 @@ def test_too_deep_an_expression_is_a_usage_error(capsys):
     assert "nested more than" in capsys.readouterr().err
     at_limit = "(" * MAX_NESTING + "q" + ")" * MAX_NESTING
     assert main(["verify", "--expr", f"{at_limit} == q", "--order", "5"]) == 0
+
+
+def test_a_long_flat_chain_is_a_usage_error(capsys):
+    n = MAX_NESTING + 1  # n terms, n - 1 operators: the chain is at the limit
+    at_limit = " + ".join(["q"] * n)
+    assert main(["verify", "--expr", f"{at_limit} == {n}*q", "--order", "5"]) == 0
+    past = f"{at_limit} + q == {n + 1}*q"
+    assert main(["verify", "--expr", past, "--order", "5"]) == 2
+    assert "nested more than" in capsys.readouterr().err
 
 
 def test_identity_needs_the_separator():
@@ -160,6 +177,8 @@ def test_print_spot_checks():
     assert to_text(parse("-q^2")) == "-q^2"
     assert to_text(parse("theta(-1,8,-1,6)")) == "theta(-1, 8, -1, 6)"
     assert to_text(parse("(1/24)")) == "(1/24)"
+    assert to_text(parse("---q")) == "---q"  # one nesting level per minus
+    assert to_text(parse("-(q + 1)")) == "-((q + 1))"
 
 
 _SYMBOLS = st.sampled_from(
@@ -219,6 +238,22 @@ def _extend(children):
 @given(st.recursive(_LEAVES, _extend, max_leaves=20))
 def test_print_parse_round_trip(node):
     assert parse(to_text(node)) == node
+
+
+class _DepthRecorder(dsl._Parser):
+    deepest = 0
+
+    def enter(self, tok):
+        super().enter(tok)
+        self.deepest = max(self.deepest, self.depth)
+
+
+@settings(max_examples=200)
+@given(st.recursive(_LEAVES, _extend, max_leaves=20))
+def test_nesting_is_the_depth_of_the_printed_text(node):
+    parser = _DepthRecorder(to_text(node))
+    parser.expr()
+    assert parser.deepest == dsl._nesting(node)
 
 
 # -------------------------------------------------------------- evaluation

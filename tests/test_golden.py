@@ -60,6 +60,33 @@ CASES = [
         ["expand", "(2/3)*sqrt(symbol(z))", "--order", "6", "--json"],
         0,
     ),
+    ("eliminate.txt", ["eliminate"], 0),
+    ("eliminate.json", ["eliminate", "--json"], 0),
+    (
+        "find_relation_F3.txt",
+        ["find-relation", "--x", "symbol(z)^2", "--y", "symbol(g)^2", "--order", "40"],
+        0,
+    ),
+    (
+        "find_relation_F3.json",
+        ["find-relation", "--x", "symbol(z)^2", "--y", "symbol(g)^2", "--order", "40", "--json"],
+        0,
+    ),
+    (
+        "find_relation_F4.txt",
+        ["find-relation", "--x", "symbol(t)", "--y", "symbol(g)^2", "--order", "40"],
+        0,
+    ),
+    (
+        "find_relation_F4.json",
+        ["find-relation", "--x", "symbol(t)", "--y", "symbol(g)^2", "--order", "40", "--json"],
+        0,
+    ),
+    (
+        "find_relation_rational.txt",
+        ["find-relation", "--x", "1/q+1/3", "--y", "1/q^2", "--order", "30"],
+        0,
+    ),
 ]
 
 

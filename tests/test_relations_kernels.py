@@ -1,0 +1,272 @@
+"""Differential tests: the polynomial kernels against the Fraction oracle.
+
+Exact division, the Bareiss resultant and the linear solve must agree with
+``relations_oracle`` exactly: the same quotient, determinant or solution, the
+same exception type and message, the same reason string.  Results crossing
+the public boundary must hold ``Fraction`` coefficients.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import relations_oracle as oracle
+from qlambert import ExactDivisionError
+from qlambert.relations import MultiPoly, _solve_exact, exact_divide, resultant_eliminate
+
+integers = st.integers(-9, 9)
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+NAMES = ("Z", "X", "Y")
+
+
+@st.composite
+def polys(draw, nvars=None, max_terms=5, max_exp=3):
+    n = draw(st.integers(1, 3)) if nvars is None else nvars
+    kind = draw(st.sampled_from(["int", "rational", "mixed"]))
+    mixed = st.one_of(integers, rationals)
+    pool = {"int": integers, "rational": rationals, "mixed": mixed}[kind]
+    coeffs = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        mono = tuple(draw(st.integers(0, max_exp)) for _ in range(n))
+        coeffs[mono] = draw(pool)
+    return MultiPoly(NAMES[:n], coeffs)
+
+
+def nonzero(p):
+    return not p.is_zero()
+
+
+def outcome(fn, *args):
+    try:
+        result = fn(*args)
+    except (ArithmeticError, ValueError) as err:
+        return type(err), str(err)
+    assert all(type(c) is F for c in result.coeffs.values())
+    return result.variables, result.coeffs
+
+
+# ------------------------------------------------------------ ring operations
+
+
+@given(polys(nvars=2), polys(nvars=2))
+def test_product_matches_schoolbook(p, q):
+    product = p * q
+    assert product.coeffs == oracle.mul(p, q)
+    assert all(type(c) is F for c in product.coeffs.values())
+    assert (p + q) - q == p
+
+
+@given(polys(max_terms=3, max_exp=2), st.integers(0, 4))
+def test_power_matches_repeated_products(p, n):
+    want = MultiPoly(p.variables, {(0,) * len(p.variables): 1})
+    for _ in range(n):
+        want = MultiPoly(p.variables, oracle.mul(want, p))
+    assert (p**n).coeffs == want.coeffs
+
+
+# ------------------------------------------------------------- exact division
+
+
+@given(polys(), polys().filter(nonzero))
+def test_exact_quotients_agree(p, q):
+    assert outcome(exact_divide, p * q, q) == outcome(oracle.exact_divide, p * q, q)
+    assert exact_divide(p * q, q) == p
+
+
+@given(polys(), polys().filter(nonzero))
+def test_inexact_divisions_fail_alike(p, q):
+    assert outcome(exact_divide, p, q) == outcome(oracle.exact_divide, p, q)
+
+
+@given(polys(), polys().filter(nonzero), polys().filter(nonzero))
+def test_divisions_with_a_remainder_fail_alike(p, q, r):
+    # p*q + r is divisible by q exactly when r is
+    dividend = p * q + r
+    assert outcome(exact_divide, dividend, q) == outcome(oracle.exact_divide, dividend, q)
+
+
+def test_inexact_division_message():
+    X, Y = MultiPoly(("X", "Y"), {(1, 0): 1}), MultiPoly(("X", "Y"), {(0, 1): 1})
+    with pytest.raises(ExactDivisionError) as new:
+        exact_divide(X**2 + Y, F(1, 3) * X)
+    with pytest.raises(ExactDivisionError) as old:
+        oracle.exact_divide(X**2 + Y, F(1, 3) * X)
+    assert str(new.value) == str(old.value)
+    assert str(new.value).endswith("leading monomial Y")
+
+
+# ----------------------------------------------------------------- resultants
+
+
+def resultant_outcome(fn, p, q):
+    got = outcome(fn, p, q, "Z")
+    if isinstance(got[0], type):
+        return got
+    # the oracle keeps a dummy "1" axis on one early exit of the univariate case
+    variables, coeffs = got
+    return () if variables == ("1",) else variables, coeffs
+
+
+@settings(max_examples=60)
+@given(polys(max_terms=4, max_exp=2), polys(max_terms=4, max_exp=2))
+def test_resultants_agree(p, q):
+    assume(p.degree("Z") >= 1 and q.degree("Z") >= 1)
+    assert resultant_outcome(resultant_eliminate, p, q) == resultant_outcome(
+        oracle.resultant_eliminate, p, q
+    )
+
+
+@settings(max_examples=30)
+@given(
+    polys(max_terms=3, max_exp=1),
+    polys(max_terms=3, max_exp=1),
+    polys(max_terms=3, max_exp=1),
+)
+def test_resultants_with_a_common_factor_vanish(f, g, h):
+    assume(f.degree("Z") >= 1 and g.degree("Z") >= 0 and h.degree("Z") >= 0)
+    p, q = f * g, f * h
+    assume(p.degree("Z") >= 1 and q.degree("Z") >= 1)
+    new = resultant_eliminate(p, q, "Z")
+    assert new.is_zero()
+    assert resultant_outcome(resultant_eliminate, p, q) == resultant_outcome(
+        oracle.resultant_eliminate, p, q
+    )
+
+
+def _zxy(coeffs):
+    return MultiPoly(NAMES, coeffs)
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [
+        # Z^2 + A Z + B against Z + A: the second pivot A - A vanishes, so
+        # the elimination swaps rows
+        (
+            _zxy({(2, 0, 0): 1, (1, 1, 0): 1, (0, 0, 1): 1}),
+            _zxy({(1, 0, 0): 1, (0, 1, 0): 1}),
+        ),
+        (
+            _zxy({(2, 0, 0): F(1, 2), (1, 1, 0): F(2, 3), (0, 0, 1): 5}),
+            _zxy({(1, 0, 0): F(3, 4), (0, 1, 0): 1}),
+        ),
+        # univariate: no remaining variables
+        (MultiPoly(("Z",), {(2,): 1, (0,): -2}), MultiPoly(("Z",), {(3,): F(1, 3), (1,): 1})),
+        # univariate and proportional: zero through the early exit
+        (
+            MultiPoly(("Z",), {(2,): 1, (1,): 1, (0,): 1}),
+            MultiPoly(("Z",), {(2,): 2, (1,): 2, (0,): 2}),
+        ),
+        # univariate with one common root: zero in the last pivot
+        (
+            MultiPoly(("Z",), {(2,): 1, (1,): -3, (0,): 2}),
+            MultiPoly(("Z",), {(2,): 1, (1,): 2, (0,): -3}),
+        ),
+    ],
+    ids=[
+        "row-swap",
+        "row-swap-rational",
+        "univariate",
+        "univariate-zero",
+        "univariate-zero-last",
+    ],
+)
+def test_resultant_special_cases(p, q):
+    new = resultant_outcome(resultant_eliminate, p, q)
+    assert new == resultant_outcome(oracle.resultant_eliminate, p, q)
+    assert new[0] == tuple(v for v in p.variables if v != "Z")
+
+
+# --------------------------------------------------------------- linear solve
+
+
+matrix_entries = st.one_of(st.integers(-4, 4), st.fractions(-3, 3, max_denominator=4))
+
+
+@st.composite
+def systems(draw):
+    ncols = draw(st.integers(1, 4))
+    shape = draw(st.sampled_from(["square", "over", "singular", "inconsistent", "under"]))
+    nrows = {"square": ncols, "over": ncols + draw(st.integers(1, 3))}.get(shape, ncols)
+    rows = [[F(draw(matrix_entries)) for _ in range(ncols)] for _ in range(nrows)]
+    rhs = [F(draw(matrix_entries)) for _ in range(nrows)]
+    if shape == "under":
+        keep = draw(st.integers(0, ncols - 1))
+        rows, rhs = rows[:keep], rhs[:keep]
+    elif shape in ("singular", "inconsistent") and nrows > 1:
+        # the last row a combination of the first two (or a copy of the first)
+        a, b = F(draw(matrix_entries)), F(draw(matrix_entries))
+        second = rows[1] if nrows > 2 else [0] * ncols
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], second)]
+        rhs[-1] = a * rhs[0] + b * (rhs[1] if nrows > 2 else 0)
+        if shape == "inconsistent":
+            rhs[-1] += draw(st.integers(1, 3))
+    return rows, rhs
+
+
+@settings(max_examples=300)
+@given(systems())
+def test_linear_solve_agrees(system):
+    rows, rhs = system
+    new = _solve_exact(rows, rhs)
+    assert new == oracle.solve_exact(rows, rhs)
+    if new[0] is not None:
+        assert all(type(c) is F for c in new[0])
+
+
+@pytest.mark.parametrize(
+    "rows, rhs, reason",
+    [
+        ([[1, 2], [2, 4]], [1, 2], "underdetermined"),
+        ([[1, 2], [2, 4]], [1, 3], "inconsistent"),
+        ([[0, 0], [0, 0]], [0, 1], "inconsistent"),
+        ([[1, 1], [1, -1], [2, 0]], [2, 0, 2], None),
+        ([[1, 1], [1, -1], [2, 0]], [2, 0, 3], "inconsistent"),
+        ([], [], None),
+    ],
+)
+def test_linear_solve_reasons(rows, rhs, reason):
+    rows = [[F(c) for c in r] for r in rows]
+    rhs = [F(c) for c in rhs]
+    new = _solve_exact(rows, rhs)
+    assert new == oracle.solve_exact(rows, rhs)
+    assert new[1] == reason
+
+
+# ----------------------------------------------------------------- hash and eq
+
+
+@st.composite
+def equal_pairs(draw):
+    p = draw(polys(max_terms=4))
+    if draw(st.booleans()):
+        names = list(p.variables) + draw(st.lists(st.sampled_from(["A", "B"]), unique=True))
+        q = p.with_variables(draw(st.permutations(names)))
+    else:
+        q = draw(polys(max_terms=4))
+    return p, q
+
+
+@given(equal_pairs())
+def test_equal_polynomials_hash_equal(pair):
+    a, b = pair
+    if a == b:
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+
+@given(st.one_of(integers, rationals), st.integers(0, 3))
+def test_constants_hash_as_their_value(c, n):
+    p = MultiPoly(NAMES[:n], {(0,) * n: c})
+    assert p == c and hash(p) == hash(c)
+
+
+def test_unused_variables_do_not_change_the_hash():
+    a = MultiPoly(("X", "Y"), {(1, 0): 1})
+    b = MultiPoly(("X",), {(1,): 1})
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    c = MultiPoly(("Y", "X"), {(0, 1): 1, (1, 0): 2})
+    d = MultiPoly(("X", "Y"), {(1, 0): 1, (0, 1): 2})
+    assert c == d and hash(c) == hash(d)
