@@ -1,26 +1,76 @@
 """Constructors for classical q-products and Lambert series.
 
 Everything here returns a :class:`~qlambert.series.QSeries` with honest
-truncation bookkeeping.  The primitive products (``pochhammer``, ``eta``,
-``gen_eta``, ``theta_f``, ``lambert_mod``, ``pi_q``) take an *absolute*
-exponent ceiling ``order``: the result is known modulo ``q^order`` (often a
-little further).  The named modular functions of :func:`gosper_symbols` have
-poles of different orders at infinity, so there ``order`` is the *relative*
-window: the number of known q-orders past the leading exponent.
+truncation bookkeeping.
+
+Every q-product goes through one kernel, ``_qproduct(factors, pref, order)``.
+An eta-type object (a Pochhammer symbol, an eta or generalized eta quotient,
+``Pi_q``, a theta product) is stated by its prefactor exponent ``pref`` and
+its factor dict ``{(a, b): r}``, which stand for
+q^pref * prod (q^a; q^b)_inf^r; a signed factor enters through
+(-q^a; q^b) = (q^(2a); q^(2b)) / (q^a; q^b).  The wrappers below only
+validate their input and state that dict.
+
+The primitive products (``pochhammer``, ``eta``, ``gen_eta``, ``theta_f``,
+``lambert_mod``, ``pi_q``) take an *absolute* exponent ceiling ``order``:
+the result is known modulo ``q^order`` (often a little further).  The named
+modular functions of :func:`gosper_symbols` have poles of different orders
+at infinity, so there ``order`` is the *relative* window R: a function with
+leading exponent ``lead`` is known exactly through ``lead + R``.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
-from .series import QSeries, qpow
+from .series import QSeries
 
 
-def _ceil(x) -> int:
-    x = Fraction(x)
-    return -((-x.numerator) // x.denominator)
+def _qproduct(factors: dict, pref, order) -> QSeries:
+    """q^pref * prod over ``factors`` {(a, b): r} of (q^a; q^b)_inf^r, known
+    modulo q^order.
+
+    The unit part f is known modulo q^w with w = max(1, ceil(order - pref)).
+    It comes in one pass of integer arithmetic from its logarithmic
+    derivative,  k f_k = sum_{j=1..k} s_j f_(k-j),  where s_j is minus the
+    sum of r * m over the factors (1 - q^m)^r with m | j; no series power,
+    product or inverse is formed.
+    """
+    pref = Fraction(pref)
+    w = max(1, math.ceil(Fraction(order) - pref))
+    s = [0] * w
+    for (a, b), r in factors.items():
+        for m in range(a, w, b):
+            for j in range(m, w, m):
+                s[j] -= r * m
+    f = [1] + [0] * (w - 1)
+    for k in range(1, w):
+        # exact: f has integer coefficients
+        f[k] = sum(map(mul, s[1 : k + 1], f[k - 1 :: -1])) // k
+    n, d = pref.numerator, pref.denominator
+    cs = [0] * ((w - 1) * d + 1)
+    cs[::d] = f
+    return QSeries._make(cs, n, d, n + w * d)
+
+
+def _factor_dict(triples) -> dict:
+    """{(a, b): r} from (a, b, r) triples; the exponents of a repeated pair add."""
+    out = {}
+    for a, b, r in triples:
+        out[a, b] = out.get((a, b), 0) + r
+    return out
+
+
+def _signed(sign: int, a: int, b: int) -> tuple:
+    """(a, b, r) triples of (sign q^a; q^b)_inf, through
+    (-q^a; q^b) = (q^(2a); q^(2b)) / (q^a; q^b)."""
+    if sign == 1:
+        return ((a, b, 1),)
+    return ((2 * a, 2 * b, 1), (a, b, -1))
 
 
 def pochhammer(sign: int, a: int, b: int, order: int) -> QSeries:
@@ -32,30 +82,14 @@ def pochhammer(sign: int, a: int, b: int, order: int) -> QSeries:
     order = int(order)
     if order < 1:
         raise ValueError("order must be a positive integer")
-    c = [0] * order
-    c[0] = 1
-    m = a
-    while m < order:
-        # in-place multiply by (1 - sign*q^m); descending j keeps c[j-m] fresh
-        if sign == 1:
-            for j in range(order - 1, m - 1, -1):
-                if c[j - m]:
-                    c[j] -= c[j - m]
-        else:
-            for j in range(order - 1, m - 1, -1):
-                if c[j - m]:
-                    c[j] += c[j - m]
-        m += b
-    return QSeries(c, 0, 1, order)
+    return _qproduct(_factor_dict(_signed(sign, a, b)), 0, order)
 
 
 def eta(delta: int, order) -> QSeries:
     """Dedekind eta at delta*tau:  q^(delta/24) * prod_{n>=1} (1 - q^(delta n))."""
     if delta < 1:
         raise ValueError("eta argument must be a positive integer")
-    pref = Fraction(delta, 24)
-    w = max(1, _ceil(Fraction(order) - pref))
-    return qpow(pref) * pochhammer(1, delta, delta, w)
+    return _qproduct({(delta, delta): 1}, Fraction(delta, 24), order)
 
 
 def _b2(t: Fraction) -> Fraction:
@@ -68,6 +102,17 @@ def gen_eta_prefactor(level: int, g: int) -> Fraction:
     return Fraction(level, 2) * _b2(Fraction(g % level, level))
 
 
+def _gen_eta_index(level: int, g: int) -> tuple:
+    """(g0, sign) with eta_{level,g} = sign * eta_{level,g0} and 0 < g0 < level,
+    through the laws eta_{N,g+N} = eta_{N,-g} = -eta_{N,g}."""
+    if level < 1:
+        raise ValueError("level must be a positive integer")
+    g0 = g % (2 * level)
+    if g0 % level == 0:
+        raise ValueError("index g must not be divisible by the level")
+    return (g0, 1) if g0 < level else (g0 - level, -1)
+
+
 def gen_eta(level: int, g: int, order) -> QSeries:
     """Generalized eta function eta_{level,g}.
 
@@ -76,19 +121,9 @@ def gen_eta(level: int, g: int, order) -> QSeries:
     and other indices reduce through eta_{N,g+N} = eta_{N,-g} = -eta_{N,g}.
     Indices divisible by the level are rejected (the product degenerates).
     """
-    if level < 1:
-        raise ValueError("level must be a positive integer")
-    g0 = g % (2 * level)
-    sign = 1
-    if g0 >= level:
-        g0 -= level
-        sign = -1
-    if g0 == 0:
-        raise ValueError("index g must not be divisible by the level")
-    pref = gen_eta_prefactor(level, g0)
-    w = max(1, _ceil(Fraction(order) - pref))
-    unit = pochhammer(1, g0, level, w) * pochhammer(1, level - g0, level, w)
-    out = qpow(pref) * unit
+    g0, sign = _gen_eta_index(level, g)
+    factors = _factor_dict(((g0, level, 1), (level - g0, level, 1)))
+    out = _qproduct(factors, gen_eta_prefactor(level, g0), order)
     return -out if sign < 0 else out
 
 
@@ -127,18 +162,11 @@ class EtaQuotient:
             (Fraction(d * r, 24) for d, r in self.exponents.items()), Fraction(0)
         )
 
+    def _factors(self) -> dict:
+        return {(d, d): r for d, r in self.exponents.items()}
+
     def series(self, order) -> QSeries:
-        pref = self.prefactor_exponent()
-        w = max(1, _ceil(Fraction(order) - pref))
-        num = QSeries([1], 0, 1, w)
-        den = QSeries([1], 0, 1, w)
-        for d, r in self.exponents.items():
-            p = pochhammer(1, d, d, w)
-            if r > 0:
-                num *= p**r
-            else:
-                den *= p ** (-r)
-        return qpow(pref) * (num * den.invert())
+        return _qproduct(self._factors(), self.prefactor_exponent(), order)
 
 
 @dataclass
@@ -170,20 +198,15 @@ class GenEtaQuotient:
             Fraction(0),
         )
 
+    def _factors(self) -> dict:
+        # at g = level/2 the two factors coincide and their exponents add
+        n = self.level
+        return _factor_dict(
+            (a, n, r) for g, r in self.exponents.items() for a in (g, n - g)
+        )
+
     def series(self, order) -> QSeries:
-        pref = self.prefactor_exponent()
-        w = max(1, _ceil(Fraction(order) - pref))
-        num = QSeries([1], 0, 1, w)
-        den = QSeries([1], 0, 1, w)
-        for g, r in self.exponents.items():
-            p = pochhammer(1, g, self.level, w) * pochhammer(
-                1, self.level - g, self.level, w
-            )
-            if r > 0:
-                num *= p**r
-            else:
-                den *= p ** (-r)
-        return qpow(pref) * (num * den.invert())
+        return _qproduct(self._factors(), self.prefactor_exponent(), order)
 
 
 def theta_f(sa: int, a: int, sb: int, b: int, order, form: str = "product") -> QSeries:
@@ -208,16 +231,15 @@ def theta_f(sa: int, a: int, sb: int, b: int, order, form: str = "product") -> Q
         # even- and odd-index subproducts, each with ratio q^(2 step)
         def poch_signed(s0, e, step):
             if sa * sb == 1:
-                return pochhammer(s0, e, step, order)
-            return pochhammer(s0, e, 2 * step, order) * pochhammer(
-                -s0, e + step, 2 * step, order
-            )
+                return _signed(s0, e, step)
+            return _signed(s0, e, 2 * step) + _signed(-s0, e + step, 2 * step)
 
-        return (
+        triples = (
             poch_signed(-sa, a, a + b)
-            * poch_signed(-sb, b, a + b)
-            * poch_signed(sa * sb, a + b, a + b)
+            + poch_signed(-sb, b, a + b)
+            + poch_signed(sa * sb, a + b, a + b)
         )
+        return _qproduct(_factor_dict(triples), 0, order)
     if form == "sum":
         c = [0] * order
         k = 0
@@ -293,10 +315,6 @@ def bailey_specialization(i: int, modulus: int, order) -> QSeries:
     )
 
 
-def _pi_unit(k: int, w: int) -> QSeries:
-    return pochhammer(1, 2 * k, 2 * k, w) ** 4 * pochhammer(1, k, k, w) ** (-2)
-
-
 def pi_q(k: int, order) -> QSeries:
     """Pi_{q^k} = q^(k/4) (q^(2k); q^(2k))^2 / (q^k; q^(2k))^2.
 
@@ -304,102 +322,93 @@ def pi_q(k: int, order) -> QSeries:
     """
     if k < 1:
         raise ValueError("argument must be a positive integer")
-    pref = Fraction(k, 4)
-    w = max(1, _ceil(Fraction(order) - pref))
-    return qpow(pref) * _pi_unit(k, w)
+    return _qproduct({(2 * k, 2 * k): 4, (k, k): -2}, Fraction(k, 4), order)
 
 
 # -- named level-14 functions ------------------------------------------------
 
-_SYMBOL_CACHE: dict = {}
-_SYMBOL_LOCK = threading.RLock()
-
-
-def _sym_g1(R):
-    return GenEtaQuotient(14, {6: 2, 1: -2}).series(Fraction(-5, 2) + R)
-
-
-def _sym_g2(R):
-    return GenEtaQuotient(14, {4: 2, 3: -2}).series(Fraction(-1, 2) + R)
-
-
-def _sym_g3(R):
-    return GenEtaQuotient(14, {2: 2, 5: -2}).series(Fraction(3, 2) + R)
-
-
-def _sym_g(R):
-    return qpow(Fraction(-3, 2)) * _pi_unit(1, R) * _pi_unit(7, R).invert()
-
-
-def _sym_z(R):
-    num = lambert_L_odd(1, R + 2) - 7 * lambert_L_odd(7, R + 2)
-    den = qpow(Fraction(7, 2)) * _pi_unit(7, R) ** 2
-    z = num * den.invert()
-    alt = gosper_symbols("g1", R) + gosper_symbols("g2", R) + gosper_symbols("g3", R)
-    if z != alt:
-        raise ArithmeticError(
-            "cross-check failed: the Lambert-series and eta-quotient builds "
-            "of z disagree"
-        )
-    return z
-
-
-def _sym_w(R):
-    return 4 * (lambert_L(1, R) - 7 * lambert_L(7, R)) + 1
-
-
-def _sym_f0(R):
-    g1, g2, g3 = (gosper_symbols(n, R) for n in ("g1", "g2", "g3"))
-    return g1**2 + g2**2 + g3**2
-
-
-def _sym_f1(R):
-    g1, g2, g3 = (gosper_symbols(n, R) for n in ("g1", "g2", "g3"))
-    return g1 * g2 + g1 * g3 + g2 * g3
-
-
-def _sym_f(R):
-    den = qpow(Fraction(7, 2)) * _pi_unit(7, R) ** 2 * gosper_symbols("z", R)
-    return gosper_symbols("w", R) * den.invert()
-
-
-def _sym_h1(R):
-    p7sq = qpow(Fraction(7, 2)) * _pi_unit(7, R) ** 2
-    p14sq = qpow(7) * _pi_unit(14, R) ** 2
-    return gosper_symbols("g", R) * p7sq * p14sq.invert()
-
-
-def _sym_h2(R):
-    p7sq = qpow(Fraction(7, 2)) * _pi_unit(7, R) ** 2
-    p14sq = qpow(7) * _pi_unit(14, R) ** 2
-    return p7sq * (gosper_symbols("g", R) * p14sq).invert()
-
-
-def _sym_H(R):
-    return gosper_symbols("h1", R) + 16 * gosper_symbols("h2", R).invert()
-
-
-def _sym_t(R):
-    return gosper_symbols("H", R) + 4 * gosper_symbols("f1", R)
-
-
-_BUILDERS = {
-    "z": _sym_z,
-    "w": _sym_w,
-    "g": _sym_g,
-    "g1": _sym_g1,
-    "g2": _sym_g2,
-    "g3": _sym_g3,
-    "f0": _sym_f0,
-    "f1": _sym_f1,
-    "f": _sym_f,
-    "h1": _sym_h1,
-    "h2": _sym_h2,
-    "H": _sym_H,
-    "t": _sym_t,
+#: name -> (leading exponent, definition), in the notation of the table in
+#: :func:`gosper_symbols`.  Each definition is written once, over a backend
+#: ``b`` that offers eta quotients ``b.eta(level, {delta: r})``, generalized
+#: eta quotients ``b.geta(level, {g: r})``, the Lambert sums ``b.L(k)`` and
+#: ``b.Lodd(k)``, and the other named functions ``b.sym(name)``; ``_Exact``
+#: reads it here and ``numeric._Float`` in floats.  1/Pi_{q^7}^2 is
+#: eta(7)^4 / eta(14)^8.
+_SYMBOLS = {
+    "z": (
+        Fraction(-5, 2),
+        lambda b: (b.Lodd(1) - 7 * b.Lodd(7)) * b.eta(14, {7: 4, 14: -8}),
+    ),
+    "w": (0, lambda b: 4 * (b.L(1) - 7 * b.L(7)) + 1),
+    "g": (Fraction(-3, 2), lambda b: b.eta(14, {1: -2, 2: 4, 7: 2, 14: -4})),
+    "g1": (Fraction(-5, 2), lambda b: b.geta(14, {1: -2, 6: 2})),
+    "g2": (Fraction(-1, 2), lambda b: b.geta(14, {3: -2, 4: 2})),
+    "g3": (Fraction(3, 2), lambda b: b.geta(14, {2: 2, 5: -2})),
+    "f0": (-5, lambda b: b.sym("g1") ** 2 + b.sym("g2") ** 2 + b.sym("g3") ** 2),
+    "f1": (
+        -3,
+        lambda b: b.sym("g1") * b.sym("g2")
+        + b.sym("g1") * b.sym("g3")
+        + b.sym("g2") * b.sym("g3"),
+    ),
+    "f": (-1, lambda b: b.sym("w") * b.eta(14, {7: 4, 14: -8}) / b.sym("z")),
+    "h1": (-5, lambda b: b.eta(28, {1: -2, 2: 4, 7: -2, 14: 8, 28: -8})),
+    "h2": (-2, lambda b: b.eta(28, {1: 2, 2: -4, 7: -6, 14: 16, 28: -8})),
+    "H": (-5, lambda b: b.sym("h1") + 16 / b.sym("h2")),
+    "t": (-5, lambda b: b.sym("H") + 4 * b.sym("f1")),
 }
 
-SYMBOL_NAMES = tuple(_BUILDERS)
+SYMBOL_NAMES = tuple(_SYMBOLS)
+
+
+class _Exact:
+    """The exact backend at relative window R: each leaf is expanded R orders
+    past its own leading exponent, each named function at window R."""
+
+    def __init__(self, window: int):
+        self.R = window
+
+    def _leaf(self, quot):
+        return quot.series(quot.prefactor_exponent() + self.R)
+
+    def eta(self, level, exponents):
+        return self._leaf(EtaQuotient(level, exponents))
+
+    def geta(self, level, exponents):
+        return self._leaf(GenEtaQuotient(level, exponents))
+
+    def L(self, k):
+        return lambert_L(k, k + self.R)
+
+    def Lodd(self, k):
+        return lambert_L_odd(k, k + self.R)
+
+    def sym(self, name):
+        return gosper_symbols(name, self.R)
+
+
+def _build(name: str, window: int) -> QSeries:
+    lead, define = _SYMBOLS[name]
+    got = define(_Exact(window)).truncate(lead + window)
+    if name == "z":
+        alt = (
+            gosper_symbols("g1", window)
+            + gosper_symbols("g2", window)
+            + gosper_symbols("g3", window)
+        )
+        if got != alt:
+            raise ArithmeticError(
+                "cross-check failed: the Lambert-series and eta-quotient builds "
+                "of z disagree"
+            )
+    return got
+
+
+#: name -> (window, series) of its largest build, and name -> (window, series)
+#: of the last smaller window served by truncating that build
+_SYMBOL_CACHE: dict = {}
+_SYMBOL_SERVED: dict = {}
+_SYMBOL_LOCK = threading.RLock()
 
 
 def gosper_symbols(name: str, order: int) -> QSeries:
@@ -407,7 +416,9 @@ def gosper_symbols(name: str, order: int) -> QSeries:
 
     ``order`` counts the known q-orders past the leading exponent (the
     functions have poles of different orders at infinity, so an absolute cap
-    would be awkward).  Builds are cached and thread-safe; building z
+    would be awkward): at window R the result is known exactly through
+    lead + R.  Builds are thread-safe and cached, one per name: a smaller
+    window is served by truncating the largest build.  Building z
     cross-checks its Lambert-series route against g1+g2+g3 and refuses to
     return on mismatch.
 
@@ -430,14 +441,18 @@ def gosper_symbols(name: str, order: int) -> QSeries:
     order = int(order)
     if order < 1:
         raise ValueError("order must be a positive relative window")
-    if name not in _BUILDERS:
+    if name not in _SYMBOLS:
         raise KeyError(
             f"unknown symbol {name!r}; available: {', '.join(SYMBOL_NAMES)}"
         )
     with _SYMBOL_LOCK:
-        key = (name, order)
-        got = _SYMBOL_CACHE.get(key)
-        if got is None:
-            got = _BUILDERS[name](order)
-            _SYMBOL_CACHE[key] = got
-        return got
+        window, built = _SYMBOL_CACHE.get(name, (0, None))
+        if window < order:
+            window, built = _SYMBOL_CACHE[name] = order, _build(name, order)
+        if window == order:
+            return built
+        served = _SYMBOL_SERVED.get(name)
+        if served is None or served[0] != order:
+            lead = _SYMBOLS[name][0]
+            served = _SYMBOL_SERVED[name] = order, built.truncate(lead + order)
+        return served[1]

@@ -3,7 +3,10 @@
 Series identities are certified exactly elsewhere; this module covers the
 statements that are not pure q-series identities (modular transformation
 laws, evaluations at specific points).  Everything runs in ordinary double
-precision with geometric tail bounds on the truncated products.
+precision with geometric tail bounds on the truncated products.  Eta and
+generalized eta quotients are evaluated from the same factor dicts as their
+series, and the named level-14 functions from the same symbol table as
+:func:`~qlambert.constructors.gosper_symbols`.
 """
 
 import cmath
@@ -14,10 +17,12 @@ from fractions import Fraction
 from .constructors import (
     EtaQuotient,
     GenEtaQuotient,
+    _SYMBOLS,
+    _gen_eta_index,
     gen_eta_prefactor,
     gosper_symbols,
 )
-from .level14 import ALPHA, G1, G2, G3, GAMMA_CYCLE, H1_ETA, H2_ETA
+from .level14 import ALPHA, GAMMA_CYCLE, H1_ETA, H2_ETA
 from .series import QSeries
 
 __all__ = [
@@ -87,15 +92,7 @@ def eta_value(tau) -> complex:
 def gen_eta_value(level: int, g: int, tau) -> complex:
     """eta_{level,g} by direct product, indices reduced through the sign laws
     eta_{N,g+N} = eta_{N,-g} = -eta_{N,g}."""
-    if level < 1:
-        raise ValueError("level must be a positive integer")
-    g0 = g % (2 * level)
-    sign = 1
-    if g0 >= level:
-        g0 -= level
-        sign = -1
-    if g0 == 0:
-        raise ValueError("index g must not be divisible by the level")
+    g0, sign = _gen_eta_index(level, g)
     tau = complex(tau)
     val = (
         q_point(tau, gen_eta_prefactor(level, g0))
@@ -106,16 +103,10 @@ def gen_eta_value(level: int, g: int, tau) -> complex:
 
 
 def _eval_any(obj, tau: complex) -> complex:
-    if isinstance(obj, EtaQuotient):
+    if isinstance(obj, (EtaQuotient, GenEtaQuotient)):
         out = q_point(tau, obj.prefactor_exponent())
-        for d, r in obj.exponents.items():
-            out *= _product_over(d * tau, 1, 1) ** r
-        return out
-    if isinstance(obj, GenEtaQuotient):
-        n = obj.level
-        out = q_point(tau, obj.prefactor_exponent())
-        for g, r in obj.exponents.items():
-            out *= (_product_over(tau, g, n) * _product_over(tau, n - g, n)) ** r
+        for (a, b), r in obj._factors().items():
+            out *= _product_over(tau, a, b) ** r
         return out
     if isinstance(obj, QSeries):
         return sum((complex(c) * q_point(tau, e) for e, c in obj.items()), 0j)
@@ -136,62 +127,53 @@ def eval_product(obj, tau) -> complex:
     return _eval_any(obj, _domain(tau))
 
 
-# -- named level-14 functions, mirrored numerically ---------------------------
-
-_G_ETA = EtaQuotient(14, {2: 4, 7: 2, 1: -2, 14: -4})
-_PI7_ETA = EtaQuotient(14, {14: 4, 7: -2})
+# -- named level-14 functions ------------------------------------------------
 
 
 def _lambert_value(r: int, modulus: int, q: complex) -> complex:
-    # sum over n >= 1, n ≡ r (mod modulus), of q^n / (1 - q^n)^2
+    # sum over n >= 1, n ≡ r (mod modulus), of q^n / (1 - q^n)^2; the sum
+    # starts at q^n and can lie far below 1, so its tail is cut relative to it
     n = r % modulus or modulus
     out = 0j
     qn = q**n
     qstep = q**modulus
-    while abs(qn) >= _TAIL:
+    while qn:
         out += qn / (1 - qn) ** 2
+        if abs(qn) < _TAIL * abs(out):
+            break
         qn *= qstep
     return out
 
 
-def _symbol_value(name: str, tau: complex) -> complex:
-    if name == "g1":
-        return _eval_any(G1, tau)
-    if name == "g2":
-        return _eval_any(G2, tau)
-    if name == "g3":
-        return _eval_any(G3, tau)
-    if name == "z":
-        return sum(_symbol_value(n, tau) for n in ("g1", "g2", "g3"))
-    if name == "g":
-        return _eval_any(_G_ETA, tau)
-    if name == "w":
-        q = cmath.exp(_TWO_PI_I * tau)
-        return 4 * (_lambert_value(0, 1, q) - 7 * _lambert_value(0, 7, q)) + 1
-    if name == "f0":
-        g1, g2, g3 = (_symbol_value(n, tau) for n in ("g1", "g2", "g3"))
-        return g1 * g1 + g2 * g2 + g3 * g3
-    if name == "f1":
-        g1, g2, g3 = (_symbol_value(n, tau) for n in ("g1", "g2", "g3"))
-        return g1 * g2 + g1 * g3 + g2 * g3
-    if name == "f":
-        den = _eval_any(_PI7_ETA, tau) ** 2 * _symbol_value("z", tau)
-        return _symbol_value("w", tau) / den
-    if name == "h1":
-        return _eval_any(H1_ETA, tau)
-    if name == "h2":
-        return _eval_any(H2_ETA, tau)
-    if name == "H":
-        return _symbol_value("h1", tau) + 16 / _symbol_value("h2", tau)
-    if name == "t":
-        return _symbol_value("H", tau) + 4 * _symbol_value("f1", tau)
-    raise KeyError("unknown symbol %r" % name)
+class _Float:
+    """The float backend of the symbol table: every leaf evaluated at tau."""
+
+    def __init__(self, tau: complex):
+        self.tau = tau
+        self.q = cmath.exp(_TWO_PI_I * tau)
+
+    def eta(self, level, exponents):
+        return _eval_any(EtaQuotient(level, exponents), self.tau)
+
+    def geta(self, level, exponents):
+        return _eval_any(GenEtaQuotient(level, exponents), self.tau)
+
+    def L(self, k):
+        return _lambert_value(0, k, self.q)
+
+    def Lodd(self, k):
+        return _lambert_value(k, 2 * k, self.q)
+
+    def sym(self, name):
+        if name not in _SYMBOLS:
+            raise KeyError("unknown symbol %r" % name)
+        return _SYMBOLS[name][1](self)
 
 
 def eval_symbol(name: str, tau) -> complex:
-    """Numeric value of a named level-14 function, built from the same
-    products and Lambert sums as its series counterpart."""
-    return _symbol_value(name, _domain(tau))
+    """Numeric value of a named level-14 function, from the same definition
+    as its series counterpart in :func:`~qlambert.constructors.gosper_symbols`."""
+    return _Float(_domain(tau)).sym(name)
 
 
 # -- transformation checks ----------------------------------------------------
@@ -266,8 +248,8 @@ def check_index_cycle(samples=_SAMPLES) -> float:
         tau = _domain(tau)
         image = _apply(GAMMA_CYCLE, tau)
         for src, dst in (("g1", "g2"), ("g2", "g3"), ("g3", "g1")):
-            got = _symbol_value(src, image)
-            want = -_symbol_value(dst, tau)
+            got = _Float(image).sym(src)
+            want = -_Float(tau).sym(dst)
             dev = max(dev, abs(got / want - 1))
     return dev
 
@@ -335,7 +317,7 @@ def check_symbol_consistency(tau=2j, order: int = 12) -> float:
     dev = 0.0
     for name in ("z", "g", "h1", "h2", "t", "f"):
         series = _eval_any(gosper_symbols(name, order), tau)
-        direct = _symbol_value(name, tau)
+        direct = _Float(tau).sym(name)
         dev = max(dev, abs(series / direct - 1))
     return dev
 

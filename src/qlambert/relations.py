@@ -402,6 +402,10 @@ class BivarPoly:
             return NotImplemented
         return self.coeffs == other.coeffs and (self.m, self.n) == (other.m, other.n)
 
+    def __hash__(self):
+        # coeffs holds canonical nonzero values, so equal relations hash equal
+        return hash((frozenset(self.coeffs.items()), self.m, self.n))
+
 
 # ---------------------------------------------------------------- evaluation
 

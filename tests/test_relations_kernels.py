@@ -14,7 +14,14 @@ from hypothesis import strategies as st
 
 import relations_oracle as oracle
 from qlambert import ExactDivisionError
-from qlambert.relations import MultiPoly, _solve_exact, exact_divide, resultant_eliminate
+from qlambert.level14 import F3_RELATION
+from qlambert.relations import (
+    BivarPoly,
+    MultiPoly,
+    _solve_exact,
+    exact_divide,
+    resultant_eliminate,
+)
 
 integers = st.integers(-9, 9)
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -261,6 +268,29 @@ def test_equal_polynomials_hash_equal(pair):
 def test_constants_hash_as_their_value(c, n):
     p = MultiPoly(NAMES[:n], {(0,) * n: c})
     assert p == c and hash(p) == hash(c)
+
+
+relation_coeffs = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.one_of(integers, rationals),
+    max_size=4,
+)
+
+
+@given(relation_coeffs, relation_coeffs, st.booleans())
+def test_equal_relations_hash_equal(a, b, restate):
+    if restate:
+        # the same relation with Fraction coefficients and a zero term
+        b = {k: F(c) for k, c in a.items()} | {(4, 4): 0}
+    x, y = BivarPoly(a, m=3, n=2), BivarPoly(b, m=3, n=2)
+    if x == y:
+        assert hash(x) == hash(y)
+        assert len({x, y}) == 1
+
+
+def test_shipped_relation_is_hashable():
+    again = BivarPoly(dict(F3_RELATION.coeffs), F3_RELATION.m, F3_RELATION.n)
+    assert again == F3_RELATION and len({again, F3_RELATION}) == 1
 
 
 def test_unused_variables_do_not_change_the_hash():
