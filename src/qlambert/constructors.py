@@ -17,6 +17,10 @@ the result is known modulo ``q^order`` (often a little further).  The named
 modular functions of :func:`gosper_symbols` have poles of different orders
 at infinity, so there ``order`` is the *relative* window R: a function with
 leading exponent ``lead`` is known exactly through ``lead + R``.
+
+The named functions are one table, ``_SYMBOLS``: a product symbol is its
+quotient object, which ``level14`` reads too, and no leading exponent is
+stated, since a build is cut at its own valuation plus R.
 """
 
 from __future__ import annotations
@@ -327,55 +331,51 @@ def pi_q(k: int, order) -> QSeries:
 
 # -- named level-14 functions ------------------------------------------------
 
-#: name -> (leading exponent, definition), in the notation of the table in
-#: :func:`gosper_symbols`.  Each definition is written once, over a backend
-#: ``b`` that offers eta quotients ``b.eta(level, {delta: r})``, generalized
-#: eta quotients ``b.geta(level, {g: r})``, the Lambert sums ``b.L(k)`` and
+#: 1/Pi_{q^7}^2 = eta(7)^4 / eta(14)^8, the factor that z and f share
+_PI7_INV2 = EtaQuotient(14, {7: 4, 14: -8})
+
+#: name -> definition, in the notation of the table in :func:`gosper_symbols`.
+#: A product symbol is its quotient object (``level14`` takes g1-g3, h1 and
+#: h2 from here).  Any other is written once over a backend ``b`` that offers
+#: the value of a quotient ``b.quot(q)``, the Lambert sums ``b.L(k)`` and
 #: ``b.Lodd(k)``, and the other named functions ``b.sym(name)``; ``_Exact``
-#: reads it here and ``numeric._Float`` in floats.  1/Pi_{q^7}^2 is
-#: eta(7)^4 / eta(14)^8.
+#: reads it here and ``numeric._Float`` in floats.
 _SYMBOLS = {
-    "z": (
-        Fraction(-5, 2),
-        lambda b: (b.Lodd(1) - 7 * b.Lodd(7)) * b.eta(14, {7: 4, 14: -8}),
-    ),
-    "w": (0, lambda b: 4 * (b.L(1) - 7 * b.L(7)) + 1),
-    "g": (Fraction(-3, 2), lambda b: b.eta(14, {1: -2, 2: 4, 7: 2, 14: -4})),
-    "g1": (Fraction(-5, 2), lambda b: b.geta(14, {1: -2, 6: 2})),
-    "g2": (Fraction(-1, 2), lambda b: b.geta(14, {3: -2, 4: 2})),
-    "g3": (Fraction(3, 2), lambda b: b.geta(14, {2: 2, 5: -2})),
-    "f0": (-5, lambda b: b.sym("g1") ** 2 + b.sym("g2") ** 2 + b.sym("g3") ** 2),
-    "f1": (
-        -3,
-        lambda b: b.sym("g1") * b.sym("g2")
-        + b.sym("g1") * b.sym("g3")
-        + b.sym("g2") * b.sym("g3"),
-    ),
-    "f": (-1, lambda b: b.sym("w") * b.eta(14, {7: 4, 14: -8}) / b.sym("z")),
-    "h1": (-5, lambda b: b.eta(28, {1: -2, 2: 4, 7: -2, 14: 8, 28: -8})),
-    "h2": (-2, lambda b: b.eta(28, {1: 2, 2: -4, 7: -6, 14: 16, 28: -8})),
-    "H": (-5, lambda b: b.sym("h1") + 16 / b.sym("h2")),
-    "t": (-5, lambda b: b.sym("H") + 4 * b.sym("f1")),
+    "z": lambda b: (b.Lodd(1) - 7 * b.Lodd(7)) * b.quot(_PI7_INV2),
+    "w": lambda b: 4 * (b.L(1) - 7 * b.L(7)) + 1,
+    "g": EtaQuotient(14, {1: -2, 2: 4, 7: 2, 14: -4}),
+    "g1": GenEtaQuotient(14, {1: -2, 6: 2}),
+    "g2": GenEtaQuotient(14, {3: -2, 4: 2}),
+    "g3": GenEtaQuotient(14, {2: 2, 5: -2}),
+    "f0": lambda b: b.sym("g1") ** 2 + b.sym("g2") ** 2 + b.sym("g3") ** 2,
+    "f1": lambda b: b.sym("g1") * b.sym("g2")
+    + b.sym("g1") * b.sym("g3")
+    + b.sym("g2") * b.sym("g3"),
+    "f": lambda b: b.sym("w") * b.quot(_PI7_INV2) / b.sym("z"),
+    "h1": EtaQuotient(28, {1: -2, 2: 4, 7: -2, 14: 8, 28: -8}),
+    "h2": EtaQuotient(28, {1: 2, 2: -4, 7: -6, 14: 16, 28: -8}),
+    "H": lambda b: b.sym("h1") + 16 / b.sym("h2"),
+    "t": lambda b: b.sym("H") + 4 * b.sym("f1"),
 }
 
 SYMBOL_NAMES = tuple(_SYMBOLS)
 
 
+def _define(name: str, b):
+    """The named function over the backend ``b``."""
+    entry = _SYMBOLS[name]
+    return entry(b) if callable(entry) else b.quot(entry)
+
+
 class _Exact:
-    """The exact backend at relative window R: each leaf is expanded R orders
-    past its own leading exponent, each named function at window R."""
+    """The exact backend at relative window R: each quotient is expanded R
+    orders past its own leading exponent, each named function at window R."""
 
     def __init__(self, window: int):
         self.R = window
 
-    def _leaf(self, quot):
+    def quot(self, quot):
         return quot.series(quot.prefactor_exponent() + self.R)
-
-    def eta(self, level, exponents):
-        return self._leaf(EtaQuotient(level, exponents))
-
-    def geta(self, level, exponents):
-        return self._leaf(GenEtaQuotient(level, exponents))
 
     def L(self, k):
         return lambert_L(k, k + self.R)
@@ -388,8 +388,8 @@ class _Exact:
 
 
 def _build(name: str, window: int) -> QSeries:
-    lead, define = _SYMBOLS[name]
-    got = define(_Exact(window)).truncate(lead + window)
+    got = _define(name, _Exact(window))
+    got = got.truncate(got.valuation() + window)
     if name == "z":
         alt = (
             gosper_symbols("g1", window)
@@ -453,6 +453,6 @@ def gosper_symbols(name: str, order: int) -> QSeries:
             return built
         served = _SYMBOL_SERVED.get(name)
         if served is None or served[0] != order:
-            lead = _SYMBOLS[name][0]
-            served = _SYMBOL_SERVED[name] = order, built.truncate(lead + order)
+            cut = built.truncate(built.valuation() + order)
+            served = _SYMBOL_SERVED[name] = order, cut
         return served[1]

@@ -108,19 +108,20 @@ class Subq:
     power: int
 
 
-# arity and argument kinds of the callable names ("i" integer, "n" name,
-# "e" expression)
+# the callable names: their argument kinds ("i" integer, "n" name,
+# "e" expression) and their builders, which take the order first; subq
+# parses to a Subq node instead of a Call
 _CALLS = {
-    "eta": "i",
-    "geta": "ii",
-    "pi": "i",
-    "L": "i",
-    "Lodd": "i",
-    "Lmod": "ii",
-    "theta": "iiii",
-    "bailey": "ii",
-    "symbol": "n",
-    "subq": "ei",
+    "eta": ("i", lambda order, d: eta(d, order)),
+    "geta": ("ii", lambda order, m, g: gen_eta(m, g, order)),
+    "pi": ("i", lambda order, k: pi_q(k, order)),
+    "L": ("i", lambda order, k: lambert_L(k, order)),
+    "Lodd": ("i", lambda order, k: lambert_L_odd(k, order)),
+    "Lmod": ("ii", lambda order, r, m: lambert_mod(r, m, order)),
+    "theta": ("iiii", lambda order, sa, a, sb, b: theta_f(sa, a, sb, b, order)),
+    "bailey": ("ii", lambda order, i, m: bailey_specialization(i, m, order)),
+    "symbol": ("n", lambda order, name: gosper_symbols(name, order)),
+    "subq": ("ei", None),
 }
 
 
@@ -295,9 +296,9 @@ class _Parser:
             self.expect(")")
             self.depth -= 1
             return Sqrt(node)
-        kinds = _CALLS.get(name)
-        if kinds is None:
+        if name not in _CALLS:
             raise DSLError(f"unknown function {name!r}", tok.line, tok.col)
+        kinds = _CALLS[name][0]
         self.expect("(", f"'(' after {name!r}")
         self.enter(tok)
         arity = "%d argument%s" % (len(kinds), "s" if len(kinds) > 1 else "")
@@ -475,10 +476,6 @@ def _nesting(root) -> int:
 # -- evaluation ----------------------------------------------------------------
 
 
-def _const(value: Fraction) -> QSeries:
-    return QSeries([value], 0, 1, None)
-
-
 def evaluate(node, order: int) -> QSeries:
     """Evaluate a tree to a truncated series.
 
@@ -494,22 +491,11 @@ def evaluate(node, order: int) -> QSeries:
 
 def _eval(node, order: int) -> QSeries:
     if isinstance(node, Lit):
-        return _const(node.value)
+        return QSeries.constant(node.value)
     if isinstance(node, Q):
         return qpow(node.exponent)
     if isinstance(node, Call):
-        builder = {
-            "eta": lambda d: eta(d, order),
-            "geta": lambda m, g: gen_eta(m, g, order),
-            "pi": lambda k: pi_q(k, order),
-            "L": lambda k: lambert_L(k, order),
-            "Lodd": lambda k: lambert_L_odd(k, order),
-            "Lmod": lambda r, m: lambert_mod(r, m, order),
-            "theta": lambda sa, a, sb, b: theta_f(sa, a, sb, b, order),
-            "bailey": lambda i, m: bailey_specialization(i, m, order),
-            "symbol": lambda name: gosper_symbols(name, order),
-        }[node.name]
-        return _wrap(node, builder, *node.args)
+        return _wrap(node, _CALLS[node.name][1], order, *node.args)
     if isinstance(node, Neg):
         return -_eval(node.node, order)
     if isinstance(node, Sqrt):

@@ -18,9 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .constructors import EtaQuotient, GenEtaQuotient
+from .constructors import EtaQuotient, GenEtaQuotient, _b2
 
 __all__ = [
     "Cusp",
@@ -66,16 +66,6 @@ class Cusp:
             a, c = -a, -c
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "c", c)
-
-    @property
-    def is_infinity(self) -> bool:
-        return self.c == 0
-
-    def value(self) -> Fraction | None:
-        """The cusp as a rational number, or None for infinity."""
-        if self.c == 0:
-            return None
-        return Fraction(self.a, self.c)
 
     def __str__(self) -> str:
         if self.c == 0:
@@ -178,11 +168,9 @@ def cusp_set(n: int) -> CuspTable:
     entries: list[tuple[Cusp, int]] = []
     for c in _divisors(n):
         d = math.gcd(c, n // c)
-        seen: set[int] = set()
         for u in range(1, d + 1):
-            if math.gcd(u, d) != 1 or u in seen:
+            if math.gcd(u, d) != 1:
                 continue
-            seen.add(u)
             if c == n:
                 rep = Cusp(1, 0)
             elif c == 1:
@@ -192,7 +180,7 @@ def cusp_set(n: int) -> CuspTable:
                 while math.gcd(a, c) != 1:
                     a += d
                 rep = Cusp(a, c)
-            entries.append((rep, n // math.gcd(c * c, n)))
+            entries.append((rep, cusp_width(n, rep)))
     table = CuspTable(n, tuple(entries))
     assert sum(table.widths) == psi(n)
     return table
@@ -331,12 +319,6 @@ def eta_modularity(quot: EtaQuotient, n: int) -> dict:
     return report
 
 
-def _p2(x: Fraction) -> Fraction:
-    # second Bernoulli polynomial on the fractional part of x
-    x = x - (x.numerator // x.denominator)
-    return x * x - x + Fraction(1, 6)
-
-
 def eta_cusp_order(quot: EtaQuotient, n: int, r) -> Fraction:
     """Invariant order of an eta quotient at a cusp of Gamma_0(n).
 
@@ -350,7 +332,7 @@ def eta_cusp_order(quot: EtaQuotient, n: int, r) -> Fraction:
         (Fraction(math.gcd(c, d) ** 2, d) * rd for d, rd in quot.exponents.items()),
         Fraction(0),
     )
-    return Fraction(n, 24 * math.gcd(c * c, n)) * total
+    return Fraction(cusp_width(n, rep), 24) * total
 
 
 def gen_eta_cusp_ord(quot: GenEtaQuotient, n: int, r) -> Fraction:
@@ -372,10 +354,10 @@ def gen_eta_cusp_ord(quot: GenEtaQuotient, n: int, r) -> Fraction:
     m = quot.level
     d = math.gcd(c, m)
     m0 = Fraction(d * d, 2 * m) * sum(
-        (rg * _p2(Fraction(a * g, d)) for g, rg in quot.exponents.items()),
+        (rg * _b2(Fraction(a * g, d) % 1) for g, rg in quot.exponents.items()),
         Fraction(0),
     )
-    return Fraction(n, math.gcd(c * c, n)) * m0
+    return cusp_width(n, cusp) * m0
 
 
 def gen_eta_gamma1_check(quot: GenEtaQuotient) -> bool:

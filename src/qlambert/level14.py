@@ -1,11 +1,13 @@
 """Fixed level-14 data: polynomial constants, quotient forms, order tables,
 and the resultant elimination pipeline.
 
-This module owns every hard-coded object specific to level 14: the cubic
+This module owns the hard-coded polynomial data of level 14: the cubic
 relations satisfied by the symbol series, the degree-16 cofactor produced
-by eliminating z, the eta-quotient and generalized-eta forms of the
-auxiliary functions, and the builders for the four bundled cusp-order
-tables (ids "3.1", "3.2", "4.1", "4.2").
+by eliminating z, and the builders for the four bundled cusp-order tables
+(ids "3.1", "3.2", "4.1", "4.2").  The quotients g1-g3, h1 and h2 are the
+objects of the symbol table in ``constructors``, and the cusp lists come
+from ``gamma0.cusp_set``; only the level-28 generalized-eta forms of h1 and
+h2 are stated here.
 """
 
 from __future__ import annotations
@@ -13,11 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .constructors import EtaQuotient, GenEtaQuotient
+from .constructors import _SYMBOLS, GenEtaQuotient
 from .gamma0 import (
     Cusp,
     apply_gamma,
     class_representative,
+    cusp_set,
     eta_cusp_order,
     gen_eta_cusp_ord,
 )
@@ -58,14 +61,10 @@ ALPHA = ((1, 0), (14, 1))
 # the order-3 cusp permutation used for the sign cycle g1 -> -g2 -> -g3
 GAMMA_CYCLE = ((3, 1), (14, 5))
 
-# generalized eta quotients with valuations -5/2, -1/2, 3/2
-G1 = GenEtaQuotient(14, {6: 2, 1: -2})
-G2 = GenEtaQuotient(14, {4: 2, 3: -2})
-G3 = GenEtaQuotient(14, {2: 2, 5: -2})
-
-# eta-quotient forms of h1 and h2
-H1_ETA = EtaQuotient(28, {2: 4, 14: 8, 1: -2, 7: -2, 28: -8})
-H2_ETA = EtaQuotient(28, {1: 2, 14: 16, 2: -4, 7: -6, 28: -8})
+# the generalized eta quotients g1, g2, g3 and the eta quotients h1, h2: the
+# objects the symbol table of gosper_symbols builds those functions from
+G1, G2, G3 = _SYMBOLS["g1"], _SYMBOLS["g2"], _SYMBOLS["g3"]
+H1_ETA, H2_ETA = _SYMBOLS["h1"], _SYMBOLS["h2"]
 
 # generalized-eta forms of h1 and h2 on level 28 (even indices over odd,
 # and the reverse, with the 14/7 pair shared)
@@ -246,9 +245,9 @@ def _inverse(quot: GenEtaQuotient) -> GenEtaQuotient:
     return GenEtaQuotient(quot.level, {g: -r for g, r in quot.exponents.items()})
 
 
-_CUSPS_14 = (Cusp(0, 1), Cusp(1, 2), Cusp(1, 7), Cusp(1, 0))
+_CUSPS_14 = cusp_set(14).cusps
 _CUSPS_14_UNIT = (Cusp(1, 1), Cusp(1, 2), Cusp(1, 7), Cusp(1, 14))
-_CUSPS_28 = (Cusp(0, 1), Cusp(1, 2), Cusp(1, 4), Cusp(1, 7), Cusp(1, 14), Cusp(1, 0))
+_CUSPS_28 = cusp_set(28).cusps
 
 TABLE_IDS = ("3.1", "3.2", "4.1", "4.2")
 

@@ -3,10 +3,12 @@
 Series identities are certified exactly elsewhere; this module covers the
 statements that are not pure q-series identities (modular transformation
 laws, evaluations at specific points).  Everything runs in ordinary double
-precision with geometric tail bounds on the truncated products.  Eta and
-generalized eta quotients are evaluated from the same factor dicts as their
-series, and the named level-14 functions from the same symbol table as
-:func:`~qlambert.constructors.gosper_symbols`.
+precision with geometric tail bounds on the truncated products.  Every
+product, ``eta_value`` and ``gen_eta_value`` included, is evaluated from the
+factor dict of its ``EtaQuotient`` or ``GenEtaQuotient``, the same dict its
+series is built from, and the named level-14 functions from the same symbol
+table as :func:`~qlambert.constructors.gosper_symbols`.  A value that leaves
+double precision far up the half-plane is a ValueError naming the point.
 """
 
 import cmath
@@ -18,8 +20,8 @@ from .constructors import (
     EtaQuotient,
     GenEtaQuotient,
     _SYMBOLS,
+    _define,
     _gen_eta_index,
-    gen_eta_prefactor,
     gosper_symbols,
 )
 from .level14 import ALPHA, GAMMA_CYCLE, H1_ETA, H2_ETA
@@ -57,9 +59,10 @@ _TWO_PI_I = 2j * math.pi
 
 def _domain(tau) -> complex:
     tau = complex(tau)
-    if tau.imag < IM_FLOOR:
+    # a NaN Im(tau) passes the comparison, and a NaN q never ends a sum
+    if not (cmath.isfinite(tau) and tau.imag >= IM_FLOOR):
         raise ValueError(
-            "tau must satisfy Im(tau) >= %g (got %g)" % (IM_FLOOR, tau.imag)
+            "tau must be finite with Im(tau) >= %g (got %s)" % (IM_FLOOR, tau)
         )
     return tau
 
@@ -84,21 +87,16 @@ def _product_over(tau: complex, start: int, step: int) -> complex:
 
 
 def eta_value(tau) -> complex:
-    """Dedekind eta  q^(1/24) prod_(n>=1) (1 - q^n)  by direct product."""
-    tau = complex(tau)
-    return q_point(tau, Fraction(1, 24)) * _product_over(tau, 1, 1)
+    """Dedekind eta  q^(1/24) prod_(n>=1) (1 - q^n)."""
+    return _eval_any(EtaQuotient(1, {1: 1}), complex(tau))
 
 
 def gen_eta_value(level: int, g: int, tau) -> complex:
-    """eta_{level,g} by direct product, indices reduced through the sign laws
-    eta_{N,g+N} = eta_{N,-g} = -eta_{N,g}."""
+    """eta_{level,g}, indices reduced through the sign laws
+    eta_{N,g+N} = eta_{N,-g} = -eta_{N,g} and the symmetry
+    eta_{N,g} = eta_{N,N-g}."""
     g0, sign = _gen_eta_index(level, g)
-    tau = complex(tau)
-    val = (
-        q_point(tau, gen_eta_prefactor(level, g0))
-        * _product_over(tau, g0, level)
-        * _product_over(tau, level - g0, level)
-    )
+    val = _eval_any(GenEtaQuotient(level, {min(g0, level - g0): 1}), complex(tau))
     return -val if sign < 0 else val
 
 
@@ -116,15 +114,29 @@ def _eval_any(obj, tau: complex) -> complex:
     )
 
 
+def _finite(value_at, tau) -> complex:
+    """value_at(tau) at a checked point; a value that overflows double
+    precision or is not finite is a ValueError naming tau."""
+    tau = _domain(tau)
+    try:
+        value = value_at(tau)
+    except OverflowError:
+        value = math.inf
+    if not cmath.isfinite(value):
+        raise ValueError("the value at tau = %s is not a finite double" % tau)
+    return value
+
+
 def eval_product(obj, tau) -> complex:
     """Value at tau of an eta quotient, a generalized eta quotient, or the
     partial sum of a truncated series.
 
     Products are truncated once a factor is within 1e-16 of 1; with the
     Im tau >= 0.05 floor the dropped geometric tail stays below 1e-12
-    relative to the prefactor scale.
+    relative to the prefactor scale.  Far up the half-plane a value can
+    leave double precision; that is a ValueError.
     """
-    return _eval_any(obj, _domain(tau))
+    return _finite(lambda t: _eval_any(obj, t), tau)
 
 
 # -- named level-14 functions ------------------------------------------------
@@ -152,11 +164,8 @@ class _Float:
         self.tau = tau
         self.q = cmath.exp(_TWO_PI_I * tau)
 
-    def eta(self, level, exponents):
-        return _eval_any(EtaQuotient(level, exponents), self.tau)
-
-    def geta(self, level, exponents):
-        return _eval_any(GenEtaQuotient(level, exponents), self.tau)
+    def quot(self, quot):
+        return _eval_any(quot, self.tau)
 
     def L(self, k):
         return _lambert_value(0, k, self.q)
@@ -167,13 +176,15 @@ class _Float:
     def sym(self, name):
         if name not in _SYMBOLS:
             raise KeyError("unknown symbol %r" % name)
-        return _SYMBOLS[name][1](self)
+        return _define(name, self)
 
 
 def eval_symbol(name: str, tau) -> complex:
     """Numeric value of a named level-14 function, from the same definition
-    as its series counterpart in :func:`~qlambert.constructors.gosper_symbols`."""
-    return _Float(_domain(tau)).sym(name)
+    as its series counterpart in :func:`~qlambert.constructors.gosper_symbols`.
+    A value that leaves double precision is a ValueError, as in
+    :func:`eval_product`."""
+    return _finite(lambda t: _Float(t).sym(name), tau)
 
 
 # -- transformation checks ----------------------------------------------------

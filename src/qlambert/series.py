@@ -193,9 +193,6 @@ class QSeries:
             raise ValueError("the zero series has no leading term")
         raise PrecisionError("series is zero through its truncation")
 
-    def leading_term(self):
-        return self.valuation(), self.leading_coefficient()
-
     def coefficient(self, e) -> Fraction:
         """The exact coefficient of q^e, or raise PrecisionError.
 

@@ -7,8 +7,14 @@ products and inverses, and one hand-written builder per symbol.  They share
 no product code with the kernel; what did not change comes from
 ``qlambert.constructors``: the Lambert sums, the prefactor exponents and the
 input checks of the quotient classes.  The differential tests compare the two.
+
+``eta_value`` and ``gen_eta_value`` are the direct float products that
+``qlambert.numeric`` ran before it evaluated every quotient from its factor
+dict.
 """
 
+import cmath
+import math
 from fractions import Fraction
 
 from qlambert.constructors import (
@@ -214,3 +220,42 @@ def symbol(name: str, R: int) -> QSeries:
     if key not in _CACHE:
         _CACHE[key] = _BUILDERS[name](R)
     return _CACHE[key]
+
+
+# -- float values by direct product ---------------------------------------------
+
+
+def _product_over(tau: complex, start: int, step: int) -> complex:
+    """prod over n = start, start+step, ... of (1 - q^n), until |q^n| < 1e-16."""
+    q = cmath.exp(2j * math.pi * tau)
+    out = 1 + 0j
+    qn = q**start
+    qstep = q**step
+    while abs(qn) >= 1e-16:
+        out *= 1 - qn
+        qn *= qstep
+    return out
+
+
+def _q_point(tau: complex, e) -> complex:
+    return cmath.exp(2j * math.pi * float(e) * tau)
+
+
+def eta_value(tau) -> complex:
+    tau = complex(tau)
+    return _q_point(tau, Fraction(1, 24)) * _product_over(tau, 1, 1)
+
+
+def gen_eta_value(level: int, g: int, tau) -> complex:
+    g0 = g % (2 * level)
+    sign = 1
+    if g0 >= level:
+        g0 -= level
+        sign = -1
+    tau = complex(tau)
+    val = (
+        _q_point(tau, gen_eta_prefactor(level, g0))
+        * _product_over(tau, g0, level)
+        * _product_over(tau, level - g0, level)
+    )
+    return -val if sign < 0 else val

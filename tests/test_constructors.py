@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qlambert.constructors import (
+    SYMBOL_NAMES,
     EtaQuotient,
     GenEtaQuotient,
     bailey_specialization,
@@ -244,3 +245,42 @@ def test_symbol_windows_and_cache():
         gosper_symbols("nope", 5)
     with pytest.raises(ValueError):
         gosper_symbols("z", 0)
+
+
+#: the leading exponents of the table in the gosper_symbols docstring
+LEADS = {
+    "z": F(-5, 2),
+    "w": F(0),
+    "g": F(-3, 2),
+    "g1": F(-5, 2),
+    "g2": F(-1, 2),
+    "g3": F(3, 2),
+    "f0": F(-5),
+    "f1": F(-3),
+    "f": F(-1),
+    "h1": F(-5),
+    "h2": F(-2),
+    "H": F(-5),
+    "t": F(-5),
+}
+
+
+def test_docstring_table_states_the_leading_exponents():
+    doc = gosper_symbols.__doc__
+    rows = doc[doc.index("----  ----") :].splitlines()[1:]
+    stated = {}
+    for row in filter(str.strip, rows):
+        name, *_, lead = row.split()
+        stated[name] = F(lead)
+    assert stated == LEADS
+    assert tuple(stated) == SYMBOL_NAMES
+
+
+@pytest.mark.parametrize("window", [1, 7, 60])
+def test_symbols_start_at_their_leading_exponents(window):
+    # the table does not state them: each build is truncated at its own
+    # valuation plus the window
+    for name, lead in LEADS.items():
+        s = gosper_symbols(name, window)
+        assert s.valuation() == lead, name
+        assert s.truncation_exponent() == lead + window, name

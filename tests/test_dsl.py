@@ -276,6 +276,38 @@ def test_symbol_matches_builder():
     assert (got - gosper_symbols("z", 12)).is_zero()
 
 
+def test_calls_reach_the_constructors_through_module_globals(monkeypatch):
+    # a wrapper bound over a dsl global after import, as a tracer binds
+    # one, sees every call that evaluation makes to that constructor
+    names = (
+        "eta",
+        "gen_eta",
+        "pi_q",
+        "lambert_L",
+        "lambert_L_odd",
+        "lambert_mod",
+        "theta_f",
+        "bailey_specialization",
+        "gosper_symbols",
+    )
+    seen = []
+    for name in names:
+
+        def wrapped(*args, _name=name, _original=getattr(dsl, name)):
+            seen.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(dsl, name, wrapped)
+    evaluate(
+        parse(
+            "eta(1) + geta(14, 1) + pi(1) + L(1) + Lodd(1) + Lmod(1, 3)"
+            " + theta(1, 1, 1, 2) + bailey(1, 4) + symbol(g)"
+        ),
+        5,
+    )
+    assert sorted(seen) == sorted(names)
+
+
 def test_subq_rescales_the_grid():
     got = evaluate(parse("subq(L(1), 2)"), 30)
     want = lambert_L(1, 30).subs_qpow(2)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from qlambert import constructors, level14
 from qlambert.constructors import gosper_symbols
 from qlambert.level14 import (
     EQ37_FACTORS,
@@ -173,3 +174,15 @@ def test_var_symbols_binding():
     assert VAR_SYMBOLS == {"Z": "z", "F": "f", "G": "g"}
     for sym in VAR_SYMBOLS.values():
         gosper_symbols(sym, 3)  # must be a known symbol
+
+
+def test_quotients_are_the_symbol_table_objects():
+    # stated once: the order tables and the series read the same objects
+    for obj, name in (
+        (level14.G1, "g1"),
+        (level14.G2, "g2"),
+        (level14.G3, "g3"),
+        (level14.H1_ETA, "h1"),
+        (level14.H2_ETA, "h2"),
+    ):
+        assert obj is constructors._SYMBOLS[name]

@@ -7,9 +7,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import products_oracle as oracle
 from qlambert import numeric as nm
-from qlambert.constructors import EtaQuotient, GenEtaQuotient, gen_eta, gosper_symbols, pochhammer
-from qlambert.level14 import GAMMA_CYCLE
+from qlambert.constructors import (
+    SYMBOL_NAMES,
+    EtaQuotient,
+    GenEtaQuotient,
+    gen_eta,
+    gosper_symbols,
+    pochhammer,
+)
+from qlambert.level14 import GAMMA_CYCLE, H1_ETA
 
 IDENTITY = ((1, 0), (0, 1))
 
@@ -56,6 +64,8 @@ def test_eval_product_matches_series_gen_eta_quotient():
 def test_eval_product_rejects_low_points_and_bad_types():
     with pytest.raises(ValueError, match="Im"):
         nm.eval_product(EtaQuotient(1, {1: 1}), 0.3 + 0.01j)
+    with pytest.raises(ValueError, match="finite"):
+        nm.eval_product(EtaQuotient(1, {1: 1}), complex(0, float("nan")))
     with pytest.raises(TypeError):
         nm.eval_product("eta", 1j)
 
@@ -66,6 +76,35 @@ def test_gen_eta_value_matches_series_with_reduction():
     partial = nm.eval_product(gen_eta(14, 17, 20), tau)
     direct = nm.gen_eta_value(14, 17, tau)
     assert abs(partial / direct - 1) < 1e-10
+
+
+def test_eta_value_matches_the_direct_product():
+    for tau in nm._SAMPLES:
+        assert nm.eta_value(tau) == oracle.eta_value(tau), tau
+
+
+@pytest.mark.parametrize("level", [2, 6, 7, 12, 14, 28])
+def test_gen_eta_value_matches_the_direct_product(level):
+    # every index from -2L to 2L not divisible by L, L/2 among them
+    for g in range(-2 * level, 2 * level + 1):
+        if g % level == 0:
+            continue
+        for tau in nm._SAMPLES:
+            got = nm.gen_eta_value(level, g, tau)
+            want = oracle.gen_eta_value(level, g, tau)
+            assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (g, tau)
+
+
+def test_values_that_leave_double_precision_are_value_errors():
+    # q^(-5/2) overflows for z; f1 sums products that reach inf
+    for call in (
+        lambda: nm.eval_symbol("z", 33j),
+        lambda: nm.eval_symbol("z", 300j),
+        lambda: nm.eval_product(H1_ETA, 30j),
+        lambda: nm.eval_symbol("f1", 40j),
+    ):
+        with pytest.raises(ValueError, match="tau"):
+            call()
 
 
 def test_gen_eta_value_rejects_divisible_index():
@@ -148,11 +187,11 @@ def test_symbol_consistency_at_2i():
 
 
 def test_eval_symbol_agrees_with_series_individually():
-    tau = 2j
-    for name in ("z", "g", "h1", "h2", "t", "f"):
-        partial = nm.eval_product(gosper_symbols(name, 12), tau)
-        direct = nm.eval_symbol(name, tau)
-        assert abs(partial / direct - 1) < 1e-8, name
+    for tau in (2j, 1.2j, 0.1 + 1.5j):
+        for name in SYMBOL_NAMES:
+            partial = nm.eval_product(gosper_symbols(name, 30), tau)
+            direct = nm.eval_symbol(name, tau)
+            assert abs(partial / direct - 1) < 1e-13, (name, tau)
 
 
 def test_eval_symbol_lambert_route():
@@ -168,6 +207,12 @@ def test_eval_symbol_validation():
         nm.eval_symbol("nope", 1j)
     with pytest.raises(ValueError, match="Im"):
         nm.eval_symbol("z", 0.02j)
+    # a NaN Im(tau) passed the floor check, and a NaN q never ended the
+    # Lambert sums of z
+    nan, inf = float("nan"), float("inf")
+    for tau in (complex(nan, 1), complex(0, nan), complex(0, inf)):
+        with pytest.raises(ValueError, match="finite"):
+            nm.eval_symbol("z", tau)
 
 
 # -- suite report -------------------------------------------------------------
