@@ -129,10 +129,13 @@ def get_identity(name: str) -> IdentityRecord:
 def verify(record, truncation=None) -> VerifyReport:
     """Check left - right == 0 through the demanded truncation.
 
-    Accepts an IdentityRecord or a catalog name.  Evaluation starts just past
-    the demanded truncation; when divisions or square roots ate too much of
-    the window, the shortfall of the first pass tells how far to widen the
-    retry.  Evaluation failures are captured as a report with status "error"
+    Accepts an IdentityRecord or a catalog name.  The first window is 16
+    orders past the demanded truncation, or wider when the leaves' values
+    predict that the products above them eat more than that; the leaves
+    are evaluated once per window and shared by both sides.  When a
+    cancellation the prediction cannot see ate too much of the window
+    anyway, the shortfall of the pass tells how far to widen the retry.
+    Evaluation failures are captured as a report with status "error"
     rather than raised.
     """
     if isinstance(record, str):
@@ -143,29 +146,35 @@ def verify(record, truncation=None) -> VerifyReport:
     start = time.perf_counter()
     status, grid, texp, first, detail = "error", None, None, None, ""
     try:
-        window = demanded + 16
-        for _ in range(4):
-            diff = dsl.evaluate(record.left, window) - dsl.evaluate(
-                record.right, window
-            )
-            head = diff.truncate(demanded)
-            grid = head.D
-            texp = head.truncation_exponent()
-            if not head.is_zero():
-                status = "failed"
-                first = next(head.items())
-                break
-            if texp is None or texp >= demanded:
-                status = "verified"
-                break
-            eaten = math.ceil(window - texp)
-            window = max(demanded + eaten + 4, window + 16)
-        else:
-            detail = (
-                "window kept collapsing: got q^%s of the demanded q^%d"
-                % (texp, demanded)
-            )
-            grid, texp = None, None
+        with dsl._shared_leaves():
+            window = demanded + 16
+            sides = (record.left, record.right)
+            ends = [dsl._predicted_truncation(side, window) for side in sides]
+            ends = [end for end in ends if end is not None]
+            if ends:
+                window = max(window, demanded + math.ceil(window - min(ends)) + 4)
+            for _ in range(4):
+                diff = dsl.evaluate(record.left, window) - dsl.evaluate(
+                    record.right, window
+                )
+                head = diff.truncate(demanded)
+                grid = head.D
+                texp = head.truncation_exponent()
+                if not head.is_zero():
+                    status = "failed"
+                    first = next(head.items())
+                    break
+                if texp is None or texp >= demanded:
+                    status = "verified"
+                    break
+                eaten = math.ceil(window - texp)
+                window = max(demanded + eaten + 4, window + 16)
+            else:
+                detail = (
+                    "window kept collapsing: got q^%s of the demanded q^%d"
+                    % (texp, demanded)
+                )
+                grid, texp = None, None
     except (ArithmeticError, ValueError) as err:
         detail = str(err)
         grid, texp, first = None, None, None

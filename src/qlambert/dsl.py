@@ -20,11 +20,28 @@ deep, and so does the text ``to_text`` prints for a parsed tree, where each
 binary operator of a chain such as ``a + b + c`` adds a pair of parentheses.
 Deeper input is a DSLError rather than a RecursionError, and every tree that
 parses prints to text that parses back to it.
+
+Evaluation reads each subtree built from ``+``, ``-``, ``*``, unary minus,
+division by a nonzero constant and powers of monomials as a polynomial over
+its distinct leaves: calls, powers of q, ``sqrt``, ``subq``, divisions by a
+non-constant, negative or rational powers.  Each distinct leaf is evaluated
+once per call of ``evaluate``, and the polynomial goes to
+``relations.eval_poly``.  A power of a sum, and a product of two factors
+that are not both single untouched monomials (nor one of them a constant),
+are leaves too, formed as the product of their operands' values: expanding
+them could shrink the truncation or, for powers, blow up the size.  The
+value is truncated where the node-by-node arithmetic would truncate it,
+which a cancelled monomial still bounds, so both give the same series.
 """
 
+import math
 import re
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from operator import add
 
 from .constructors import (
     bailey_specialization,
@@ -38,6 +55,7 @@ from .constructors import (
     theta_f,
 )
 from .errors import DSLError
+from .relations import MultiPoly, eval_poly
 from .series import QSeries, qpow
 
 __all__ = [
@@ -474,49 +492,276 @@ def _nesting(root) -> int:
 
 
 # -- evaluation ----------------------------------------------------------------
+#
+# A polynomial is a pair (terms, seen): terms maps monomials to nonzero
+# rationals, and seen holds every monomial that entered it, cancelled ones
+# included, because those still bound the truncation (a cancelled constant
+# leaves the exact zero, and is dropped).  A monomial is a tuple of
+# exponents indexed by leaf, without trailing zeros.  Leaves are keyed by
+# structure.  A composite leaf's spec is (polynomials, exponents): its value
+# is the product of their powers.  A product is expanded only where the
+# node-by-node product gets the same truncation as the expansion's
+# monomials: one factor a constant, or both single monomials that no
+# cancellation touched.
+
+#: order -> leaf -> value, shared by the evaluations inside _shared_leaves
+_SHARED: ContextVar = ContextVar("qlambert_dsl_shared_leaves", default=None)
 
 
 def evaluate(node, order: int) -> QSeries:
     """Evaluate a tree to a truncated series.
 
     Primitive constructors are expanded through the absolute order, named
-    symbols get it as their relative window.  Arithmetic failures are
-    re-raised as DSLError tagged with the offending subexpression.
+    symbols get it as their relative window.  Each polynomial subtree is
+    evaluated as a polynomial over its distinct leaves by
+    ``relations.eval_poly``, and truncated where the node-by-node
+    arithmetic would truncate it.  Arithmetic failures are re-raised as
+    DSLError tagged with the offending subexpression.
     """
     order = int(order)
     if order < 1:
         raise ValueError("order must be a positive integer")
-    return _eval(node, order)
+    return _eval(node, order, _memo(order))
 
 
-def _eval(node, order: int) -> QSeries:
-    if isinstance(node, Lit):
-        return QSeries.constant(node.value)
+@contextmanager
+def _shared_leaves():
+    """Inside the block, evaluations at one order evaluate each leaf once."""
+    token = _SHARED.set({})
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
+def _memo(order: int) -> dict:
+    shared = _SHARED.get()
+    return {} if shared is None else shared.setdefault(order, {})
+
+
+def _predicted_truncation(node, order: int):
+    """The truncation exponent that ``evaluate(node, order)`` is predicted
+    to reach, or None when the value is predicted exact.
+
+    The leaves are evaluated (inside _shared_leaves, evaluate then reuses
+    them), but no product above them is formed: QSeries's min rules give
+    each one's valuation and truncation from its factors', taking no
+    cancellation in a sum.  A cancellation can only raise a valuation, so
+    the prediction never exceeds the truncation evaluate reaches.
+    """
+    order = int(order)
+    _, T, D = _eval(node, order, _memo(order), predict=True)
+    return None if T is None else Fraction(T, D)
+
+
+def _eval(node, order: int, memo: dict, predict: bool = False):
+    poly, leaves = _converted(node)
+    values, shadows = [], []
+    for leaf, (_, spec) in leaves:
+        if spec is None:
+            value = memo.get(leaf)
+            if value is None:
+                value = memo[leaf] = _leaf(leaf, order, memo)
+        elif predict:
+            polys, exponents = spec
+            D, grid = _grid([_estimate(p, shadows) for p in polys])
+            shadows.append((*_monomial(exponents, grid), D))
+            continue
+        else:
+            value = None
+            for p, e in zip(*spec):
+                x = _value(p, values, shadows)
+                x = x if e == 1 else x**e
+                value = x if value is None else value * x
+        values.append(value)
+        shadows.append(_shadow(value))
+    if predict:
+        return _estimate(poly, shadows)
+    return _value(poly, values, shadows)
+
+
+def _leaf(node, order: int, memo: dict) -> QSeries:
     if isinstance(node, Q):
         return qpow(node.exponent)
     if isinstance(node, Call):
         return _wrap(node, _CALLS[node.name][1], order, *node.args)
-    if isinstance(node, Neg):
-        return -_eval(node.node, order)
     if isinstance(node, Sqrt):
-        return _wrap(node, _eval(node.node, order).sqrt)
-    if isinstance(node, BinOp):
-        left = _eval(node.left, order)
-        right = _eval(node.right, order)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        return _wrap(node, lambda: left / right)
+        return _wrap(node, _eval(node.node, order, memo).sqrt)
+    if isinstance(node, Subq):
+        return _eval(node.node, order, memo).subs_qpow(node.power)
     if isinstance(node, Pow):
-        base = _eval(node.base, order)
+        base = _eval(node.base, order, memo)
         e = node.exponent
         return _wrap(node, lambda: base ** (int(e) if e.denominator == 1 else e))
-    if isinstance(node, Subq):
-        return _eval(node.node, order).subs_qpow(node.power)
+    if isinstance(node, BinOp):
+        # a division by a non-constant, or by zero
+        left = _eval(node.left, order, memo)
+        right = _eval(node.right, order, memo)
+        return _wrap(node, lambda: left / right)
     raise TypeError(f"not an expression node: {node!r}")
+
+
+@lru_cache(maxsize=256)
+def _converted(node) -> tuple:
+    """(polynomial, ((leaf, (index, spec)), ...)) of a tree: the polynomial
+    over its leaves and the leaves in order of first appearance.
+
+    Cached because verify converts each side for the prediction and again
+    for every pass; callers only read the result.
+    """
+    leaves: dict = {}
+    poly = _convert(node, leaves)
+    return poly, tuple(leaves.items())
+
+
+def _convert(node, leaves: dict) -> tuple:
+    """The polynomial of a tree over the leaves it registers in ``leaves``
+    (node -> (index, spec), in order of first appearance)."""
+    if isinstance(node, Lit):
+        c = node.value
+        if c.denominator == 1:
+            c = c.numerator  # integral coefficients stay ints
+        return ({(): c}, {()}) if c else ({}, set())
+    if isinstance(node, Neg):
+        terms, seen = _convert(node.node, leaves)
+        return {m: -c for m, c in terms.items()}, seen
+    if isinstance(node, BinOp):
+        if node.op in ("+", "-"):
+            a, b = _convert(node.left, leaves), _convert(node.right, leaves)
+            terms = dict(a[0])
+            sign = 1 if node.op == "+" else -1
+            for m, c in b[0].items():
+                x = terms.get(m, 0) + sign * c
+                if x:
+                    terms[m] = x
+                else:
+                    del terms[m]
+            seen = a[1] | b[1]
+            if () not in terms:
+                seen.discard(())  # a cancelled constant leaves an exact zero
+            return terms, seen
+        if node.op == "*":
+            a, b = _convert(node.left, leaves), _convert(node.right, leaves)
+            if not (
+                _constant(a) or _constant(b) or (_monomial_only(a) and _monomial_only(b))
+            ):
+                return _register(node, leaves, ((a, b), (1, 1)))
+            # one side is a single monomial, so the products are distinct
+            return (
+                {_mono(m, n): c * d for m, c in a[0].items() for n, d in b[0].items()},
+                {_mono(m, n) for m in a[1] for n in b[1]},
+            )
+        if node.op == "/" and isinstance(node.right, Lit) and node.right.value:
+            terms, seen = _convert(node.left, leaves)
+            c = node.right.value
+            return {m: x / c for m, x in terms.items()}, seen
+    elif isinstance(node, Pow) and node.exponent.denominator == 1:
+        k = int(node.exponent)
+        if k < 0:
+            return _register(node, leaves, None)
+        base = _convert(node.base, leaves)
+        if not _monomial_only(base):
+            return _register(node, leaves, ((base,), (k,)))
+        if not k:
+            return {(): 1}, {()}
+        return (
+            {tuple(e * k for e in m): c**k for m, c in base[0].items()},
+            {tuple(e * k for e in m) for m in base[1]},
+        )
+    return _register(node, leaves, None)
+
+
+def _constant(poly: tuple) -> bool:
+    return poly[1] <= {()}
+
+
+def _monomial_only(poly: tuple) -> bool:
+    # a single monomial (or the zero constant) that no cancellation touched
+    return len(poly[1]) <= 1 and poly[1] == poly[0].keys()
+
+
+def _register(node, leaves: dict, spec) -> tuple:
+    entry = leaves.get(node)
+    if entry is None:
+        entry = leaves[node] = (len(leaves), spec)
+    m = (0,) * entry[0] + (1,)
+    return {m: 1}, {m}
+
+
+def _mono(a: tuple, b: tuple) -> tuple:
+    if len(a) < len(b):
+        a, b = b, a
+    return tuple(map(add, a, b)) + a[len(b) :]
+
+
+def _value(poly: tuple, values: list, shadows: list) -> QSeries:
+    """The series of a polynomial at the leaf values, cut at the truncation
+    its monomials' own products give."""
+    terms, _ = poly
+    names = [f"x{i}" for i in range(len(values))]
+    pad = (0,) * len(values)
+    result = eval_poly(
+        MultiPoly(names, {m + pad[len(m) :]: c for m, c in terms.items()}),
+        dict(zip(names, values)),
+    )
+    if not isinstance(result, QSeries):
+        result = QSeries.constant(result)
+    _, T, D = _estimate(poly, shadows)
+    if T is not None and (result.T is None or result.T * D > T * result.D):
+        result = result + QSeries.zero(T, D)
+    return result
+
+
+# A shadow is the (v, T, D) of a series as QSeries's min rules use it: the
+# valuation and truncation indices on the grid 1/D, v = None for the exact
+# zero, T = None for an exact series, and v = T when zero through T.
+
+
+def _shadow(s: QSeries) -> tuple:
+    if s.is_exact():
+        return (s.v if s.coeffs else None), None, s.D
+    return s.v, s.T, s.D
+
+
+def _grid(shadows) -> tuple:
+    # (D, [(v, T), ...]): the shadows on their common grid 1/D
+    D = math.lcm(*(d for _, _, d in shadows))
+    return D, [
+        (None if v is None else v * (D // d), None if T is None else T * (D // d))
+        for v, T, d in shadows
+    ]
+
+
+def _monomial(exponents, grid) -> tuple:
+    """The (v, T) of a product of powers, by QSeries's rules: valuations
+    add, and T is v plus the least relative window T - v of a truncated
+    factor; an exact zero factor makes the product the exact zero."""
+    v, window = 0, None
+    for e, (fv, fT) in zip(exponents, grid):
+        if e:
+            if fv is None:
+                return None, None
+            v += e * fv
+            if fT is not None and (window is None or fT - fv < window):
+                window = fT - fv
+    return v, None if window is None else v + window
+
+
+def _estimate(poly: tuple, shadows: list) -> tuple:
+    """The shadow of a polynomial's value: T is the least over the monomials
+    seen, v the least over the terms present (no cancellation), at most T."""
+    terms, seen = poly
+    D, grid = _grid(shadows)
+    v = T = None
+    for m in seen:
+        mv, mT = _monomial(m, grid)
+        if mT is not None and (T is None or mT < T):
+            T = mT
+        if mv is not None and m in terms and (v is None or mv < v):
+            v = mv
+    if T is not None and (v is None or v > T):
+        v = T
+    return v, T, D
 
 
 def _wrap(node, func, *args):

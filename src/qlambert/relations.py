@@ -411,33 +411,101 @@ class BivarPoly:
 
 
 def eval_poly(poly, assignment: Mapping[str, object]):
-    """Evaluate a polynomial at series (or rational) values, exactly.
+    """Evaluate a polynomial at series, rational or polynomial values, exactly.
 
-    Every variable of the polynomial must be assigned.  Powers of each
-    value are computed once and reused.
+    Every variable the polynomial uses must be assigned.  Horner's rule runs
+    in the variable with the most distinct exponents (the first such), and
+    steps over the gaps between them; the coefficient of each of its powers
+    is a combination of powers of the other variables, each of which is
+    formed once, from the next lower power in use.  A rational coefficient
+    scales a value instead of multiplying it as a series, and no value is
+    multiplied by 1.  The DSL evaluates its polynomial subtrees through this
+    function.
     """
     if isinstance(poly, BivarPoly):
         poly = poly.as_multipoly()
+    used = []
     for i, name in enumerate(poly.variables):
-        if name not in assignment and any(m[i] for m in poly.coeffs):
-            raise ValueError(f"unassigned variable {name}")
+        exponents = {m[i] for m in poly.coeffs} - {0}
+        if exponents:
+            if name not in assignment:
+                raise ValueError(f"unassigned variable {name}")
+            value = assignment[name]
+            if isinstance(value, int):
+                value = Fraction(value)
+            used.append((i, exponents, value))
     if not poly.coeffs:
         return Fraction(0)
-    powers: list[dict[int, object]] = []
-    for i, name in enumerate(poly.variables):
-        needed = {m[i] for m in poly.coeffs}
-        table: dict[int, object] = {0: Fraction(1)}
-        for e in sorted(needed - {0}):
-            table[e] = assignment[name] ** e
-        powers.append(table)
-    total = None
-    for mono, c in poly.coeffs.items():
-        term = c
-        for i, e in enumerate(mono):
-            if e:
-                term = powers[i][e] * term
-        total = term if total is None else total + term
-    return total
+    if not used:
+        return poly.constant_term()
+    h, _, h_value = max(used, key=lambda u: len(u[1]))
+    tables = {i: _powers(value, exponents) for i, exponents, value in used if i != h}
+    groups: dict[int, list] = {}
+    for m, c in poly.coeffs.items():
+        groups.setdefault(m[h], []).append((m, c))
+    degrees = sorted(groups, reverse=True)
+    steps = _powers(h_value, {a - b for a, b in zip(degrees, degrees[1:] + [0])} - {0})
+    products: dict[tuple, object] = {}
+
+    def coefficient(terms):
+        # sum of c * (the monomial in the other variables), the one rational
+        # term of the group apart
+        total, scalar = None, 0
+        for m, c in terms:
+            rest = tuple((i, e) for i, e in enumerate(m) if e and i != h)
+            if not rest:
+                scalar = c
+                continue
+            value = products.get(rest)
+            if value is None:
+                for i, e in rest:
+                    power = tables[i][e]
+                    value = power if value is None else value * power
+                products[rest] = value
+            value = _scaled(value, c)
+            total = value if total is None else total + value
+        if total is None:
+            return scalar
+        return total + scalar if scalar else total
+
+    acc = coefficient(groups[degrees[0]])
+    for high, low in zip(degrees, degrees[1:]):
+        acc = _times(acc, steps[high - low]) + coefficient(groups[low])
+    if degrees[-1]:
+        acc = _times(acc, steps[degrees[-1]])
+    return acc
+
+
+def _powers(x, exponents) -> dict:
+    """{e: x^e} for the given positive exponents; each power is the next
+    lower one times the power of the gap, itself taken from the table when
+    it is there."""
+    table: dict[int, object] = {}
+    prev = 0
+    for e in sorted(exponents):
+        gap = e - prev
+        step = x if gap == 1 else table[gap] if gap in table else x**gap
+        table[e] = step if not prev else table[prev] * step
+        prev = e
+    return table
+
+
+def _scaled(value, c):
+    # c * value for a nonzero rational c; a series is scaled term by term
+    if c == 1:
+        return value
+    if isinstance(value, QSeries):
+        return value._scaled(c)
+    return value * c
+
+
+def _times(a, b):
+    # a * b, where a plain rational factor only scales the other
+    if isinstance(a, Fraction):
+        return _scaled(b, a)
+    if isinstance(b, Fraction):
+        return _scaled(a, b)
+    return a * b
 
 
 def _value_is_zero(val) -> bool:

@@ -254,6 +254,16 @@ class QSeries:
     def __neg__(self):
         return QSeries._raw(tuple(-c for c in self.coeffs), self.v, self.D, self.T)
 
+    def _scaled(self, c) -> "QSeries":
+        # self * c for a nonzero rational c, without a series product
+        c = Fraction(c)
+        L, ints = _cleared(self.coeffs)
+        d = L * c.denominator
+        cs = [x * c.numerator for x in ints]
+        if d > 1:
+            cs = [_ratio(x, d) if x else 0 for x in cs]
+        return QSeries._raw(cs, self.v, self.D, self.T)
+
     def __sub__(self, other):
         o = _coerce(other)
         if o is None:
@@ -350,6 +360,8 @@ class QSeries:
     @staticmethod
     def _window(u, terms, what):
         # grid slots of u to compute for an inverse or square root
+        if terms is not None and int(terms) < 1:
+            raise ValueError(f"{what} a series needs terms >= 1, got {terms}")
         if u.T is None:
             if terms is None:
                 raise PrecisionError(
@@ -422,7 +434,9 @@ class QSeries:
             and len(g.coeffs) > 1
             and self.T is not None
         ):
-            terms = _ceil_div(self.T - self.v, self.D)
+            # at least one order: a dividend that is zero through its
+            # truncation has no relative window of its own
+            terms = max(1, _ceil_div(self.T - self.v, self.D))
         return self * g.invert(terms)
 
     def __truediv__(self, other):

@@ -1,0 +1,60 @@
+"""Slow reference evaluator for the DSL: the node-by-node recursion.
+
+This is how ``qlambert.dsl.evaluate`` worked before it read polynomial
+subtrees as polynomials: every node is evaluated on its own, a repeated
+subtree as often as it appears, and ``+``, ``-``, ``*`` and ``^`` are series
+operations in the order the tree gives them.  It shares the node types, the
+call table and the printer with ``qlambert.dsl``, and none of its
+evaluation.  The differential tests compare the two.
+"""
+
+from qlambert.dsl import _CALLS, BinOp, Call, Lit, Neg, Pow, Q, Sqrt, Subq, to_text
+from qlambert.errors import DSLError
+from qlambert.series import QSeries, qpow
+
+
+def evaluate(node, order: int) -> QSeries:
+    order = int(order)
+    if order < 1:
+        raise ValueError("order must be a positive integer")
+    return _eval(node, order)
+
+
+def _eval(node, order: int) -> QSeries:
+    if isinstance(node, Lit):
+        return QSeries.constant(node.value)
+    if isinstance(node, Q):
+        return qpow(node.exponent)
+    if isinstance(node, Call):
+        return _wrap(node, _CALLS[node.name][1], order, *node.args)
+    if isinstance(node, Neg):
+        return -_eval(node.node, order)
+    if isinstance(node, Sqrt):
+        return _wrap(node, _eval(node.node, order).sqrt)
+    if isinstance(node, BinOp):
+        left = _eval(node.left, order)
+        right = _eval(node.right, order)
+        if node.op == "+":
+            return left + right
+        if node.op == "-":
+            return left - right
+        if node.op == "*":
+            return left * right
+        return _wrap(node, lambda: left / right)
+    if isinstance(node, Pow):
+        base = _eval(node.base, order)
+        e = node.exponent
+        return _wrap(node, lambda: base ** (int(e) if e.denominator == 1 else e))
+    if isinstance(node, Subq):
+        return _eval(node.node, order).subs_qpow(node.power)
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def _wrap(node, func, *args):
+    try:
+        return func(*args)
+    except DSLError:
+        raise
+    except (ArithmeticError, ValueError, KeyError) as err:
+        message = err.args[0] if err.args else str(err)
+        raise DSLError(f"{message} in '{to_text(node)}'") from err

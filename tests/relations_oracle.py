@@ -1,7 +1,8 @@
 """Slow reference kernels for the polynomial layer: Fraction arithmetic.
 
 These are the exact division, the Bareiss resultant and the linear solve
-that ``qlambert.relations`` used before its kernels went fraction-free.  They
+that ``qlambert.relations`` used before its kernels went fraction-free, and
+the term-by-term ``eval_poly`` it used before Horner's rule.  They
 work on ``MultiPoly`` values and ``Fraction`` matrices from start to finish,
 through the public ``MultiPoly`` constructor and operators only; those
 operators are checked in turn against the schoolbook product ``mul`` below.
@@ -156,3 +157,18 @@ def mul(p: MultiPoly, q: MultiPoly) -> dict:
             key = tuple(x + y for x, y in zip(m1, m2))
             out[key] = out.get(key, Fraction(0)) + c1 * c2
     return {m: c for m, c in out.items() if c}
+
+
+def eval_poly(poly: MultiPoly, assignment):
+    """The sum of c * (product of powers) over the terms, each power of each
+    value formed by ``**``."""
+    if not poly.coeffs:
+        return Fraction(0)
+    total = None
+    for mono, c in poly.coeffs.items():
+        term = c
+        for name, e in zip(poly.variables, mono):
+            if e:
+                term = assignment[name] ** e * term
+        total = term if total is None else total + term
+    return total

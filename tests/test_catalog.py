@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from qlambert import QSeries, dsl
 from qlambert.catalog import (
     IdentityRecord,
     get_identity,
@@ -89,6 +90,69 @@ def test_sqrt_failure_reports_the_subexpression():
     assert "sqrt((2 + q))" in report.detail
     assert report.grid_denominator is None
     assert report.first_nonzero is None
+
+
+# ----------------------------------------------------------- window loop
+
+
+def _passes(monkeypatch, record, truncation=None):
+    """(report, windows of the passes): each pass evaluates both sides once."""
+    orders = []
+    real = dsl.evaluate
+
+    def recording(node, order):
+        orders.append(order)
+        return real(node, order)
+
+    monkeypatch.setattr(dsl, "evaluate", recording)
+    report = verify(record, truncation)
+    assert len(orders) % 2 == 0 and orders[::2] == orders[1::2]
+    return report, orders[::2]
+
+
+def test_elim_k_needs_one_pass_at_its_predicted_window(monkeypatch):
+    report, windows = _passes(monkeypatch, "elim-K")
+    assert report.status == "verified" and report.truncation_exponent == 20
+    # the products eat 36 orders of the first window: 20 + 36 + 4
+    assert windows == [60]
+
+
+def test_entries_that_eat_little_keep_the_default_window(monkeypatch):
+    for name in ("gosper-1.1", "eq-3.8", "lemma-4.1-product"):
+        record = get_identity(name)
+        report, windows = _passes(monkeypatch, name)
+        assert report.verified and windows == [record.truncation + 16]
+
+
+def test_a_cancellation_the_prediction_misses_is_caught_by_a_retry(monkeypatch):
+    # without a prediction the first window is too short for elim-K's
+    # cancelling cubic: the shortfall of that pass sets the second window
+    monkeypatch.setattr(dsl, "_predicted_truncation", lambda node, order: None)
+    report, windows = _passes(monkeypatch, "elim-K")
+    assert report.status == "verified" and report.truncation_exponent == 20
+    assert windows == [36, 58]
+
+
+def test_a_window_that_keeps_collapsing_is_an_error(monkeypatch):
+    left, right = parse_identity("L(1) == L(1)")
+    record = IdentityRecord("collapsing", left, right, 10)
+    monkeypatch.setattr(dsl, "evaluate", lambda node, order: QSeries.zero(T=1))
+    report = verify(record)
+    assert report.status == "error"
+    assert report.detail == "window kept collapsing: got q^1 of the demanded q^10"
+    assert report.grid_denominator is None and report.truncation_exponent is None
+
+
+@pytest.mark.parametrize("name", ["elim-K", "thm-1.2", "gosper-1.3"])
+def test_verdicts_at_truncations_1_to_60(name):
+    for truncation in range(1, 61):
+        report = verify(name, truncation)
+        assert (report.status, report.grid_denominator, report.first_nonzero) == (
+            "verified",
+            1,
+            None,
+        )
+        assert report.truncation_exponent == truncation
 
 
 def test_report_json_schema_for_a_verified_entry():

@@ -171,6 +171,12 @@ def test_expand_prints_the_series(capsys):
     assert out.startswith("q^(-5/2) + 2*q^(-3/2) + 4*q^(-1/2)")
 
 
+def test_expand_divides_a_truncated_zero_by_an_exact_series(capsys):
+    text = "(symbol(z) - symbol(z))/(q + q^2)"
+    code, out, _ = run(capsys, "expand", text, "--order", "5")
+    assert (code, out.strip()) == (0, "O(q^(3/2))")
+
+
 def test_expand_json_shape(capsys):
     # a polynomial in q evaluates exactly, so there is no truncation bound
     code, out, _ = run(capsys, "expand", "1 + 2*q", "--order", "4", "--json")

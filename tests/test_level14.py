@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from qlambert import constructors, level14
+from qlambert import constructors, dsl, level14
+from qlambert.catalog import get_identity
 from qlambert.constructors import gosper_symbols
 from qlambert.level14 import (
     EQ37_FACTORS,
@@ -186,3 +187,59 @@ def test_quotients_are_the_symbol_table_objects():
         (level14.H2_ETA, "h2"),
     ):
         assert obj is constructors._SYMBOLS[name]
+
+
+# ------------------------------------------- catalog text against constants
+
+
+def _expanded(node, names: dict):
+    """The tree multiplied out as a MultiPoly, each symbol leaf replaced by
+    the variable ``names`` gives it."""
+    poly, leaves = dsl._converted(node)
+    values = []
+    for leaf, (_, spec) in leaves:
+        if spec is None:
+            values.append(names[leaf.args[0]])
+            continue
+        value = Fraction(1)
+        for part, e in zip(*spec):
+            value = value * _at(part, values) ** e
+        values.append(value)
+    return _at(poly, values)
+
+
+def _at(poly, values):
+    terms, _ = poly
+    pad = (0,) * len(values)
+    leaves = [f"x{i}" for i in range(len(values))]
+    padded = MultiPoly(leaves, {m + pad[len(m) :]: c for m, c in terms.items()})
+    return eval_poly(padded, dict(zip(leaves, values)))
+
+
+def _catalog_side(name: str, names: dict):
+    record = get_identity(name)
+    assert record.right == dsl.Lit(Fraction(0))
+    return _expanded(record.left, names)
+
+
+def test_catalog_cubics_are_the_level_14_constants():
+    assert _catalog_side("eq-3.8", {"z": Z, "g": G}) == EQ38
+    assert _catalog_side("eq-4.9", {"z": Z, "f": F, "g": G}) == EQ49
+
+
+def test_catalog_relations_are_the_found_relations():
+    T = MultiPoly(("T",), {(1,): 1})
+    f3 = eval_poly(F3_RELATION.as_multipoly(), {"X": Z**2, "Y": G**2})
+    f4 = eval_poly(F4_RELATION.as_multipoly(), {"X": T, "Y": G**2})
+    assert _catalog_side("rel-F3", {"z": Z, "g": G}) == f3
+    assert _catalog_side("rel-F4", {"t": T, "g": G}) == f4
+
+
+def test_catalog_eliminant_factors_are_the_cubic_and_k():
+    poly, leaves = dsl._converted(get_identity("elim-K").left)
+    (cubic, cofactor), _ = leaves[-1][1][1]
+    names = {"f": F, "g": G}
+    values = [names[leaf.args[0]] for leaf, _ in leaves[:-1]]
+    assert _at(cubic, values) == THM12_CUBIC
+    assert _at(cofactor, values) == K_POLY
+    assert _catalog_side("elim-K", names) == THM12_CUBIC * K_POLY

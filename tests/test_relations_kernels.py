@@ -2,7 +2,9 @@
 
 Exact division, the Bareiss resultant and the linear solve must agree with
 ``relations_oracle`` exactly: the same quotient, determinant or solution, the
-same exception type and message, the same reason string.  Results crossing
+same exception type and message, the same reason string.  Horner evaluation
+must agree with the term-by-term sum at rationals and polynomials exactly,
+and at series through the smaller truncation.  Results crossing
 the public boundary must hold ``Fraction`` coefficients.
 """
 
@@ -13,12 +15,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import relations_oracle as oracle
-from qlambert import ExactDivisionError
+from qlambert import ExactDivisionError, QSeries
 from qlambert.level14 import F3_RELATION
 from qlambert.relations import (
     BivarPoly,
     MultiPoly,
     _solve_exact,
+    eval_poly,
     exact_divide,
     resultant_eliminate,
 )
@@ -71,6 +74,48 @@ def test_power_matches_repeated_products(p, n):
     for _ in range(n):
         want = MultiPoly(p.variables, oracle.mul(want, p))
     assert (p**n).coeffs == want.coeffs
+
+
+# ----------------------------------------------------------------- evaluation
+
+short_series = st.builds(
+    lambda cs, v, window: QSeries(cs, v, 1, None if window is None else v + window),
+    st.lists(integers, min_size=1, max_size=5),
+    st.integers(-2, 2),
+    st.one_of(st.none(), st.integers(1, 6)),
+)
+
+
+@settings(max_examples=60)
+@given(polys(max_terms=6), st.data())
+def test_horner_agrees_with_the_term_by_term_sum(p, data):
+    for values in (rationals, short_series, polys(nvars=2, max_terms=2, max_exp=1)):
+        assignment = {name: data.draw(values) for name in p.variables}
+        new, old = eval_poly(p, assignment), oracle.eval_poly(p, assignment)
+        if isinstance(new, QSeries) or isinstance(old, QSeries):
+            # the difference of two honest series is zero through the smaller truncation
+            assert (new - old).is_zero()
+        else:
+            assert new == old
+
+
+def test_horner_neither_multiplies_by_one_nor_by_a_scalar(monkeypatch):
+    products = []
+    real = QSeries.__mul__
+
+    def counting(a, b):
+        products.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(QSeries, "__mul__", counting)
+    x, y = QSeries([1, 2, 3], T=5), QSeries([2, 1], v=1, T=6)
+    X, Y = MultiPoly(("X",), {(1,): 1}), MultiPoly(("Y",), {(1,): 1})
+    cases = ((X, 0), (F(2, 3) * X - 7, 0), (X * Y, 1), (2 * X**2 * Y + X, 2))
+    for poly, count in cases:
+        products.clear()
+        value = eval_poly(poly, {"X": x, "Y": y})
+        assert len(products) == count
+        assert value == oracle.eval_poly(poly, {"X": x, "Y": y})
 
 
 # ------------------------------------------------------------- exact division

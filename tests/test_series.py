@@ -168,6 +168,14 @@ def test_invert_errors():
     # single exact terms invert exactly
     assert qpow(F(-3, 2)).invert() == qpow(F(3, 2))
     assert QSeries.constant(F(2, 3)).invert() == QSeries.constant(F(3, 2))
+    with pytest.raises(ValueError, match="terms >= 1"):
+        QSeries([1, 1]).invert(0)
+
+
+def test_zero_through_its_truncation_divides_by_an_exact_series():
+    # the dividend has no relative window; the divisor still gets one order
+    quotient = QSeries.zero(T=5).div(QSeries([1, 1], v=1))
+    assert quotient.is_zero() and quotient.truncation_exponent() == 4
 
 
 # -- square root -----------------------------------------------------------
