@@ -303,8 +303,8 @@ def bailey_specialization(i: int, modulus: int, order) -> QSeries:
     the q-powers i and L/2; indices i ≡ 0 or L/2 (mod L) make the
     specialisation collapse onto a pole and are rejected.
     """
-    if modulus % 2:
-        raise ValueError("bilateral specialisation needs an even modulus")
+    if modulus < 1 or modulus % 2:
+        raise ValueError("bilateral specialisation needs a positive even modulus")
     i0 = i % modulus
     if i0 == 0 or i0 == modulus // 2:
         raise ValueError(

@@ -694,6 +694,49 @@ def _mono(a: tuple, b: tuple) -> tuple:
     return tuple(map(add, a, b)) + a[len(b) :]
 
 
+def _polynomial(node, names: dict) -> tuple:
+    """The tree multiplied out over the variables of ``names`` (variable ->
+    symbol name): the operands of a product of sums at the top, any other
+    tree as one MultiPoly.  Monomials over symbol leaves are read off, only
+    powers and products of sums are multiplied out, and any other leaf is a
+    ValueError naming it."""
+    poly, leaves = _converted(node)
+    parts = (poly,)
+    if isinstance(node, BinOp) and node.op == "*" and leaves and leaves[-1][0] == node:
+        parts, leaves = leaves[-1][1][1][0], leaves[:-1]
+    variables = tuple(names)
+    slots = {Call("symbol", (s,)): i for i, s in enumerate(names.values())}
+    values = []  # per leaf: the index of its variable, or its MultiPoly
+    for leaf, (_, spec) in leaves:
+        if spec is not None:
+            value = math.prod(_multiplied(p, values, variables) ** e for p, e in zip(*spec))
+        elif leaf in slots:
+            value = slots[leaf]
+        else:
+            symbols = ", ".join(names.values())
+            raise ValueError(f"not a polynomial in {symbols}: '{to_text(leaf)}'")
+        values.append(value)
+    return tuple(_multiplied(p, values, variables) for p in parts)
+
+
+def _multiplied(poly: tuple, values: list, variables: tuple) -> MultiPoly:
+    # a polynomial at the leaf values of _polynomial
+    direct, composite = {}, []
+    for m, c in poly[0].items():
+        key, powers = [0] * len(variables), []
+        for e, value in zip(m, values):
+            if type(value) is int:
+                key[value] += e
+            elif e:
+                powers.append(value**e)
+        key = tuple(key)
+        if powers:
+            composite.append(math.prod(powers, start=MultiPoly._make(variables, {key: c})))
+        else:
+            direct[key] = c
+    return sum(composite, start=MultiPoly._make(variables, direct))
+
+
 def _value(poly: tuple, values: list, shadows: list) -> QSeries:
     """The series of a polynomial at the leaf values, cut at the truncation
     its monomials' own products give."""

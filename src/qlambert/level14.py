@@ -1,13 +1,13 @@
 """Fixed level-14 data: polynomial constants, quotient forms, order tables,
 and the resultant elimination pipeline.
 
-This module owns the hard-coded polynomial data of level 14: the cubic
-relations satisfied by the symbol series, the degree-16 cofactor produced
-by eliminating z, and the builders for the four bundled cusp-order tables
-(ids "3.1", "3.2", "4.1", "4.2").  The quotients g1-g3, h1 and h2 are the
-objects of the symbol table in ``constructors``, and the cusp lists come
-from ``gamma0.cusp_set``; only the level-28 generalized-eta forms of h1 and
-h2 are stated here.
+The polynomials are read from the identity catalog, their one statement:
+EQ38 and EQ49 from ``eq-3.8`` and ``eq-4.9``, THM12_CUBIC and the degree-16
+cofactor K_POLY from ``elim-K``, F3_RELATION and F4_RELATION from ``rel-F3``
+(in z^2, g^2) and ``rel-F4`` (in t, g^2).  The quotients g1-g3, h1 and h2
+are the symbol table's objects, and the cusp lists of the four order tables
+(ids "3.1", "3.2", "4.1", "4.2") come from ``gamma0.cusp_set``; only the
+level-28 generalized-eta forms of h1 and h2 are stated here.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import dsl
+from .catalog import get_identity
 from .constructors import _SYMBOLS, GenEtaQuotient
 from .gamma0 import (
     Cusp,
@@ -24,7 +26,7 @@ from .gamma0 import (
     eta_cusp_order,
     gen_eta_cusp_ord,
 )
-from .relations import BivarPoly, MultiPoly, exact_divide, resultant_eliminate, variables
+from .relations import BivarPoly, eval_poly, exact_divide, resultant_eliminate, variables
 
 __all__ = [
     "ALPHA",
@@ -50,7 +52,7 @@ __all__ = [
     "order_table",
 ]
 
-Z, F, G = variables("Z", "F", "G")
+Z, _, G = variables("Z", "F", "G")
 
 # the one place fixing which series each polynomial variable stands for
 VAR_SYMBOLS = {"Z": "z", "F": "f", "G": "g"}
@@ -78,116 +80,27 @@ H2_GEN = GenEtaQuotient(
 
 # ----------------------------------------------------------- polynomials
 
-# z^3 + 4 g z^2 - 3 g^2 z - (g^5 + 4 g^3 + 49 g) and its mirror factor;
-# their product is the degree bound relation evaluated at (Z^2, G^2)
-EQ38 = Z**3 + 4 * G * Z**2 - 3 * G**2 * Z - (G**5 + 4 * G**3 + 49 * G)
-EQ37_FACTORS = (
-    EQ38,
-    Z**3 - 4 * G * Z**2 - 3 * G**2 * Z + (G**5 + 4 * G**3 + 49 * G),
-)
 
-# the same cubic after substituting z = t / (g (f - 4)) and clearing
-EQ49 = (
-    (F - 4) ** 3 * G * Z**3
-    - 33 * (F - 4) ** 2 * G**2 * Z**2
-    + 2 * (F - 4) * (7 * G**4 + 46 * G**2 + 343) * G * Z
-    - (G**4 + 2 * G**2 + 49) ** 2
-)
+def _left_side(name: str, names: dict) -> tuple:
+    return dsl._polynomial(get_identity(name).left, names)
 
-# the cubic in f with coefficients in g
-THM12_CUBIC = (
-    G**2 * (G**4 + 4 * G**2 + 49) * F**3
-    - G**2 * (2 * G**4 + 5 * G**2 + 98) * F**2
-    - 2 * G**2 * (5 * G**4 + 22 * G**2 + 245) * F
-    - (G**2 - 4 * G + 7) ** 2 * (G**2 + 4 * G + 7) ** 2
-)
 
-# degree-16 cofactor K(F, G) of the elimination, 45 monomials,
-# constant term 7^8
-_K_TERMS = (
-    (0, 0, 5764801),
-    (0, 2, -1882384),
-    (1, 2, -11529602),
-    (2, 2, 4000066),
-    (3, 2, -235298),
-    (0, 4, 260681372),
-    (1, 4, -229161044),
-    (2, 4, 80925705),
-    (3, 4, -14871794),
-    (4, 4, 1512630),
-    (5, 4, -81634),
-    (6, 4, 2401),
-    (0, 6, -50601712),
-    (1, 6, 49514402),
-    (2, 6, -17617950),
-    (3, 6, 2561622),
-    (4, 6, -86828),
-    (5, 6, -8624),
-    (6, 6, 392),
-    (0, 8, 4938886),
-    (1, 8, -3847640),
-    (2, 8, 1335446),
-    (3, 8, -300148),
-    (4, 8, 44608),
-    (5, 8, -3492),
-    (6, 8, 114),
-    (0, 10, -1032688),
-    (1, 10, 1010498),
-    (2, 10, -359550),
-    (3, 10, 52278),
-    (4, 10, -1772),
-    (5, 10, -176),
-    (6, 10, 8),
-    (0, 12, 108572),
-    (1, 12, -95444),
-    (2, 12, 33705),
-    (3, 12, -6194),
-    (4, 12, 630),
-    (5, 12, -34),
-    (6, 12, 1),
-    (0, 14, -16),
-    (1, 14, -98),
-    (2, 14, 34),
-    (3, 14, -2),
-    (0, 16, 1),
-)
-K_POLY = MultiPoly(("F", "G"), {(a, b): c for a, b, c in _K_TERMS})
+def _relation(name: str, x: str, x_power: int) -> BivarPoly:
+    # the entry's left side read as a polynomial in x^x_power and g^2
+    (poly,) = _left_side(name, {"X": x, "Y": "g"})
+    if any(a % x_power or b % 2 for a, b in poly.coeffs):
+        raise ValueError(f"{name} is not a polynomial in {x}^{x_power} and g^2")
+    coeffs = {(a // x_power, b // 2): c for (a, b), c in poly.coeffs.items()}
+    return BivarPoly(coeffs, m=max(b for _, b in coeffs), n=max(a for a, _ in coeffs))
 
-# the monic relations recovered by find_relation:
-# X^3 - 22 Y X^2 + Y (8Y^2 + 41Y + 392) X - Y (Y^2 + 4Y + 49)^2 for (z^2, g^2)
-F3_RELATION = BivarPoly(
-    {
-        (3, 0): 1,
-        (2, 1): -22,
-        (1, 3): 8,
-        (1, 2): 41,
-        (1, 1): 392,
-        (0, 5): -1,
-        (0, 4): -8,
-        (0, 3): -114,
-        (0, 2): -392,
-        (0, 1): -2401,
-    },
-    m=5,
-    n=3,
-)
-# X^3 - 33 Y X^2 + 2 Y (7Y^2 + 46Y + 343) X - Y (Y^2 + 2Y + 49)^2 for (t, g^2)
-F4_RELATION = BivarPoly(
-    {
-        (3, 0): 1,
-        (2, 1): -33,
-        (1, 3): 14,
-        (1, 2): 92,
-        (1, 1): 686,
-        (0, 5): -1,
-        (0, 4): -4,
-        (0, 3): -102,
-        (0, 2): -196,
-        (0, 1): -2401,
-    },
-    m=5,
-    n=3,
-)
+
+(EQ38,) = _left_side("eq-3.8", VAR_SYMBOLS)
+EQ37_FACTORS = (EQ38, eval_poly(EQ38, {"Z": Z, "G": -G}))
+(EQ49,) = _left_side("eq-4.9", VAR_SYMBOLS)
+_cubic, K_POLY = _left_side("elim-K", {"F": "f", "G": "g"})
+THM12_CUBIC = _cubic.with_variables(EQ38.variables)
+F3_RELATION = _relation("rel-F3", "z", 2)
+F4_RELATION = _relation("rel-F4", "t", 1)
 
 
 def eliminate() -> dict:

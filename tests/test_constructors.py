@@ -119,8 +119,9 @@ def test_bailey_symmetry_and_poles():
         b(0, 14, 10)
     with pytest.raises(ValueError, match="pole in bilateral sum"):
         b(7, 14, 10)
-    with pytest.raises(ValueError, match="even"):
-        b(1, 7, 10)
+    for i, modulus in ((1, 7), (0, 0), (1, -14)):
+        with pytest.raises(ValueError, match="needs a positive even modulus"):
+            b(i, modulus, 10)
 
 
 def test_bailey_is_pi7_squared_times_the_eta_quotients():

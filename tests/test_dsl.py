@@ -1,5 +1,6 @@
 """Expression language: parsing, printing, folding, and evaluation."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from qlambert.dsl import (
     to_text,
 )
 from qlambert.errors import DSLError
+from qlambert.relations import MultiPoly, variables
 
 
 # ----------------------------------------------------------------- parsing
@@ -352,3 +354,64 @@ def test_sqrt_of_odd_valuation_refines_the_grid():
     series = evaluate(parse("sqrt(symbol(z))"), 10)
     assert series.valuation() == Fraction(-5, 4)
     assert (series * series - gosper_symbols("z", 10)).is_zero()
+
+
+# -------------------------------------------------- conversion to MultiPoly
+
+_ZFG = {"Z": "z", "F": "f", "G": "g"}
+Z, F, G = variables("Z", "F", "G")
+
+
+@st.composite
+def _zfg_polys(draw):
+    coeffs = {}
+    for _ in range(draw(st.integers(0, 8))):
+        mono = tuple(draw(st.integers(0, 5)) for _ in range(3))
+        coeffs[mono] = draw(_FRACTIONS)
+    return MultiPoly(("Z", "F", "G"), coeffs)
+
+
+def _dsl_text(poly) -> str:
+    terms = []
+    for mono, c in poly.coeffs.items():
+        factors = [f"({c.numerator}/{c.denominator})"]
+        factors += [f"symbol({s})^{e}" for s, e in zip("zfg", mono) if e]
+        terms.append("*".join(factors))
+    return " + ".join(terms) or "0"
+
+
+@settings(max_examples=100)
+@given(_zfg_polys())
+def test_polynomial_round_trip(poly):
+    assert dsl._polynomial(parse(_dsl_text(poly)), _ZFG) == (poly,)
+
+
+def test_polynomial_multiplies_out_composite_leaves():
+    (power,) = dsl._polynomial(parse("(symbol(f) - 4)^3*symbol(g)"), _ZFG)
+    assert power == (F - 4) ** 3 * G and power.variables == ("Z", "F", "G")
+    inner = parse("2*(symbol(f) - 4)*(symbol(g)^2 + 1) - symbol(z)")
+    assert dsl._polynomial(inner, _ZFG) == (2 * (F - 4) * (G**2 + 1) - Z,)
+
+
+def test_polynomial_returns_the_factors_of_a_top_level_product():
+    node = parse("(symbol(f) + 2*symbol(g))*(symbol(g)^2 - 3*symbol(f))")
+    assert dsl._polynomial(node, _ZFG) == (F + 2 * G, G**2 - 3 * F)
+    cubic, cofactor = dsl._polynomial(node, {"F": "f", "G": "g"})
+    assert cubic.variables == cofactor.variables == ("F", "G")
+
+
+@pytest.mark.parametrize(
+    "text, leaf",
+    [
+        ("symbol(z) + pi(1)", "pi(1)"),
+        ("q*symbol(g)", "q"),
+        ("sqrt(symbol(g)) - 1", "sqrt(symbol(g))"),
+        ("subq(symbol(g), 2)", "subq(symbol(g), 2)"),
+        ("symbol(t)^2", "symbol(t)"),
+        ("1/symbol(g)", "(1 / symbol(g))"),
+        ("symbol(g)^(1/2)", "symbol(g)^(1/2)"),
+    ],
+)
+def test_polynomial_rejects_other_leaves(text, leaf):
+    with pytest.raises(ValueError, match=re.escape(f"not a polynomial in z, f, g: '{leaf}'")):
+        dsl._polynomial(parse(text), _ZFG)

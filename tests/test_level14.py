@@ -189,57 +189,21 @@ def test_quotients_are_the_symbol_table_objects():
         assert obj is constructors._SYMBOLS[name]
 
 
-# ------------------------------------------- catalog text against constants
+# ------------------------------------------------- read from the catalog
 
 
-def _expanded(node, names: dict):
-    """The tree multiplied out as a MultiPoly, each symbol leaf replaced by
-    the variable ``names`` gives it."""
-    poly, leaves = dsl._converted(node)
-    values = []
-    for leaf, (_, spec) in leaves:
-        if spec is None:
-            values.append(names[leaf.args[0]])
-            continue
-        value = Fraction(1)
-        for part, e in zip(*spec):
-            value = value * _at(part, values) ** e
-        values.append(value)
-    return _at(poly, values)
+def test_constants_are_the_left_sides_of_identities_with_zero_right_side():
+    for name in ("eq-3.8", "eq-4.9", "elim-K", "rel-F3", "rel-F4"):
+        assert get_identity(name).right == dsl.Lit(Fraction(0))
 
 
-def _at(poly, values):
-    terms, _ = poly
-    pad = (0,) * len(values)
-    leaves = [f"x{i}" for i in range(len(values))]
-    padded = MultiPoly(leaves, {m + pad[len(m) :]: c for m, c in terms.items()})
-    return eval_poly(padded, dict(zip(leaves, values)))
+def test_constants_keep_their_variables():
+    for poly in (EQ38, EQ49, THM12_CUBIC, *EQ37_FACTORS):
+        assert poly.variables == ("Z", "F", "G")
+    assert K_POLY.variables == ("F", "G")
 
 
-def _catalog_side(name: str, names: dict):
-    record = get_identity(name)
-    assert record.right == dsl.Lit(Fraction(0))
-    return _expanded(record.left, names)
-
-
-def test_catalog_cubics_are_the_level_14_constants():
-    assert _catalog_side("eq-3.8", {"z": Z, "g": G}) == EQ38
-    assert _catalog_side("eq-4.9", {"z": Z, "f": F, "g": G}) == EQ49
-
-
-def test_catalog_relations_are_the_found_relations():
-    T = MultiPoly(("T",), {(1,): 1})
-    f3 = eval_poly(F3_RELATION.as_multipoly(), {"X": Z**2, "Y": G**2})
-    f4 = eval_poly(F4_RELATION.as_multipoly(), {"X": T, "Y": G**2})
-    assert _catalog_side("rel-F3", {"z": Z, "g": G}) == f3
-    assert _catalog_side("rel-F4", {"t": T, "g": G}) == f4
-
-
-def test_catalog_eliminant_factors_are_the_cubic_and_k():
-    poly, leaves = dsl._converted(get_identity("elim-K").left)
-    (cubic, cofactor), _ = leaves[-1][1][1]
-    names = {"f": F, "g": G}
-    values = [names[leaf.args[0]] for leaf, _ in leaves[:-1]]
-    assert _at(cubic, values) == THM12_CUBIC
-    assert _at(cofactor, values) == K_POLY
-    assert _catalog_side("elim-K", names) == THM12_CUBIC * K_POLY
+def test_relation_rejects_an_odd_exponent():
+    # eq-3.8 holds z^3 and g^5, which are not polynomials in z^2 and g^2
+    with pytest.raises(ValueError, match=r"eq-3.8 is not a polynomial in z\^2 and g\^2"):
+        level14._relation("eq-3.8", "z", 2)
