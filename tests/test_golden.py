@@ -87,6 +87,34 @@ CASES = [
         ["find-relation", "--x", "1/q+1/3", "--y", "1/q^2", "--order", "30"],
         0,
     ),
+    (
+        "expand_geta_product_sign.txt",
+        ["expand", "geta(11,1)*geta(11,2)^2/geta(11,16)", "--order", "6"],
+        0,
+    ),
+    (
+        "expand_product_quotient.json",
+        [
+            "expand",
+            "q^(-5/2)*pi(7)^2*theta(-1,8,-1,6)^2/theta(-1,1,-1,13)^2",
+            "--order",
+            "8",
+            "--json",
+        ],
+        0,
+    ),
+    (
+        "verify_eta_quotient.json",
+        [
+            "verify",
+            "--expr",
+            "eta(2)^5/(eta(1)^2*eta(4)^2) == theta(1,1,1,1) + q^200",
+            "--order",
+            "250",
+            "--json",
+        ],
+        1,
+    ),
 ]
 
 
