@@ -113,7 +113,9 @@ def _cmd_verify(args) -> int:
         reports = [verify(name, args.order) for name in sorted(load_catalog())]
     elif args.expr is not None:
         left, right = parse_identity(args.expr)
-        record = IdentityRecord("expr", left, right, args.order or 40)
+        record = IdentityRecord(
+            "expr", left, right, 40 if args.order is None else args.order
+        )
         reports = [verify(record)]
     else:
         reports = [verify(args.name, args.order)]

@@ -3,13 +3,18 @@
 Everything here returns a :class:`~qlambert.series.QSeries` with honest
 truncation bookkeeping.
 
-Every q-product goes through one kernel, ``_qproduct(factors, pref, order)``.
+Every q-product goes through one kernel, ``_qproduct(statement, order)``.
 An eta-type object (a Pochhammer symbol, an eta or generalized eta quotient,
-``Pi_q``, a theta product) is stated by its prefactor exponent ``pref`` and
-its factor dict ``{(a, b): r}``, which stand for
-q^pref * prod (q^a; q^b)_inf^r; a signed factor enters through
-(-q^a; q^b) = (q^(2a); q^(2b)) / (q^a; q^b).  The wrappers below only
-validate their input and state that dict.
+``Pi_q``, a theta product) is stated once, by a *statement*
+``(factors, pref, sign)``: the factor dict ``{(a, b): r}``, the prefactor
+exponent and the sign of  sign * q^pref * prod (q^a; q^b)_inf^r.  A signed
+factor enters through (-q^a; q^b) = (q^(2a); q^(2b)) / (q^a; q^b).  The
+``*_statement`` functions check their input and state the primitives
+``eta``, ``geta``, ``pi`` and ``theta``; the constructors are "check, then
+``_qproduct``" over them.  A product of integer powers of statements is a
+statement too (``_power_product``): the quotient classes are built that way,
+and the DSL forms a product of eta-type calls as one ``_qproduct`` call
+(``eta_type_product``).
 
 The primitive products (``pochhammer``, ``eta``, ``gen_eta``, ``theta_f``,
 ``lambert_mod``, ``pi_q``) take an *absolute* exponent ceiling ``order``:
@@ -34,9 +39,10 @@ from operator import mul
 from .series import QSeries
 
 
-def _qproduct(factors: dict, pref, order) -> QSeries:
-    """q^pref * prod over ``factors`` {(a, b): r} of (q^a; q^b)_inf^r, known
-    modulo q^order.
+def _qproduct(statement: tuple, order) -> QSeries:
+    """The product ``statement`` = (factors, pref, sign), that is
+    sign * q^pref * prod over ``factors`` {(a, b): r} of (q^a; q^b)_inf^r,
+    known modulo q^order.
 
     The unit part f is known modulo q^w with w = max(1, ceil(order - pref)).
     It comes in one pass of integer arithmetic from its logarithmic
@@ -44,6 +50,7 @@ def _qproduct(factors: dict, pref, order) -> QSeries:
     sum of r * m over the factors (1 - q^m)^r with m | j; no series power,
     product or inverse is formed.
     """
+    factors, pref, sign = statement
     pref = Fraction(pref)
     w = max(1, math.ceil(Fraction(order) - pref))
     s = [0] * w
@@ -55,10 +62,42 @@ def _qproduct(factors: dict, pref, order) -> QSeries:
     for k in range(1, w):
         # exact: f has integer coefficients
         f[k] = sum(map(mul, s[1 : k + 1], f[k - 1 :: -1])) // k
+    if sign < 0:
+        f = [-x for x in f]
     n, d = pref.numerator, pref.denominator
     cs = [0] * ((w - 1) * d + 1)
     cs[::d] = f
     return QSeries._make(cs, n, d, n + w * d)
+
+
+def _power_product(parts, pref=0) -> tuple:
+    """The statement of  q^pref * prod over ``parts`` (statement, r) of
+    statement^r: factor exponents and prefactors add, signs multiply, and a
+    factor whose exponents cancel is dropped."""
+    factors, pref, sign = {}, Fraction(pref), 1
+    for (part, p, s), r in parts:
+        for key, x in part.items():
+            factors[key] = factors.get(key, 0) + r * x
+        pref += r * p
+        if s < 0 and r % 2:
+            sign = -sign
+    return {key: r for key, r in factors.items() if r}, pref, sign
+
+
+def eta_type_product(parts, order, q_exponent=0) -> QSeries:
+    """q^q_exponent * prod over ``parts`` (statement, r) of statement^r, known
+    as far as the factor-by-factor product of the parts, each expanded
+    modulo q^order, knows it.
+
+    That product keeps the least relative window of its factors, an inverse
+    or power keeps its base's, and q powers are exact: so the unit part is
+    known modulo q^w for the least w = max(1, ceil(order - pref)) over the
+    parts, zero exponents included.  One ``_qproduct`` call forms it.
+    """
+    parts = list(parts)
+    w = min(max(1, math.ceil(Fraction(order) - p)) for (_, p, _), _ in parts)
+    statement = _power_product(parts, q_exponent)
+    return _qproduct(statement, statement[1] + w)
 
 
 def _factor_dict(triples) -> dict:
@@ -86,14 +125,19 @@ def pochhammer(sign: int, a: int, b: int, order: int) -> QSeries:
     order = int(order)
     if order < 1:
         raise ValueError("order must be a positive integer")
-    return _qproduct(_factor_dict(_signed(sign, a, b)), 0, order)
+    return _qproduct((_factor_dict(_signed(sign, a, b)), 0, 1), order)
 
 
-def eta(delta: int, order) -> QSeries:
+def eta_statement(delta: int) -> tuple:
     """Dedekind eta at delta*tau:  q^(delta/24) * prod_{n>=1} (1 - q^(delta n))."""
     if delta < 1:
         raise ValueError("eta argument must be a positive integer")
-    return _qproduct({(delta, delta): 1}, Fraction(delta, 24), order)
+    return {(delta, delta): 1}, Fraction(delta, 24), 1
+
+
+def eta(delta: int, order) -> QSeries:
+    """Dedekind eta at delta*tau, modulo q^order (see ``eta_statement``)."""
+    return _qproduct(eta_statement(delta), order)
 
 
 def _b2(t: Fraction) -> Fraction:
@@ -117,7 +161,7 @@ def _gen_eta_index(level: int, g: int) -> tuple:
     return (g0, 1) if g0 < level else (g0 - level, -1)
 
 
-def gen_eta(level: int, g: int, order) -> QSeries:
+def gen_eta_statement(level: int, g: int) -> tuple:
     """Generalized eta function eta_{level,g}.
 
     For 0 < g < level this is
@@ -127,12 +171,28 @@ def gen_eta(level: int, g: int, order) -> QSeries:
     """
     g0, sign = _gen_eta_index(level, g)
     factors = _factor_dict(((g0, level, 1), (level - g0, level, 1)))
-    out = _qproduct(factors, gen_eta_prefactor(level, g0), order)
-    return -out if sign < 0 else out
+    return factors, gen_eta_prefactor(level, g0), sign
+
+
+def gen_eta(level: int, g: int, order) -> QSeries:
+    """eta_{level,g} modulo q^order (see ``gen_eta_statement``)."""
+    return _qproduct(gen_eta_statement(level, g), order)
+
+
+class _Quotient:
+    """A product of integer powers of one family of eta-type functions:
+    ``exponents`` maps an index to its exponent, ``_part`` states the
+    function of an index."""
+
+    def statement(self) -> tuple:
+        return _power_product((self._part(i), r) for i, r in self.exponents.items())
+
+    def prefactor_exponent(self) -> Fraction:
+        return self.statement()[1]
 
 
 @dataclass
-class EtaQuotient:
+class EtaQuotient(_Quotient):
     """A product  prod_{delta | level} eta(delta tau)^(r_delta).
 
     ``exponents`` maps delta -> r_delta; zero exponents are dropped and every
@@ -161,20 +221,15 @@ class EtaQuotient:
     def weight(self) -> Fraction:
         return Fraction(sum(self.exponents.values()), 2)
 
-    def prefactor_exponent(self) -> Fraction:
-        return sum(
-            (Fraction(d * r, 24) for d, r in self.exponents.items()), Fraction(0)
-        )
-
-    def _factors(self) -> dict:
-        return {(d, d): r for d, r in self.exponents.items()}
+    def _part(self, delta: int) -> tuple:
+        return eta_statement(delta)
 
     def series(self, order) -> QSeries:
-        return _qproduct(self._factors(), self.prefactor_exponent(), order)
+        return _qproduct(self.statement(), order)
 
 
 @dataclass
-class GenEtaQuotient:
+class GenEtaQuotient(_Quotient):
     """A product  prod_g eta_{level,g}^(r_g)  with 1 <= g <= level/2."""
 
     level: int
@@ -196,54 +251,55 @@ class GenEtaQuotient:
             clean[g] = int(r)
         self.exponents = clean
 
-    def prefactor_exponent(self) -> Fraction:
-        return sum(
-            (r * gen_eta_prefactor(self.level, g) for g, r in self.exponents.items()),
-            Fraction(0),
-        )
-
-    def _factors(self) -> dict:
-        # at g = level/2 the two factors coincide and their exponents add
-        n = self.level
-        return _factor_dict(
-            (a, n, r) for g, r in self.exponents.items() for a in (g, n - g)
-        )
+    def _part(self, g: int) -> tuple:
+        return gen_eta_statement(self.level, g)
 
     def series(self, order) -> QSeries:
-        return _qproduct(self._factors(), self.prefactor_exponent(), order)
+        return _qproduct(self.statement(), order)
 
 
-def theta_f(sa: int, a: int, sb: int, b: int, order, form: str = "product") -> QSeries:
-    """Ramanujan's theta function f(x, y) at x = sa*q^a, y = sb*q^b.
+def theta_statement(sa: int, a: int, sb: int, b: int) -> tuple:
+    """Ramanujan's theta function f(x, y) at x = sa*q^a, y = sb*q^b, as the
+    triple product  f(x, y) = (-x; xy)_inf (-y; xy)_inf (xy; xy)_inf.
 
     Arguments must be signed q-monomials (sa, sb in {+1, -1}; a, b positive
-    integers).  The default is the triple-product form
-        f(x, y) = (-x; xy)_inf (-y; xy)_inf (xy; xy)_inf;
-    ``form="sum"`` computes the bilateral series
-        sum_{n in Z} x^(n(n+1)/2) y^(n(n-1)/2)
-    by direct accumulation, as an independent cross-check.
+    integers).
     """
     if sa not in (1, -1) or sb not in (1, -1):
         raise ValueError("theta arguments must be signed q-monomials")
     if a < 1 or b < 1:
         raise ValueError("theta exponents must be positive integers")
+
+    # (v; Q) with a sign-alternating ratio Q = -q^step splits into the
+    # even- and odd-index subproducts, each with ratio q^(2 step)
+    def poch_signed(s0, e, step):
+        if sa * sb == 1:
+            return _signed(s0, e, step)
+        return _signed(s0, e, 2 * step) + _signed(-s0, e + step, 2 * step)
+
+    triples = (
+        poch_signed(-sa, a, a + b)
+        + poch_signed(-sb, b, a + b)
+        + poch_signed(sa * sb, a + b, a + b)
+    )
+    return _factor_dict(triples), 0, 1
+
+
+def theta_f(sa: int, a: int, sb: int, b: int, order, form: str = "product") -> QSeries:
+    """Ramanujan's theta function f(x, y) at x = sa*q^a, y = sb*q^b, modulo
+    q^order.
+
+    The default is the triple-product form of ``theta_statement``;
+    ``form="sum"`` computes the bilateral series
+        sum_{n in Z} x^(n(n+1)/2) y^(n(n-1)/2)
+    by direct accumulation, as an independent cross-check.
+    """
+    statement = theta_statement(sa, a, sb, b)
     order = int(order)
     if order < 1:
         raise ValueError("order must be a positive integer")
     if form == "product":
-        # (v; Q) with a sign-alternating ratio Q = -q^step splits into the
-        # even- and odd-index subproducts, each with ratio q^(2 step)
-        def poch_signed(s0, e, step):
-            if sa * sb == 1:
-                return _signed(s0, e, step)
-            return _signed(s0, e, 2 * step) + _signed(-s0, e + step, 2 * step)
-
-        triples = (
-            poch_signed(-sa, a, a + b)
-            + poch_signed(-sb, b, a + b)
-            + poch_signed(sa * sb, a + b, a + b)
-        )
-        return _qproduct(_factor_dict(triples), 0, order)
+        return _qproduct(statement, order)
     if form == "sum":
         c = [0] * order
         k = 0
@@ -319,14 +375,19 @@ def bailey_specialization(i: int, modulus: int, order) -> QSeries:
     )
 
 
-def pi_q(k: int, order) -> QSeries:
+def pi_statement(k: int) -> tuple:
     """Pi_{q^k} = q^(k/4) (q^(2k); q^(2k))^2 / (q^k; q^(2k))^2.
 
     Equal to the eta quotient eta(2k tau)^4 / eta(k tau)^2.
     """
     if k < 1:
         raise ValueError("argument must be a positive integer")
-    return _qproduct({(2 * k, 2 * k): 4, (k, k): -2}, Fraction(k, 4), order)
+    return {(2 * k, 2 * k): 4, (k, k): -2}, Fraction(k, 4), 1
+
+
+def pi_q(k: int, order) -> QSeries:
+    """Pi_{q^k} modulo q^order (see ``pi_statement``)."""
+    return _qproduct(pi_statement(k), order)
 
 
 # -- named level-14 functions ------------------------------------------------

@@ -32,6 +32,17 @@ are leaves too, formed as the product of their operands' values: expanding
 them could shrink the truncation or, for powers, blow up the size.  The
 value is truncated where the node-by-node arithmetic would truncate it,
 which a cancelled monomial still bounds, so both give the same series.
+
+A product or quotient of integer powers of ``eta``, ``geta``, ``pi`` and
+``theta`` calls, times q powers and constants, is one *product leaf*
+(times its constant): the calls' factor dicts merge into one, and a single
+q-product forms the leaf (``constructors.eta_type_product``), with the
+prefactors added, the sign law's signs multiplied and the window the
+node-by-node product reaches.  A zero power, a product of q powers alone
+and a single bare call stay as they are; symbols, sums, ``sqrt`` and
+``subq`` end a product leaf.  Every call of a product leaf is checked where
+it appears, so an invalid one fails with the same message, naming it, as
+in the node-by-node evaluation.
 """
 
 import math
@@ -46,13 +57,18 @@ from operator import add
 from .constructors import (
     bailey_specialization,
     eta,
+    eta_statement,
+    eta_type_product,
     gen_eta,
+    gen_eta_statement,
     gosper_symbols,
     lambert_L,
     lambert_L_odd,
     lambert_mod,
     pi_q,
+    pi_statement,
     theta_f,
+    theta_statement,
 )
 from .errors import DSLError
 from .relations import MultiPoly, eval_poly
@@ -140,6 +156,15 @@ _CALLS = {
     "bailey": ("ii", lambda order, i, m: bailey_specialization(i, m, order)),
     "symbol": ("n", lambda order, name: gosper_symbols(name, order)),
     "subq": ("ei", None),
+}
+
+#: the eta-type calls and their statements: a product of their integer powers
+#: is evaluated as one q-product
+_ETA_TYPE = {
+    "eta": eta_statement,
+    "geta": gen_eta_statement,
+    "pi": pi_statement,
+    "theta": theta_statement,
 }
 
 
@@ -498,11 +523,37 @@ def _nesting(root) -> int:
 # included, because those still bound the truncation (a cancelled constant
 # leaves the exact zero, and is dropped).  A monomial is a tuple of
 # exponents indexed by leaf, without trailing zeros.  Leaves are keyed by
-# structure.  A composite leaf's spec is (polynomials, exponents): its value
+# structure.  A leaf's spec is None for a leaf evaluated on its own, _CHECK
+# for an eta-type call that so far only entered product leaves and is only
+# checked, and (polynomials, exponents) for a composite leaf, whose value
 # is the product of their powers.  A product is expanded only where the
 # node-by-node product gets the same truncation as the expansion's
 # monomials: one factor a constant, or both single monomials that no
 # cancellation touched.
+
+_CHECK = "check"
+
+
+@dataclass(frozen=True)
+class _Product:
+    """The product leaf  q^qexp * prod call^r  over the pairs (call, r) of
+    ``calls``, all eta-type calls.  A call whose exponents cancel stays in,
+    since it still bounds the truncation."""
+
+    calls: frozenset
+    qexp: Fraction
+
+
+class _Pending:
+    """c * q^qexp * prod call^r over ``calls`` {call: r}: a product that
+    _convert has met but not yet made a leaf, since an enclosing product may
+    still take it in.  Its calls are registered as _CHECK leaves where they
+    appear."""
+
+    __slots__ = ("calls", "qexp", "c")
+
+    def __init__(self, calls: dict, qexp=0, c=1):
+        self.calls, self.qexp, self.c = calls, Fraction(qexp), Fraction(c)
 
 #: order -> leaf -> value, shared by the evaluations inside _shared_leaves
 _SHARED: ContextVar = ContextVar("qlambert_dsl_shared_leaves", default=None)
@@ -515,8 +566,11 @@ def evaluate(node, order: int) -> QSeries:
     symbols get it as their relative window.  Each polynomial subtree is
     evaluated as a polynomial over its distinct leaves by
     ``relations.eval_poly``, and truncated where the node-by-node
-    arithmetic would truncate it.  Arithmetic failures are re-raised as
-    DSLError tagged with the offending subexpression.
+    arithmetic would truncate it.  A product of integer powers of eta-type
+    calls and q powers is one leaf, formed by a single q-product over the
+    merged factor dict, and equal to the node-by-node product of its
+    factors.  Arithmetic failures are re-raised as DSLError tagged with the
+    offending subexpression.
     """
     order = int(order)
     if order < 1:
@@ -558,6 +612,11 @@ def _eval(node, order: int, memo: dict, predict: bool = False):
     poly, leaves = _converted(node)
     values, shadows = [], []
     for leaf, (_, spec) in leaves:
+        if spec is _CHECK:
+            _wrap(leaf, _ETA_TYPE[leaf.name], *leaf.args)
+            values.append(None)
+            shadows.append((None, None, 1))
+            continue
         if spec is None:
             value = memo.get(leaf)
             if value is None:
@@ -585,6 +644,10 @@ def _leaf(node, order: int, memo: dict) -> QSeries:
         return qpow(node.exponent)
     if isinstance(node, Call):
         return _wrap(node, _CALLS[node.name][1], order, *node.args)
+    if isinstance(node, _Product):
+        # its calls were checked by their _CHECK or bare leaves before it
+        parts = [(_ETA_TYPE[call.name](*call.args), r) for call, r in node.calls]
+        return eta_type_product(parts, order, node.qexp)
     if isinstance(node, Sqrt):
         return _wrap(node, _eval(node.node, order, memo).sqrt)
     if isinstance(node, Subq):
@@ -610,24 +673,35 @@ def _converted(node) -> tuple:
     for every pass; callers only read the result.
     """
     leaves: dict = {}
-    poly = _convert(node, leaves)
+    poly = _poly(_convert(node, leaves), leaves)
     return poly, tuple(leaves.items())
 
 
-def _convert(node, leaves: dict) -> tuple:
+def _convert(node, leaves: dict):
     """The polynomial of a tree over the leaves it registers in ``leaves``
-    (node -> (index, spec), in order of first appearance)."""
+    (node -> (index, spec), in order of first appearance), or a _Pending
+    product, which _poly makes a polynomial."""
     if isinstance(node, Lit):
         c = node.value
         if c.denominator == 1:
             c = c.numerator  # integral coefficients stay ints
         return ({(): c}, {()}) if c else ({}, set())
+    if isinstance(node, Q):
+        return _Pending({}, node.exponent)
+    if isinstance(node, Call) and node.name in _ETA_TYPE:
+        leaves.setdefault(node, (len(leaves), _CHECK))
+        return _Pending({node: 1})
     if isinstance(node, Neg):
-        terms, seen = _convert(node.node, leaves)
+        x = _convert(node.node, leaves)
+        if isinstance(x, _Pending):
+            x.c = -x.c
+            return x
+        terms, seen = x
         return {m: -c for m, c in terms.items()}, seen
     if isinstance(node, BinOp):
         if node.op in ("+", "-"):
-            a, b = _convert(node.left, leaves), _convert(node.right, leaves)
+            a = _poly(_convert(node.left, leaves), leaves)
+            b = _poly(_convert(node.right, leaves), leaves)
             terms = dict(a[0])
             sign = 1 if node.op == "+" else -1
             for m, c in b[0].items():
@@ -642,6 +716,10 @@ def _convert(node, leaves: dict) -> tuple:
             return terms, seen
         if node.op == "*":
             a, b = _convert(node.left, leaves), _convert(node.right, leaves)
+            fused = _fused(a, b, 1)
+            if fused is not None:
+                return fused
+            a, b = _poly(a, leaves), _poly(b, leaves)
             if not (
                 _constant(a) or _constant(b) or (_monomial_only(a) and _monomial_only(b))
             ):
@@ -651,15 +729,35 @@ def _convert(node, leaves: dict) -> tuple:
                 {_mono(m, n): c * d for m, c in a[0].items() for n, d in b[0].items()},
                 {_mono(m, n) for m in a[1] for n in b[1]},
             )
-        if node.op == "/" and isinstance(node.right, Lit) and node.right.value:
-            terms, seen = _convert(node.left, leaves)
+        if isinstance(node.right, Lit):
             c = node.right.value
-            return {m: x / c for m, x in terms.items()}, seen
+            if c:
+                x = _convert(node.left, leaves)
+                if isinstance(x, _Pending):
+                    x.c /= c
+                    return x
+                terms, seen = x
+                return {m: v / c for m, v in terms.items()}, seen
+        elif _fusable(node.left) and _fusable(node.right):
+            mark = len(leaves)
+            a, b = _convert(node.left, leaves), _convert(node.right, leaves)
+            fused = _fused(a, b, -1)
+            if fused is not None:
+                return fused
+            _rollback(leaves, mark)
     elif isinstance(node, Pow) and node.exponent.denominator == 1:
         k = int(node.exponent)
         if k < 0:
+            if _fusable(node.base):
+                mark = len(leaves)
+                base = _convert(node.base, leaves)
+                if isinstance(base, _Pending) and base.c:
+                    return _raised(base, k)
+                _rollback(leaves, mark)
             return _register(node, leaves, None)
         base = _convert(node.base, leaves)
+        if isinstance(base, _Pending):
+            return _raised(base, k) if k else ({(): 1}, {()})
         if not _monomial_only(base):
             return _register(node, leaves, ((base,), (k,)))
         if not k:
@@ -669,6 +767,74 @@ def _convert(node, leaves: dict) -> tuple:
             {tuple(e * k for e in m) for m in base[1]},
         )
     return _register(node, leaves, None)
+
+
+def _fusable(node) -> bool:
+    # whether _convert can give a _Pending or a constant for node, judged
+    # from the node alone: a division or negative power converts its
+    # operands only then, and undoes their registrations if they do not fuse
+    if isinstance(node, Call):
+        return node.name in _ETA_TYPE
+    if isinstance(node, BinOp):
+        return node.op in "*/"
+    if isinstance(node, Pow):
+        return node.exponent.denominator == 1
+    return isinstance(node, (Q, Lit, Neg))
+
+
+def _rollback(leaves: dict, mark: int) -> None:
+    while len(leaves) > mark:
+        leaves.popitem()
+
+
+def _fused(a, b, sign: int):
+    """The _Pending a * b^sign when one operand is a _Pending and the other
+    one too or a constant (a nonzero one to divide by), else None."""
+    if not (isinstance(a, _Pending) or isinstance(b, _Pending)):
+        return None
+    a, b = _as_pending(a), _as_pending(b)
+    if a is None or b is None or (sign < 0 and not b.c):
+        return None
+    for call, r in b.calls.items():
+        a.calls[call] = a.calls.get(call, 0) + sign * r
+    a.qexp += sign * b.qexp
+    a.c = a.c * b.c if sign > 0 else a.c / b.c
+    return a
+
+
+def _as_pending(x):
+    # a _Pending, a constant as one, or None
+    if isinstance(x, _Pending):
+        return x
+    return _Pending({}, 0, x[0].get((), 0)) if _constant(x) else None
+
+
+def _raised(x: "_Pending", k: int) -> "_Pending":
+    x.calls = {call: r * k for call, r in x.calls.items()}
+    x.qexp *= k
+    x.c **= k
+    return x
+
+
+def _poly(x, leaves: dict) -> tuple:
+    """x, or for a _Pending x the polynomial c * leaf: the leaf is a q power
+    when x has no calls, the call itself when x is one bare call, and a
+    _Product otherwise."""
+    if not isinstance(x, _Pending):
+        return x
+    if not x.c:
+        return {}, set()
+    if not x.calls:
+        leaf = Q(x.qexp)
+    elif not x.qexp and len(x.calls) == 1 and 1 in x.calls.values():
+        (leaf,) = x.calls
+        index, _ = leaves[leaf]
+        leaves[leaf] = index, None  # evaluated now, not only checked
+    else:
+        leaf = _Product(frozenset(x.calls.items()), x.qexp)
+    (m,), seen = _register(leaf, leaves, None)
+    c = x.c
+    return {m: c.numerator if c.denominator == 1 else c}, seen
 
 
 def _constant(poly: tuple) -> bool:
@@ -708,7 +874,7 @@ def _polynomial(node, names: dict) -> tuple:
     slots = {Call("symbol", (s,)): i for i, s in enumerate(names.values())}
     values = []  # per leaf: the index of its variable, or its MultiPoly
     for leaf, (_, spec) in leaves:
-        if spec is not None:
+        if isinstance(spec, tuple):
             value = math.prod(_multiplied(p, values, variables) ** e for p, e in zip(*spec))
         elif leaf in slots:
             value = slots[leaf]

@@ -102,8 +102,9 @@ def gen_eta_value(level: int, g: int, tau) -> complex:
 
 def _eval_any(obj, tau: complex) -> complex:
     if isinstance(obj, (EtaQuotient, GenEtaQuotient)):
-        out = q_point(tau, obj.prefactor_exponent())
-        for (a, b), r in obj._factors().items():
+        factors, pref, _ = obj.statement()
+        out = q_point(tau, pref)
+        for (a, b), r in factors.items():
             out *= _product_over(tau, a, b) ** r
         return out
     if isinstance(obj, QSeries):

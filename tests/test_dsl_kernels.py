@@ -5,10 +5,13 @@ Every value must equal ``dsl_oracle``'s: the same grid index, grid
 denominator, truncation and coefficients, which implies agreement through
 the smaller truncation; and every truncation must be sound, that is agree
 with the oracle run at a wider window.  Every failure must raise the same
-exception type.  The shipped catalog is checked the same way at the windows
+exception type with the same message.  Products of eta-type calls get a
+strategy of their own, since the evaluator forms each one as a single
+q-product.  The shipped catalog is checked the same way at the windows
 ``verify`` evaluates at.
 """
 
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -16,16 +19,37 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dsl_oracle as oracle
-from qlambert import catalog, dsl
+from qlambert import catalog, constructors, dsl
 from qlambert.constructors import gosper_symbols
 from qlambert.dsl import BinOp, Call, Lit, Neg, Pow, Q, Sqrt, Subq, evaluate, parse
+from qlambert.errors import DSLError
+from qlambert.series import QSeries
+
+_signs = st.sampled_from([1, -1])
+
+# eta-type calls; geta indices run past the level, below 0 and onto its
+# multiples, so both sign laws and the rejected indices occur
+_eta_calls = st.one_of(
+    st.builds(lambda d: Call("eta", (d,)), st.integers(1, 4)),
+    st.builds(lambda k: Call("pi", (k,)), st.integers(1, 3)),
+    st.builds(
+        lambda m, g: Call("geta", (m, g)), st.sampled_from([5, 7, 11]), st.integers(-12, 24)
+    ),
+    st.builds(
+        lambda sa, a, sb, b: Call("theta", (sa, a, sb, b)),
+        _signs,
+        st.integers(1, 3),
+        _signs,
+        st.integers(1, 3),
+    ),
+)
+_qpowers = st.builds(Q, st.sampled_from([F(1), F(2), F(-1), F(1, 2)]))
 
 _leaves = st.one_of(
     st.builds(lambda n: Call("symbol", (n,)), st.sampled_from(["z", "g", "f", "g2"])),
-    st.builds(lambda d: Call("eta", (d,)), st.integers(1, 4)),
-    st.builds(lambda k: Call("pi", (k,)), st.integers(1, 3)),
+    _eta_calls,
     st.builds(lambda k: Call("L", (k,)), st.integers(1, 3)),
-    st.builds(Q, st.sampled_from([F(1), F(2), F(-1), F(1, 2)])),
+    _qpowers,
     st.builds(Lit, st.sampled_from([F(0), F(1), F(-2), F(3, 2)])),
 )
 
@@ -50,31 +74,51 @@ def _extend(children):
 trees = st.recursive(_leaves, _extend, max_leaves=8)
 
 
+def _products_of(children):
+    quotients = st.builds(BinOp, st.sampled_from("*/"), children, children)
+    powers = st.builds(Pow, children, st.integers(-3, 3).map(F))
+    return st.one_of(quotients, powers)
+
+
+# products and quotients of integer powers of eta-type calls and q powers
+products = st.recursive(st.one_of(_eta_calls, _qpowers), _products_of, max_leaves=6)
+
+
 def outcome(evaluate_fn, node, order):
     try:
         return evaluate_fn(node, order)
     except (ArithmeticError, ValueError) as err:
-        return type(err)
+        return type(err), str(err)
 
 
 def state(s):
     return s.v, s.D, s.T, s.coeffs
 
 
-@settings(max_examples=150)
-@given(trees, st.integers(4, 12))
-def test_evaluation_agrees_with_the_oracle(node, order):
+def agrees_with_the_oracle(node, order):
     new = outcome(evaluate, node, order)
     old = outcome(oracle.evaluate, node, order)
-    if isinstance(new, type) or isinstance(old, type):
+    if isinstance(new, tuple) or isinstance(old, tuple):
         assert new == old
         return
     # the difference of two honest series is zero through the smaller truncation
     assert (new - old).is_zero()
     assert state(new) == state(old)
     wide = outcome(oracle.evaluate, node, order + 10)
-    if not isinstance(wide, type):
+    if not isinstance(wide, tuple):
         assert (new - wide).is_zero()
+
+
+@settings(max_examples=150)
+@given(trees, st.integers(4, 12))
+def test_evaluation_agrees_with_the_oracle(node, order):
+    agrees_with_the_oracle(node, order)
+
+
+@settings(max_examples=150)
+@given(products, st.integers(1, 40))
+def test_products_of_calls_agree_with_the_oracle(node, order):
+    agrees_with_the_oracle(node, order)
 
 
 @pytest.mark.parametrize("name", sorted(catalog.load_catalog()))
@@ -138,3 +182,91 @@ def test_a_cancelled_monomial_still_bounds_the_truncation():
     assert value.truncation_exponent() == gosper_symbols("z", 10).truncation_exponent()
     node = parse("symbol(g)*(symbol(z) - symbol(z)) + 1")
     assert state(evaluate(node, 10)) == state(oracle.evaluate(node, 10))
+
+
+def _counting(monkeypatch, counts):
+    def wrap(name, real):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return counted
+
+    for name in ("__mul__", "__rmul__", "invert", "__pow__"):
+        monkeypatch.setattr(QSeries, name, wrap(name, getattr(QSeries, name)))
+    monkeypatch.setattr(constructors, "_qproduct", wrap("_qproduct", constructors._qproduct))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "geta(11,1)*geta(11,2)*geta(11,3)*geta(11,4)*geta(11,5)",
+        "eta(2)^5/(eta(1)^2*eta(4)^2)",
+        "theta(1,1,1,1)^4",
+    ],
+)
+def test_a_product_of_calls_is_one_q_product(monkeypatch, text):
+    counts = Counter()
+    _counting(monkeypatch, counts)
+    node = parse(text)
+    value = evaluate(node, 120)
+    assert counts == {"_qproduct": 1}
+    monkeypatch.undo()
+    assert state(value) == state(oracle.evaluate(node, 120))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "2*eta(1)*eta(2)/3",
+        "-eta(1)/((3/2)*geta(7,9))",
+        "(q^2*pi(1)/2)^-2*theta(1,1,-1,2)",
+        "0*eta(1)*eta(2)",
+        "eta(1)*eta(2)/(0*eta(3))",
+    ],
+)
+def test_constants_ride_along_with_a_product_leaf(text):
+    node = parse(text)
+    (terms, _), leaves = dsl._converted(node)
+    assert len(terms) <= 1
+    agrees_with_the_oracle(node, 12)
+
+
+def test_a_division_that_does_not_fuse_is_one_leaf():
+    node = parse("(L(1) + 1)*eta(2)/eta(3)")
+    assert [leaf for leaf, _ in dsl._converted(node)[1]] == [node]
+    agrees_with_the_oracle(node, 12)
+
+
+def test_bare_calls_and_zero_powers_stay_as_they_are():
+    for text in ("eta(1)", "geta(11,12)"):
+        (_, leaves) = dsl._converted(parse(text))
+        assert [leaf for leaf, _ in leaves] == [parse(text)]
+    (terms, seen), leaves = dsl._converted(parse("eta(1)^0*eta(2)"))
+    assert [leaf for leaf, _ in leaves] == [parse("eta(1)"), parse("eta(2)")]
+    assert leaves[0][1][1] == dsl._CHECK and terms == {(0, 1): 1}
+    (terms, _), leaves = dsl._converted(parse("q^2*q/q^(1/2)"))
+    assert [leaf for leaf, _ in leaves] == [Q(F(5, 2))] and terms == {(1,): 1}
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("eta(0)/eta(1)", "eta argument must be a positive integer in 'eta(0)'"),
+        (
+            "geta(11,1)*geta(11,22)",
+            "index g must not be divisible by the level in 'geta(11, 22)'",
+        ),
+        # the product leaf is formed after L(0), but its calls are checked first
+        (
+            "eta(1)*geta(11,22)*(L(0) + 1)",
+            "index g must not be divisible by the level in 'geta(11, 22)'",
+        ),
+    ],
+)
+def test_a_product_fails_with_the_message_of_its_bad_call(text, message):
+    node = parse(text)
+    for evaluate_fn in (evaluate, oracle.evaluate):
+        with pytest.raises(DSLError) as err:
+            evaluate_fn(node, 10)
+        assert str(err.value) == message
