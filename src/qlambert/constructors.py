@@ -84,7 +84,7 @@ def _power_product(parts, pref=0) -> tuple:
     return {key: r for key, r in factors.items() if r}, pref, sign
 
 
-def eta_type_product(parts, order, q_exponent=0) -> QSeries:
+def eta_type_product(parts: list, order, q_exponent=0) -> QSeries:
     """q^q_exponent * prod over ``parts`` (statement, r) of statement^r, known
     as far as the factor-by-factor product of the parts, each expanded
     modulo q^order, knows it.
@@ -94,7 +94,6 @@ def eta_type_product(parts, order, q_exponent=0) -> QSeries:
     known modulo q^w for the least w = max(1, ceil(order - pref)) over the
     parts, zero exponents included.  One ``_qproduct`` call forms it.
     """
-    parts = list(parts)
     w = min(max(1, math.ceil(Fraction(order) - p)) for (_, p, _), _ in parts)
     statement = _power_product(parts, q_exponent)
     return _qproduct(statement, statement[1] + w)

@@ -555,6 +555,7 @@ class _Pending:
     def __init__(self, calls: dict, qexp=0, c=1):
         self.calls, self.qexp, self.c = calls, Fraction(qexp), Fraction(c)
 
+
 #: order -> leaf -> value, shared by the evaluations inside _shared_leaves
 _SHARED: ContextVar = ContextVar("qlambert_dsl_shared_leaves", default=None)
 

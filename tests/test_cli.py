@@ -148,7 +148,9 @@ def test_verify_inline_failure_exits_1(capsys):
     assert "q^1" in out
 
 
-@pytest.mark.parametrize("selection", [["thm-1.1"], ["--expr", "eta(1) == eta(1) + q^50"]])
+@pytest.mark.parametrize(
+    "selection", [["thm-1.1"], ["--expr", "eta(1) == eta(1) + q^50"]]
+)
 @pytest.mark.parametrize("order", ["0", "-3"])
 def test_verify_rejects_a_truncation_below_1(capsys, selection, order):
     code, out, err = run(capsys, "verify", *selection, "--order", order)

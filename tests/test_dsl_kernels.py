@@ -33,7 +33,9 @@ _eta_calls = st.one_of(
     st.builds(lambda d: Call("eta", (d,)), st.integers(1, 4)),
     st.builds(lambda k: Call("pi", (k,)), st.integers(1, 3)),
     st.builds(
-        lambda m, g: Call("geta", (m, g)), st.sampled_from([5, 7, 11]), st.integers(-12, 24)
+        lambda m, g: Call("geta", (m, g)),
+        st.sampled_from([5, 7, 11]),
+        st.integers(-12, 24),
     ),
     st.builds(
         lambda sa, a, sb, b: Call("theta", (sa, a, sb, b)),
@@ -194,7 +196,8 @@ def _counting(monkeypatch, counts):
 
     for name in ("__mul__", "__rmul__", "invert", "__pow__"):
         monkeypatch.setattr(QSeries, name, wrap(name, getattr(QSeries, name)))
-    monkeypatch.setattr(constructors, "_qproduct", wrap("_qproduct", constructors._qproduct))
+    real = constructors._qproduct
+    monkeypatch.setattr(constructors, "_qproduct", wrap("_qproduct", real))
 
 
 @pytest.mark.parametrize(
