@@ -13,8 +13,8 @@ factor enters through (-q^a; q^b) = (q^(2a); q^(2b)) / (q^a; q^b).  The
 ``eta``, ``geta``, ``pi`` and ``theta``; the constructors are "check, then
 ``_qproduct``" over them.  A product of integer powers of statements is a
 statement too (``_power_product``): the quotient classes are built that way,
-and the DSL forms a product of eta-type calls as one ``_qproduct`` call
-(``eta_type_product``).
+and the DSL forms a product of eta-type calls as one ``_qproduct`` call, an
+``EtaTypeProduct`` at the window of ``eta_type_product``.
 
 The primitive products (``pochhammer``, ``eta``, ``gen_eta``, ``theta_f``,
 ``lambert_mod``, ``pi_q``) take an *absolute* exponent ceiling ``order``:
@@ -92,11 +92,12 @@ def eta_type_product(parts: list, order, q_exponent=0) -> QSeries:
     That product keeps the least relative window of its factors, an inverse
     or power keeps its base's, and q powers are exact: so the unit part is
     known modulo q^w for the least w = max(1, ceil(order - pref)) over the
-    parts, zero exponents included.  One ``_qproduct`` call forms it.
+    parts, zero exponents included.  One ``EtaTypeProduct.series`` call,
+    that is one ``_qproduct`` call, forms it.
     """
     w = min(max(1, math.ceil(Fraction(order) - p)) for (_, p, _), _ in parts)
-    statement = _power_product(parts, q_exponent)
-    return _qproduct(statement, statement[1] + w)
+    product = EtaTypeProduct(parts, q_exponent)
+    return product.series(product.prefactor_exponent() + w)
 
 
 def _factor_dict(triples) -> dict:
@@ -179,15 +180,24 @@ def gen_eta(level: int, g: int, order) -> QSeries:
 
 
 class _Quotient:
-    """A product of integer powers of one family of eta-type functions:
-    ``exponents`` maps an index to its exponent, ``_part`` states the
-    function of an index."""
+    """A product of integer powers of eta-type functions.  For one family,
+    ``exponents`` maps an index to its exponent and ``_part`` states the
+    function of an index.
+
+    ``series`` is the product layer's one method: each class binds it in its
+    own namespace, where a tracer that looks a class's ``series`` up there
+    (``bench/layers.py``) finds it.
+    """
 
     def statement(self) -> tuple:
         return _power_product((self._part(i), r) for i, r in self.exponents.items())
 
     def prefactor_exponent(self) -> Fraction:
         return self.statement()[1]
+
+    def series(self, order) -> QSeries:
+        """The product modulo q^order."""
+        return _qproduct(self.statement(), order)
 
 
 @dataclass
@@ -223,8 +233,7 @@ class EtaQuotient(_Quotient):
     def _part(self, delta: int) -> tuple:
         return eta_statement(delta)
 
-    def series(self, order) -> QSeries:
-        return _qproduct(self.statement(), order)
+    series = _Quotient.series
 
 
 @dataclass
@@ -253,8 +262,21 @@ class GenEtaQuotient(_Quotient):
     def _part(self, g: int) -> tuple:
         return gen_eta_statement(self.level, g)
 
-    def series(self, order) -> QSeries:
-        return _qproduct(self.statement(), order)
+    series = _Quotient.series
+
+
+@dataclass
+class EtaTypeProduct(_Quotient):
+    """q^q_exponent * prod over ``parts`` (statement, r) of statement^r: a
+    product of integer powers of eta-type functions of any families."""
+
+    parts: list
+    q_exponent: Fraction = Fraction(0)
+
+    def statement(self) -> tuple:
+        return _power_product(self.parts, self.q_exponent)
+
+    series = _Quotient.series
 
 
 def theta_statement(sa: int, a: int, sb: int, b: int) -> tuple:

@@ -739,22 +739,20 @@ def _convert(node, leaves: dict):
                     return x
                 terms, seen = x
                 return {m: v / c for m, v in terms.items()}, seen
-        elif _fusable(node.left) and _fusable(node.right):
-            mark = len(leaves)
-            a, b = _convert(node.left, leaves), _convert(node.right, leaves)
-            fused = _fused(a, b, -1)
+        else:
+            saved = dict(leaves)
+            fused = _fused(_convert(node.left, leaves), _convert(node.right, leaves), -1)
             if fused is not None:
                 return fused
-            _rollback(leaves, mark)
+            _restore(leaves, saved)
     elif isinstance(node, Pow) and node.exponent.denominator == 1:
         k = int(node.exponent)
         if k < 0:
-            if _fusable(node.base):
-                mark = len(leaves)
-                base = _convert(node.base, leaves)
-                if isinstance(base, _Pending) and base.c:
-                    return _raised(base, k)
-                _rollback(leaves, mark)
+            saved = dict(leaves)
+            base = _convert(node.base, leaves)
+            if isinstance(base, _Pending) and base.c:
+                return _raised(base, k)
+            _restore(leaves, saved)
             return _register(node, leaves, None)
         base = _convert(node.base, leaves)
         if isinstance(base, _Pending):
@@ -770,22 +768,11 @@ def _convert(node, leaves: dict):
     return _register(node, leaves, None)
 
 
-def _fusable(node) -> bool:
-    # whether _convert can give a _Pending or a constant for node, judged
-    # from the node alone: a division or negative power converts its
-    # operands only then, and undoes their registrations if they do not fuse
-    if isinstance(node, Call):
-        return node.name in _ETA_TYPE
-    if isinstance(node, BinOp):
-        return node.op in "*/"
-    if isinstance(node, Pow):
-        return node.exponent.denominator == 1
-    return isinstance(node, (Q, Lit, Neg))
-
-
-def _rollback(leaves: dict, mark: int) -> None:
-    while len(leaves) > mark:
-        leaves.popitem()
+def _restore(leaves: dict, saved: dict) -> None:
+    # undo what converting the operands of an unfused division or negative
+    # power registered or marked, so that it stays one opaque leaf
+    leaves.clear()
+    leaves.update(saved)
 
 
 def _fused(a, b, sign: int):

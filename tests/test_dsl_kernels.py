@@ -241,6 +241,35 @@ def test_a_division_that_does_not_fuse_is_one_leaf():
     agrees_with_the_oracle(node, 12)
 
 
+@pytest.mark.parametrize(
+    "text", ["eta(1)*eta(2) + (eta(1) + 1)/(eta(2) + 2)", "eta(1)*eta(2) + (eta(1) + 1)^-1"]
+)
+def test_an_unfused_division_leaves_earlier_calls_as_they_were(text):
+    # converting its operands marks eta(1) as evaluated; that is undone
+    node = parse(text)
+    specs = {leaf: spec for leaf, (_, spec) in dsl._converted(node)[1]}
+    assert specs[parse("eta(1)")] == specs[parse("eta(2)")] == dsl._CHECK
+    assert specs[node.right] is None and len(specs) == 4
+    agrees_with_the_oracle(node, 12)
+
+
+def test_a_product_leaf_goes_through_the_quotient_series_method(monkeypatch):
+    # a wrapper set where the quotient classes hold ``series``, as a tracer
+    # sets one, sees every product leaf
+    seen = []
+    original = vars(constructors.EtaQuotient)["series"]
+
+    def wrapped(self, order):
+        seen.append(type(self).__name__)
+        return original(self, order)
+
+    for cls in (constructors.EtaQuotient, constructors.GenEtaQuotient, constructors.EtaTypeProduct):
+        assert vars(cls)["series"] is original
+        monkeypatch.setattr(cls, "series", wrapped)
+    evaluate(parse("pi(1)^2/pi(2) + geta(11,1)*geta(11,2) + eta(1)"), 20)
+    assert seen == ["EtaTypeProduct", "EtaTypeProduct"]
+
+
 def test_bare_calls_and_zero_powers_stay_as_they_are():
     for text in ("eta(1)", "geta(11,12)"):
         (_, leaves) = dsl._converted(parse(text))
