@@ -14,13 +14,18 @@ The arithmetic runs on private dict kernels (multiply, subtract a scaled
 shifted multiple, exact divide) over plain ``dict[monomial, int]``:
 ``MultiPoly`` operands have their denominators cleared once on the way in
 and restored once on the way out, and a ``Fraction`` appears inside a
-kernel only where an exact quotient is not integral.  Resultants use
-Bareiss's fraction-free elimination over the integer polynomial ring in the
-remaining variables; relation fitting solves its linear system by
-fraction-free Gauss-Jordan elimination on integer rows, removing each row's
-gcd after every step.  ``Fraction`` is the public boundary: the
-coefficients of ``MultiPoly`` and ``BivarPoly`` are always ``Fraction``
-values.
+kernel only where an exact quotient is not integral.  A resultant is one
+integer determinant: the Sylvester matrix is evaluated at a Kronecker point,
+2^s to the power of a mixed-radix slot per monomial of the remaining
+variables, with a slot for every degree up to the resultant's and 2^(s-1)
+above the product of the rows' l1 norms.  Evaluation is a ring
+homomorphism, one to one on every minor within those bounds, so Bareiss's
+fraction-free elimination runs on plain ints with exact divisions, and the
+determinant's signed s-bit digits are the coefficients.  Relation fitting
+solves its linear system by fraction-free Gauss-Jordan elimination on
+integer rows, removing each row's gcd after every step.  ``Fraction`` is
+the public boundary: the coefficients of ``MultiPoly`` and ``BivarPoly``
+are always ``Fraction`` values.
 """
 
 from __future__ import annotations
@@ -538,12 +543,16 @@ def exact_divide(p: MultiPoly, q: MultiPoly) -> MultiPoly:
 def resultant_eliminate(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
     """Sylvester resultant of p and q with respect to one variable.
 
-    The determinant is computed by Bareiss's fraction-free elimination over
-    the integer polynomial ring in the remaining variables, so it vanishes
-    at every specialization where p and q share a root in ``var``.  The
-    denominators of p and q are cleared once up front and the scaling is
-    undone on the determinant, so every entry and every exact division in
-    the elimination stays integral.
+    With denominators cleared (the scaling is undone on the result), each
+    Sylvester entry, a polynomial in the remaining variables X_v, is
+    evaluated at X_v = 2^(s * prod_{u<v} (E_u + 1)).  E_v = dq*deg_v(p) +
+    dp*deg_v(q) bounds every minor's degree in X_v, and 2^(s-1) exceeds
+    |P|_1^dq * |Q|_1^dp, the product of the rows' l1 norms, which bounds
+    every minor's coefficients.  So the evaluation is one to one on the
+    minors: the integer Bareiss run takes the polynomial run's pivots and
+    row swaps, each of its divisions is exact (its entries are images of
+    minors, and evaluation is a ring homomorphism), and the determinant's
+    signed s-bit digits are the resultant's coefficients.
     """
     p, q = p._aligned(q)
     if var not in p.variables:
@@ -553,34 +562,28 @@ def resultant_eliminate(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
         raise ValueError(f"resultant requires positive degree in {var}")
     rest = tuple(v for v in p.variables if v != var)
     idx = p.variables.index(var)
-
-    def coeff_rows(coeffs: dict, deg: int) -> list[dict]:
-        rows = [dict() for _ in range(deg + 1)]
-        for mono, c in coeffs.items():
-            rows[mono[idx]][mono[:idx] + mono[idx + 1 :]] = c
-        return rows
-
     Lp, P = _cleared(p.coeffs)
     Lq, Q = _cleared(q.coeffs)
-    pc = coeff_rows(P, dp)
-    qc = coeff_rows(Q, dq)
-    size = dp + dq
-    mat: list[list[dict]] = []
-    for r in range(dq):
-        row = [{}] * size
-        for k in range(dp + 1):
-            row[r + k] = pc[dp - k]
-        mat.append(row)
-    for r in range(dp):
-        row = [{}] * size
-        for k in range(dq + 1):
-            row[r + k] = qc[dq - k]
-        mat.append(row)
+    others = [i for i in range(len(p.variables)) if i != idx]
+    radices = [dq * max(m[i] for m in P) + dp * max(m[i] for m in Q) + 1 for i in others]
+    s = (sum(map(abs, P.values())) ** dq * sum(map(abs, Q.values())) ** dp).bit_length() + 1
 
-    # entries are shared between rows and never mutated: each step builds
-    # fresh dicts
-    sign = 1
-    prev = None
+    def evaluated(coeffs: dict, deg: int) -> list[int]:
+        # the coefficients of var^deg .. var^0 at the point: a monomial's
+        # slot is its mixed-radix index, and slot k is the bits from s*k
+        out = [0] * (deg + 1)
+        for mono, c in coeffs.items():
+            slot = 0
+            for i, radix in zip(reversed(others), reversed(radices)):
+                slot = slot * radix + mono[i]
+            out[deg - mono[idx]] += c << (s * slot)
+        return out
+
+    pe, qe = evaluated(P, dp), evaluated(Q, dq)
+    size = dp + dq
+    mat = [[0] * r + pe + [0] * (dq - 1 - r) for r in range(dq)]
+    mat += [[0] * r + qe + [0] * (dp - 1 - r) for r in range(dp)]
+    sign = prev = 1
     for k in range(size - 1):
         if not mat[k][k]:
             swap = next((i for i in range(k + 1, size) if mat[i][k]), None)
@@ -590,20 +593,29 @@ def resultant_eliminate(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
             sign = -sign
         pivot_row = mat[k]
         pivot = pivot_row[k]
-        for i in range(k + 1, size):
-            row = mat[i]
+        for row in mat[k + 1 :]:
             lead = row[k]
             for j in range(k + 1, size):
-                num = _mul(row[j], pivot)
-                for shift, c in lead.items():
-                    _submul(num, pivot_row[j], c, shift)
-                row[j] = num if prev is None else _divide(num, prev, rest)
-            row[k] = {}
+                row[j], rem = divmod(row[j] * pivot - lead * pivot_row[j], prev)
+                if rem:
+                    raise ExactDivisionError("not an exact division in the Bareiss elimination")
         prev = pivot
+    # with 2^(s-1) added to each signed digit, the digits are the s-bit fields
+    slots, mask, half = math.prod(radices), (1 << s) - 1, 1 << (s - 1)
+    det = mat[-1][-1] + half * ((1 << (s * slots)) - 1) // mask
+    if det >> (s * slots):
+        raise ExactDivisionError("the determinant has digits beyond its degree bound")
+    terms = {}
+    for slot in range(slots):
+        digit = ((det >> (s * slot)) & mask) - half
+        if digit:
+            mono, n = [], slot
+            for radix in radices:
+                n, e = divmod(n, radix)
+                mono.append(e)
+            terms[tuple(mono)] = digit
     # det(Sylvester(Lp*p, Lq*q)) = Lp^dq * Lq^dp * Res(p, q)
-    return MultiPoly._restored(
-        rest, mat[size - 1][size - 1], Fraction(sign, Lp**dq * Lq**dp)
-    )
+    return MultiPoly._restored(rest, terms, Fraction(sign, Lp**dq * Lq**dp))
 
 
 def vanishing_factor(factors: Sequence[MultiPoly], assignment) -> int:
@@ -715,13 +727,14 @@ def find_relation(x: QSeries, y: QSeries) -> BivarPoly:
     ]
     unknowns = [ab for ab in bound if ab not in ((n, 0), (0, m))]
 
-    xs: dict[int, QSeries] = {0: QSeries.constant(1)}
-    for a in range(1, n + 1):
+    # powers and monomials; a factor x^0 or y^0 is left out, not multiplied
+    xs = {0: QSeries.constant(1), 1: x}
+    for a in range(2, n + 1):
         xs[a] = xs[a - 1] * x
-    ys: dict[int, QSeries] = {0: QSeries.constant(1)}
-    for b in range(1, m + 1):
+    ys = {0: xs[0], 1: y}
+    for b in range(2, m + 1):
         ys[b] = ys[b - 1] * y
-    monos = {(a, b): xs[a] * ys[b] for (a, b) in bound}
+    monos = {(a, b): xs[a] * ys[b] if a and b else xs[a] if a else ys[b] for a, b in bound}
 
     t_min = None
     for s in monos.values():
@@ -764,7 +777,7 @@ def find_relation(x: QSeries, y: QSeries) -> BivarPoly:
 
     residual = None
     for ab, c in coeffs.items():
-        term = c * monos[ab]
+        term = monos[ab]._scaled(c)
         residual = term if residual is None else residual + term
     if not residual.is_zero():
         raise ValueError("no relation at this degree bound")

@@ -1,8 +1,10 @@
 """Slow reference kernels for the polynomial layer: Fraction arithmetic.
 
-These are the exact division, the Bareiss resultant and the linear solve
-that ``qlambert.relations`` used before its kernels went fraction-free, and
-the term-by-term ``eval_poly`` it used before Horner's rule.  They
+These are the exact division, the Bareiss resultant over polynomial
+entries and the linear solve that ``qlambert.relations`` used before its
+kernels went fraction-free (its resultant is now one integer determinant at
+a Kronecker point), and the term-by-term ``eval_poly`` it used before
+Horner's rule.  They
 work on ``MultiPoly`` values and ``Fraction`` matrices from start to finish,
 through the public ``MultiPoly`` constructor and operators only; those
 operators are checked in turn against the schoolbook product ``mul`` below.

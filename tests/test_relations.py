@@ -187,6 +187,24 @@ def test_find_relation_insufficient_truncation():
         find_relation(x, y)
 
 
+def test_find_relation_multiplies_no_series_by_a_constant(monkeypatch):
+    t = qpow(-1) + ONE
+    x, y = t**3, t**2  # pole orders m = 3, n = 2, and X^2 = Y^3
+    products = []
+    real = QSeries.__mul__
+
+    def counting(a, b):
+        products.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(QSeries, "__mul__", counting)
+    rel = find_relation(x, y)
+    assert rel.coeffs == {(2, 0): 1, (0, 3): -1}
+    # x^2, y^2, y^3 and the one mixed monomial x*y
+    assert len(products) == 4
+    assert all(len(a.coeffs) > 1 and len(b.coeffs) > 1 for a, b in products)
+
+
 def test_bivar_poly_display_matches_paper_shape():
     rel = BivarPoly({(3, 0): 1, (2, 1): -22, (0, 5): -1}, m=5, n=3)
     assert str(rel) == "X^3 - 22*X^2*Y - Y^5"

@@ -28,7 +28,7 @@ from qlambert.relations import (
 
 integers = st.integers(-9, 9)
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
-NAMES = ("Z", "X", "Y")
+NAMES = ("Z", "X", "Y", "W")
 
 
 @st.composite
@@ -197,8 +197,43 @@ def test_resultants_with_a_common_factor_vanish(f, g, h):
     )
 
 
+big_integers = st.integers(-(2**40), 2**40)
+big_rationals = st.builds(F, big_integers, st.integers(1, 2**40))
+
+
+@st.composite
+def big_polys(draw):
+    """A polynomial in Z and up to three more variables, of Z-degree 1 to 4,
+    with integer coefficients up to 2^40 in size or rational ones with
+    denominators that large.  A top term and a term free of Z are forced,
+    so that few resultants vanish through a common root Z = 0.  Degree 1 in
+    each other variable keeps the Kronecker slot count, and the time, small."""
+    n = draw(st.integers(1, 4))
+    pool = draw(st.sampled_from([big_integers, big_rationals]))
+
+    def mono(z_degree):
+        return (z_degree,) + tuple(draw(st.integers(0, 1)) for _ in range(n - 1))
+
+    coeffs = {mono(draw(st.integers(0, 3))): draw(pool) for _ in range(draw(st.integers(0, 2)))}
+    for z_degree in (draw(st.integers(1, 4)), 0):
+        coeffs[mono(z_degree)] = draw(pool.filter(bool))
+    return MultiPoly(NAMES[:n], coeffs)
+
+
+@settings(max_examples=40)
+@given(big_polys(), big_polys())
+def test_resultants_with_big_coefficients_agree(p, q):
+    assert resultant_outcome(resultant_eliminate, p, q) == resultant_outcome(
+        oracle.resultant_eliminate, p, q
+    )
+
+
 def _zxy(coeffs):
-    return MultiPoly(NAMES, coeffs)
+    return MultiPoly(NAMES[:3], coeffs)
+
+
+# 2^35 Z + 3^20 X - 2^33, a factor of both operands of the "common-factor-big" case
+_BIG_FACTOR = _zxy({(1, 0, 0): 2**35, (0, 1, 0): 3**20, (0, 0, 0): -(2**33)})
 
 
 @pytest.mark.parametrize(
@@ -226,6 +261,23 @@ def _zxy(coeffs):
             MultiPoly(("Z",), {(2,): 1, (1,): -3, (0,): 2}),
             MultiPoly(("Z",), {(2,): 1, (1,): 2, (0,): -3}),
         ),
+        # X only in p, Y only in q: each of E_X and E_Y comes from one side
+        (
+            _zxy({(2, 0, 0): 3, (1, 1, 0): -2, (0, 2, 0): 1}),
+            _zxy({(3, 0, 0): 1, (1, 0, 1): 5, (0, 0, 2): -7}),
+        ),
+        (
+            _zxy({(1, 0, 0): 3, (0, 1, 0): -1}),
+            _zxy({(5, 0, 0): 1, (3, 0, 1): -2, (1, 1, 1): 4, (0, 0, 0): 9}),
+        ),
+        (
+            MultiPoly(("Z",), {(3,): 2**40 + 1, (1,): -(2**39), (0,): 3**25}),
+            MultiPoly(("Z",), {(2,): 5 - 2**37, (1,): 7**14, (0,): 1}),
+        ),
+        (
+            _BIG_FACTOR * _zxy({(1, 0, 0): 1, (0, 0, 1): -1}),
+            _BIG_FACTOR * _zxy({(2, 0, 0): 1, (0, 1, 0): 5**15}),
+        ),
     ],
     ids=[
         "row-swap",
@@ -233,6 +285,10 @@ def _zxy(coeffs):
         "univariate",
         "univariate-zero",
         "univariate-zero-last",
+        "one-sided-variables",
+        "z-degree-1-against-5",
+        "univariate-big",
+        "common-factor-big",
     ],
 )
 def test_resultant_special_cases(p, q):
