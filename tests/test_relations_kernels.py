@@ -206,8 +206,9 @@ def big_polys(draw):
     """A polynomial in Z and up to three more variables, of Z-degree 1 to 4,
     with integer coefficients up to 2^40 in size or rational ones with
     denominators that large.  A top term and a term free of Z are forced,
-    so that few resultants vanish through a common root Z = 0.  Degree 1 in
-    each other variable keeps the Kronecker slot count, and the time, small."""
+    so that few resultants vanish through a common root Z = 0.  Degree at
+    most 1 in each other variable keeps the Kronecker slot count, and with
+    it the test's time, small."""
     n = draw(st.integers(1, 4))
     pool = draw(st.sampled_from([big_integers, big_rationals]))
 
@@ -232,7 +233,7 @@ def _zxy(coeffs):
     return MultiPoly(NAMES[:3], coeffs)
 
 
-# 2^35 Z + 3^20 X - 2^33, a factor of both operands of the "common-factor-big" case
+# 2^35 Z + 3^20 X - 2^33, a factor of both operands of "common-factor-big"
 _BIG_FACTOR = _zxy({(1, 0, 0): 2**35, (0, 1, 0): 3**20, (0, 0, 0): -(2**33)})
 
 
@@ -266,14 +267,17 @@ _BIG_FACTOR = _zxy({(1, 0, 0): 2**35, (0, 1, 0): 3**20, (0, 0, 0): -(2**33)})
             _zxy({(2, 0, 0): 3, (1, 1, 0): -2, (0, 2, 0): 1}),
             _zxy({(3, 0, 0): 1, (1, 0, 1): 5, (0, 0, 2): -7}),
         ),
+        # Z-degree 1 against Z-degree 5
         (
             _zxy({(1, 0, 0): 3, (0, 1, 0): -1}),
             _zxy({(5, 0, 0): 1, (3, 0, 1): -2, (1, 1, 1): 4, (0, 0, 0): 9}),
         ),
+        # univariate with big integers
         (
             MultiPoly(("Z",), {(3,): 2**40 + 1, (1,): -(2**39), (0,): 3**25}),
             MultiPoly(("Z",), {(2,): 5 - 2**37, (1,): 7**14, (0,): 1}),
         ),
+        # a common factor with big coefficients: zero
         (
             _BIG_FACTOR * _zxy({(1, 0, 0): 1, (0, 0, 1): -1}),
             _BIG_FACTOR * _zxy({(2, 0, 0): 1, (0, 1, 0): 5**15}),
