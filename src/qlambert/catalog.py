@@ -129,13 +129,14 @@ def get_identity(name: str) -> IdentityRecord:
 def verify(record, truncation=None) -> VerifyReport:
     """Check left - right == 0 through the demanded truncation.
 
-    Accepts an IdentityRecord or a catalog name.  The first window is 16
-    orders past the demanded truncation, or wider when the leaves' values
-    predict that the products above them eat more than that; the leaves
-    are evaluated once per window and shared by both sides.  When a
-    cancellation the prediction cannot see ate too much of the window
-    anyway, the shortfall of the pass tells how far to widen the retry.
-    Evaluation failures are captured as a report with status "error"
+    Accepts an IdentityRecord or a catalog name.  Both sides are evaluated
+    once, at a window 16 orders past the demanded truncation, or wider when
+    the leaves' values predict that the products above them eat more than
+    that; the leaves are evaluated once and shared by both sides.  The
+    prediction is a lower bound on the truncation the evaluation reaches,
+    and every leaf's truncation grows with the window, so that window covers
+    the demanded truncation.  Evaluation failures, and a difference known
+    less far than the demanded truncation, are reported with status "error"
     rather than raised.
     """
     if isinstance(record, str):
@@ -153,22 +154,17 @@ def verify(record, truncation=None) -> VerifyReport:
             ends = [end for end in ends if end is not None]
             if ends:
                 window = max(window, demanded + math.ceil(window - min(ends)) + 4)
-            for _ in range(4):
-                diff = dsl.evaluate(record.left, window) - dsl.evaluate(
-                    record.right, window
-                )
-                head = diff.truncate(demanded)
-                grid = head.D
-                texp = head.truncation_exponent()
-                if not head.is_zero():
-                    status = "failed"
-                    first = next(head.items())
-                    break
-                if texp is None or texp >= demanded:
-                    status = "verified"
-                    break
-                eaten = math.ceil(window - texp)
-                window = max(demanded + eaten + 4, window + 16)
+            diff = dsl.evaluate(record.left, window) - dsl.evaluate(
+                record.right, window
+            )
+            head = diff.truncate(demanded)
+            grid = head.D
+            texp = head.truncation_exponent()
+            if not head.is_zero():
+                status = "failed"
+                first = next(head.items())
+            elif texp is None or texp >= demanded:
+                status = "verified"
             else:
                 detail = (
                     "window kept collapsing: got q^%s of the demanded q^%d"

@@ -306,38 +306,14 @@ def theta_statement(sa: int, a: int, sb: int, b: int) -> tuple:
     return _factor_dict(triples), 0, 1
 
 
-def theta_f(sa: int, a: int, sb: int, b: int, order, form: str = "product") -> QSeries:
+def theta_f(sa: int, a: int, sb: int, b: int, order) -> QSeries:
     """Ramanujan's theta function f(x, y) at x = sa*q^a, y = sb*q^b, modulo
-    q^order.
-
-    The default is the triple-product form of ``theta_statement``;
-    ``form="sum"`` computes the bilateral series
-        sum_{n in Z} x^(n(n+1)/2) y^(n(n-1)/2)
-    by direct accumulation, as an independent cross-check.
-    """
+    q^order (see ``theta_statement``)."""
     statement = theta_statement(sa, a, sb, b)
     order = int(order)
     if order < 1:
         raise ValueError("order must be a positive integer")
-    if form == "product":
-        return _qproduct(statement, order)
-    if form == "sum":
-        c = [0] * order
-        k = 0
-        while True:
-            for n in (k,) if k == 0 else (k, -k):
-                e = (a * n * (n + 1) + b * n * (n - 1)) // 2
-                if e < order:
-                    c[e] += (sa ** ((n * (n + 1) // 2) % 2)) * (
-                        sb ** ((n * (n - 1) // 2) % 2)
-                    )
-            k += 1
-            ep = (a * k * (k + 1) + b * k * (k - 1)) // 2
-            en = (a * k * (k - 1) + b * k * (k + 1)) // 2
-            if ep >= order and en >= order:
-                break
-        return QSeries(c, 0, 1, order)
-    raise ValueError(f"unknown form {form!r}; expected 'product' or 'sum'")
+    return _qproduct(statement, order)
 
 
 def lambert_mod(r: int, modulus: int, order) -> QSeries:

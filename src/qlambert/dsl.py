@@ -38,11 +38,11 @@ A product or quotient of integer powers of ``eta``, ``geta``, ``pi`` and
 (times its constant): the calls' factor dicts merge into one, and a single
 q-product forms the leaf (``constructors.eta_type_product``), with the
 prefactors added, the sign law's signs multiplied and the window the
-node-by-node product reaches.  A zero power, a product of q powers alone
-and a single bare call stay as they are; symbols, sums, ``sqrt`` and
-``subq`` end a product leaf.  Every call of a product leaf is checked where
-it appears, so an invalid one fails with the same message, naming it, as
-in the node-by-node evaluation.
+node-by-node product reaches; a single bare call is a one-factor product
+leaf.  A zero power and a product of q powers alone stay as they are;
+symbols, sums, ``sqrt`` and ``subq`` end a product leaf.  Every call of a
+product leaf is checked where it appears, so an invalid one fails with the
+same message, naming it, as in the node-by-node evaluation.
 """
 
 import math
@@ -56,18 +56,14 @@ from operator import add
 
 from .constructors import (
     bailey_specialization,
-    eta,
     eta_statement,
     eta_type_product,
-    gen_eta,
     gen_eta_statement,
     gosper_symbols,
     lambert_L,
     lambert_L_odd,
     lambert_mod,
-    pi_q,
     pi_statement,
-    theta_f,
     theta_statement,
 )
 from .errors import DSLError
@@ -143,23 +139,24 @@ class Subq:
 
 
 # the callable names: their argument kinds ("i" integer, "n" name,
-# "e" expression) and their builders, which take the order first; subq
+# "e" expression) and their builders, which take the order first; the
+# eta-type calls have none, since each forms a product leaf, and subq
 # parses to a Subq node instead of a Call
 _CALLS = {
-    "eta": ("i", lambda order, d: eta(d, order)),
-    "geta": ("ii", lambda order, m, g: gen_eta(m, g, order)),
-    "pi": ("i", lambda order, k: pi_q(k, order)),
+    "eta": ("i", None),
+    "geta": ("ii", None),
+    "pi": ("i", None),
     "L": ("i", lambda order, k: lambert_L(k, order)),
     "Lodd": ("i", lambda order, k: lambert_L_odd(k, order)),
     "Lmod": ("ii", lambda order, r, m: lambert_mod(r, m, order)),
-    "theta": ("iiii", lambda order, sa, a, sb, b: theta_f(sa, a, sb, b, order)),
+    "theta": ("iiii", None),
     "bailey": ("ii", lambda order, i, m: bailey_specialization(i, m, order)),
     "symbol": ("n", lambda order, name: gosper_symbols(name, order)),
     "subq": ("ei", None),
 }
 
-#: the eta-type calls and their statements: a product of their integer powers
-#: is evaluated as one q-product
+#: the eta-type calls and their statements: a product of their integer powers,
+#: a single call included, is evaluated as one q-product
 _ETA_TYPE = {
     "eta": eta_statement,
     "geta": gen_eta_statement,
@@ -524,7 +521,7 @@ def _nesting(root) -> int:
 # leaves the exact zero, and is dropped).  A monomial is a tuple of
 # exponents indexed by leaf, without trailing zeros.  Leaves are keyed by
 # structure.  A leaf's spec is None for a leaf evaluated on its own, _CHECK
-# for an eta-type call that so far only entered product leaves and is only
+# for an eta-type call, which only enters product leaves and is only
 # checked, and (polynomials, exponents) for a composite leaf, whose value
 # is the product of their powers.  A product is expanded only where the
 # node-by-node product gets the same truncation as the expansion's
@@ -646,7 +643,7 @@ def _leaf(node, order: int, memo: dict) -> QSeries:
     if isinstance(node, Call):
         return _wrap(node, _CALLS[node.name][1], order, *node.args)
     if isinstance(node, _Product):
-        # its calls were checked by their _CHECK or bare leaves before it
+        # its calls were checked by their _CHECK leaves before it
         parts = [(_ETA_TYPE[call.name](*call.args), r) for call, r in node.calls]
         return eta_type_product(parts, order, node.qexp)
     if isinstance(node, Sqrt):
@@ -770,7 +767,7 @@ def _convert(node, leaves: dict):
 
 def _restore(leaves: dict, saved: dict) -> None:
     # undo what converting the operands of an unfused division or negative
-    # power registered or marked, so that it stays one opaque leaf
+    # power registered, so that it stays one opaque leaf
     leaves.clear()
     leaves.update(saved)
 
@@ -806,20 +803,12 @@ def _raised(x: "_Pending", k: int) -> "_Pending":
 
 def _poly(x, leaves: dict) -> tuple:
     """x, or for a _Pending x the polynomial c * leaf: the leaf is a q power
-    when x has no calls, the call itself when x is one bare call, and a
-    _Product otherwise."""
+    when x has no calls and a _Product otherwise."""
     if not isinstance(x, _Pending):
         return x
     if not x.c:
         return {}, set()
-    if not x.calls:
-        leaf = Q(x.qexp)
-    elif not x.qexp and len(x.calls) == 1 and 1 in x.calls.values():
-        (leaf,) = x.calls
-        index, _ = leaves[leaf]
-        leaves[leaf] = index, None  # evaluated now, not only checked
-    else:
-        leaf = _Product(frozenset(x.calls.items()), x.qexp)
+    leaf = _Product(frozenset(x.calls.items()), x.qexp) if x.calls else Q(x.qexp)
     (m,), seen = _register(leaf, leaves, None)
     c = x.c
     return {m: c.numerator if c.denominator == 1 else c}, seen

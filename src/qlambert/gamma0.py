@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .constructors import EtaQuotient, GenEtaQuotient, _b2
 
@@ -27,19 +27,13 @@ __all__ = [
     "CuspTable",
     "apply_gamma",
     "class_representative",
-    "constancy_check",
     "cusp_equivalent",
-    "cusp_matrix",
     "cusp_set",
     "cusp_width",
     "eta_cusp_order",
-    "eta_modularity",
     "gen_eta_cusp_ord",
-    "gen_eta_gamma1_check",
-    "kronecker",
     "parse_cusp",
     "psi",
-    "sum_ord_bound",
 ]
 
 
@@ -213,110 +207,11 @@ def class_representative(n: int, r) -> Cusp:
     raise AssertionError(f"no representative found for {cusp} on Gamma_0({n})")
 
 
-def cusp_matrix(r) -> tuple[tuple[int, int], tuple[int, int]]:
-    """A determinant-1 integer matrix [[a, b], [c, d]] sending infinity to r.
-
-    Infinity maps to the identity, 0 to [[0, -1], [1, 0]], and generally
-    b is the smallest nonnegative solution of a*d - b*c = 1.
-    """
-    cusp = _as_cusp(r)
-    a, c = cusp.a, cusp.c
-    # extended gcd: a*d - c*b = 1
-    old_r, rr = a, c
-    old_s, ss = 1, 0
-    old_t, tt = 0, 1
-    while rr != 0:
-        q = old_r // rr
-        old_r, rr = rr, old_r - q * rr
-        old_s, ss = ss, old_s - q * ss
-        old_t, tt = tt, old_t - q * tt
-    # old_r = gcd = +-1; a*old_s + c*old_t = old_r
-    d, b = old_s * old_r, -old_t * old_r
-    # shift (b, d) -> (b + t*a, d + t*c) to canonicalize
-    if a != 0:
-        t = (b % abs(a) - b) // a
-    else:
-        t = (0 - d) // c
-    b, d = b + t * a, d + t * c
-    assert a * d - b * c == 1
-    return ((a, b), (c, d))
-
-
 def apply_gamma(mat: Sequence[Sequence[int]], r) -> Cusp:
     """Image of a cusp under a fractional-linear map [[p, q], [u, v]]."""
     (p, q), (u, v) = mat
     cusp = _as_cusp(r)
     return Cusp(p * cusp.a + q * cusp.c, u * cusp.a + v * cusp.c)
-
-
-def kronecker(a: int, n: int) -> int:
-    """The Kronecker symbol (a | n), extending Jacobi to all integers n."""
-    if n == 0:
-        return 1 if a in (1, -1) else 0
-    if a % 2 == 0 and n % 2 == 0:
-        return 0
-    t = 1
-    if n < 0:
-        n = -n
-        if a < 0:
-            t = -t
-    while n % 2 == 0:
-        n //= 2
-        if a % 8 in (3, 5):
-            t = -t
-    # Jacobi symbol (a | n) with n odd positive
-    a %= n
-    while a != 0:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                t = -t
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            t = -t
-        a %= n
-    return t if n == 1 else 0
-
-
-def eta_modularity(quot: EtaQuotient, n: int) -> dict:
-    """Invariance report for an eta quotient on Gamma_0(n).
-
-    Checks the two mod-24 congruences (sum of delta*r_delta and of
-    (n/delta)*r_delta) and triviality of the character
-    d -> ((-1)^k prod delta^{r_delta} | d), sampled over every residue
-    class d in [1, 24n] coprime to 6n, which covers a full period of the
-    character.  ``character_trivial`` is None when the weight is not an
-    integer.  ``invariant`` means: transforms with trivial multiplier
-    under all of Gamma_0(n) in weight ``weight``.
-    """
-    exps = quot.exponents
-    weight = Fraction(sum(exps.values()), 2)
-    cong = sum(d * r for d, r in exps.items()) % 24 == 0
-    cong_dual = sum((Fraction(n, d) * r for d, r in exps.items()), Fraction(0)) % 24 == 0
-    report = {
-        "weight": weight,
-        "congruence_24": cong,
-        "congruence_24_dual": cong_dual,
-        "character_trivial": None,
-        "invariant": False,
-    }
-    if weight.denominator == 1:
-        m = 1
-        for d, r in exps.items():
-            if r % 2:
-                m *= d
-        if weight % 2:
-            m = -m
-        trivial = True
-        for d in range(1, 24 * n + 1):
-            if math.gcd(d, 6 * n) != 1:
-                continue
-            if kronecker(m, d) != 1:
-                trivial = False
-                break
-        report["character_trivial"] = trivial
-        report["invariant"] = cong and cong_dual and trivial
-    return report
 
 
 def eta_cusp_order(quot: EtaQuotient, n: int, r) -> Fraction:
@@ -358,51 +253,3 @@ def gen_eta_cusp_ord(quot: GenEtaQuotient, n: int, r) -> Fraction:
         Fraction(0),
     )
     return cusp_width(n, cusp) * m0
-
-
-def gen_eta_gamma1_check(quot: GenEtaQuotient) -> bool:
-    """Whether a generalized eta quotient is invariant on Gamma_1(level).
-
-    Congruence conditions: sum r_g = 0 (mod 12), sum g r_g = 0 (mod 2),
-    and sum g^2 r_g = 0 (mod 2*level).
-    """
-    n = quot.level
-    s0 = sum(quot.exponents.values())
-    s1 = sum(g * r for g, r in quot.exponents.items())
-    s2 = sum(g * g * r for g, r in quot.exponents.items())
-    return s0 % 12 == 0 and s1 % 2 == 0 and s2 % (2 * n) == 0
-
-
-def sum_ord_bound(
-    parts: Sequence[Mapping[Cusp, Fraction | int]],
-) -> dict[Cusp, tuple[Fraction, bool]]:
-    """Per-cusp lower bound on the order of a sum of functions.
-
-    Given the cusp-order tables of several functions, the order of their
-    sum at each cusp is at least the minimum over the parts; the bound is
-    an equality whenever the minimum is attained by exactly one part
-    (leading terms cannot cancel).  Returns cusp -> (min, uniquely_attained).
-    All parts must share the same cusp keys.
-    """
-    if not parts:
-        raise ValueError("need at least one part")
-    keys = set(parts[0])
-    for p in parts[1:]:
-        if set(p) != keys:
-            raise ValueError("parts disagree on the cusp set")
-    out: dict[Cusp, tuple[Fraction, bool]] = {}
-    for r in parts[0]:
-        vals = [Fraction(p[r]) for p in parts]
-        lo = min(vals)
-        out[r] = (lo, vals.count(lo) == 1)
-    return out
-
-
-def constancy_check(orders) -> bool:
-    """Whether a cusp-order table is consistent with a constant function.
-
-    A weight-0 invariant function holomorphic on the upper half plane with
-    nonnegative order at every cusp has no poles, hence is constant.
-    """
-    vals = orders.values() if isinstance(orders, Mapping) else orders
-    return all(Fraction(v) >= 0 for v in vals)

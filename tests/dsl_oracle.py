@@ -5,12 +5,23 @@ subtrees as polynomials: every node is evaluated on its own, a repeated
 subtree as often as it appears, and ``+``, ``-``, ``*`` and ``^`` are series
 operations in the order the tree gives them.  It shares the node types, the
 call table and the printer with ``qlambert.dsl``, and none of its
-evaluation.  The differential tests compare the two.
+evaluation: the eta-type calls, which ``qlambert.dsl`` forms as product
+leaves, go to their own constructors here.  The differential tests compare
+the two.
 """
 
+from qlambert.constructors import eta, gen_eta, pi_q, theta_f
 from qlambert.dsl import _CALLS, BinOp, Call, Lit, Neg, Pow, Q, Sqrt, Subq, to_text
 from qlambert.errors import DSLError
 from qlambert.series import QSeries, qpow
+
+#: the builders of the eta-type calls, which take the order first
+_ETA_TYPE = {
+    "eta": lambda order, d: eta(d, order),
+    "geta": lambda order, m, g: gen_eta(m, g, order),
+    "pi": lambda order, k: pi_q(k, order),
+    "theta": lambda order, sa, a, sb, b: theta_f(sa, a, sb, b, order),
+}
 
 
 def evaluate(node, order: int) -> QSeries:
@@ -26,7 +37,8 @@ def _eval(node, order: int) -> QSeries:
     if isinstance(node, Q):
         return qpow(node.exponent)
     if isinstance(node, Call):
-        return _wrap(node, _CALLS[node.name][1], order, *node.args)
+        build = _ETA_TYPE.get(node.name) or _CALLS[node.name][1]
+        return _wrap(node, build, order, *node.args)
     if isinstance(node, Neg):
         return -_eval(node.node, order)
     if isinstance(node, Sqrt):

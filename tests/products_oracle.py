@@ -7,6 +7,8 @@ products and inverses, and one hand-written builder per symbol.  They share
 no product code with the kernel; what did not change comes from
 ``qlambert.constructors``: the Lambert sums, the prefactor exponents and the
 input checks of the quotient classes.  The differential tests compare the two.
+``theta_sum`` is the theta function as a bilateral sum rather than a
+product, an independent reference for the triple product.
 
 ``eta_value`` and ``gen_eta_value`` are the direct float products that
 ``qlambert.numeric`` ran before it evaluated every quotient from its factor
@@ -119,6 +121,27 @@ def theta_product(sa: int, a: int, sb: int, b: int, order) -> QSeries:
         * poch_signed(-sb, b, a + b)
         * poch_signed(sa * sb, a + b, a + b)
     )
+
+
+def theta_sum(sa: int, a: int, sb: int, b: int, order) -> QSeries:
+    """f(x, y) at x = sa*q^a, y = sb*q^b as the bilateral series
+    sum_{n in Z} x^(n(n+1)/2) y^(n(n-1)/2), by direct accumulation."""
+    order = int(order)
+    c = [0] * order
+    k = 0
+    while True:
+        for n in (k,) if k == 0 else (k, -k):
+            e = (a * n * (n + 1) + b * n * (n - 1)) // 2
+            if e < order:
+                c[e] += (sa ** ((n * (n + 1) // 2) % 2)) * (
+                    sb ** ((n * (n - 1) // 2) % 2)
+                )
+        k += 1
+        ep = (a * k * (k + 1) + b * k * (k - 1)) // 2
+        en = (a * k * (k - 1) + b * k * (k + 1)) // 2
+        if ep >= order and en >= order:
+            break
+    return QSeries(c, 0, 1, order)
 
 
 def _pi_unit(k: int, w: int) -> QSeries:

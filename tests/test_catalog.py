@@ -124,15 +124,6 @@ def test_entries_that_eat_little_keep_the_default_window(monkeypatch):
         assert report.verified and windows == [record.truncation + 16]
 
 
-def test_a_cancellation_the_prediction_misses_is_caught_by_a_retry(monkeypatch):
-    # without a prediction the first window is too short for elim-K's
-    # cancelling cubic: the shortfall of that pass sets the second window
-    monkeypatch.setattr(dsl, "_predicted_truncation", lambda node, order: None)
-    report, windows = _passes(monkeypatch, "elim-K")
-    assert report.status == "verified" and report.truncation_exponent == 20
-    assert windows == [36, 58]
-
-
 def test_a_window_that_keeps_collapsing_is_an_error(monkeypatch):
     left, right = parse_identity("L(1) == L(1)")
     record = IdentityRecord("collapsing", left, right, 10)
