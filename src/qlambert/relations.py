@@ -23,7 +23,8 @@ homomorphism, one to one on every minor within those bounds, so Bareiss's
 fraction-free elimination runs on plain ints with exact divisions, and the
 determinant's signed s-bit digits are the coefficients.  Relation fitting
 solves its linear system by fraction-free Gauss-Jordan elimination on
-integer rows, removing each row's gcd after every step.  ``Fraction`` is
+integer rows, removing each row's gcd after every step, on the leading
+rows only: they fix the relation, and its residual certifies the rest.  ``Fraction`` is
 the public boundary: the coefficients of ``MultiPoly`` and ``BivarPoly``
 are always ``Fraction`` values.
 """
@@ -704,8 +705,8 @@ def find_relation(x: QSeries, y: QSeries) -> BivarPoly:
 
     With m, n the (coprime) pole orders of x and y, solves for the
     coefficients of F(X, Y) = X^n - Y^m + sum_{am+bn <= mn} C_{a,b} X^a Y^b
-    such that F(x, y) = 0, then re-checks the residual through the full
-    common truncation.
+    such that F(x, y) = 0 on the coefficients of q^(-mn) .. q^0, then checks
+    the residual through the full common truncation.
     """
     for s, label in ((x, "x"), (y, "y")):
         if s.D != 1:
@@ -756,11 +757,16 @@ def find_relation(x: QSeries, y: QSeries) -> BivarPoly:
             f"(have q^{t_min})"
         )
 
+    # only the leading block, q^(-mn) .. q^0 (less below a shorter
+    # truncation), is solved; the residual check certifies every later
+    # coefficient.  Each unknown's column starts with a 1 in its own row
+    # q^-(am+bn), so a whole block has full rank and its solution is the
+    # only candidate the later rows could accept.
     fixed = monos[(n, 0)] - monos[(0, m)]
-    lo = -m * n
-    columns = [_coefficients(monos[ab], lo, t_min) for ab in unknowns]
+    lo, hi = -m * n, min(t_min, 1)
+    columns = [_coefficients(monos[ab], lo, hi) for ab in unknowns]
     rows = [list(row) for row in zip(*columns)]
-    rhs = [-c for c in _coefficients(fixed, lo, t_min)]
+    rhs = [-c for c in _coefficients(fixed, lo, hi)]
     sol, reason = _solve_exact(rows, rhs)
     if reason == "inconsistent":
         raise ValueError("no relation at this degree bound")

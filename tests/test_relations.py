@@ -205,6 +205,57 @@ def test_find_relation_multiplies_no_series_by_a_constant(monkeypatch):
     assert all(len(a.coeffs) > 1 and len(b.coeffs) > 1 for a, b in products)
 
 
+def _solves(monkeypatch):
+    # (row count, reason) of every linear solve find_relation runs
+    import qlambert.relations as relations
+
+    seen = []
+    real = relations._solve_exact
+
+    def spying(rows, rhs):
+        sol, reason = real(rows, rhs)
+        seen.append((len(rows), reason))
+        return sol, reason
+
+    monkeypatch.setattr(relations, "_solve_exact", spying)
+    return seen
+
+
+def test_find_relation_solves_the_leading_block_only(monkeypatch):
+    seen = _solves(monkeypatch)
+    t = qpow(-1) + ONE + 3 * qpow(2)
+    x, y = t**3, t**2  # m = 3, n = 2; known far past q^0
+    assert find_relation(x, y).coeffs == {(2, 0): 1, (0, 3): -1}
+    # the rows of q^-6 .. q^0
+    assert seen == [(3 * 2 + 1, None)]
+
+
+def test_find_relation_rank_deficient_block_is_underdetermined(monkeypatch):
+    # truncation at q^-1 leaves the block short: the constant's column,
+    # which starts at q^0, is all zero there
+    seen = _solves(monkeypatch)
+    x = QSeries([1, 0, 2, 1], -2).truncate(3)  # m = 2
+    y = QSeries([1, 1, 0, -1], -3).truncate(2)  # n = 3
+    with pytest.raises(PrecisionError) as err:
+        find_relation(x, y)
+    assert str(err.value) == (
+        "insufficient truncation: the system is still underdetermined at "
+        "q^-1; increase the expansion order"
+    )
+    assert seen == [(5, "underdetermined")]
+
+
+def test_find_relation_residual_rejects_a_later_mismatch(monkeypatch):
+    # x^2 - y^3 vanishes through q^0 and the block solves, but x carries
+    # an extra q^4, so x^2 - y^3 = 2*t^3*q^4 + q^8 from q^1 on
+    seen = _solves(monkeypatch)
+    t = qpow(-1) + ONE
+    with pytest.raises(ValueError) as err:
+        find_relation(t**3 + qpow(4), t**2)
+    assert str(err.value) == "no relation at this degree bound"
+    assert seen == [(7, None)]
+
+
 def test_bivar_poly_display_matches_paper_shape():
     rel = BivarPoly({(3, 0): 1, (2, 1): -22, (0, 5): -1}, m=5, n=3)
     assert str(rel) == "X^3 - 22*X^2*Y - Y^5"

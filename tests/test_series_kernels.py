@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import series_oracle as oracle
-from qlambert import QSeries
+from qlambert import QSeries, series as kernels
 
 integers = st.integers(-9, 9)
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -97,6 +97,73 @@ def test_sqrt_of_a_square_matches_oracle(f, k):
 def test_add_and_sub_match_oracle(f, g):
     assert outcome(lambda: f + g) == outcome(oracle.add, f, g)
     assert outcome(lambda: f - g) == outcome(oracle.add, f, -g)
+
+
+big_integers = st.integers(-(2**80), 2**80)
+big_rationals = st.builds(F, st.integers(-(2**40), 2**40), st.integers(1, 30))
+long_pools = st.sampled_from(
+    [big_integers, big_rationals, st.one_of(big_integers, big_rationals)]
+)
+
+
+@st.composite
+def long_series(draw):
+    # 20-150 terms on every 1st, 2nd, 3rd or 24th slot: long enough for
+    # products past the crossover to the packed path
+    pool = draw(long_pools)
+    size = draw(st.integers(20, 150))
+    terms = draw(st.lists(pool, min_size=size, max_size=size))
+    terms[0] = terms[0] or 1
+    stride = draw(st.sampled_from([1, 2, 3, 24]))
+    cs = [0] * ((len(terms) - 1) * stride + 1)
+    cs[::stride] = terms
+    v = draw(st.integers(-5, 5))
+    D = draw(grids)
+    # a finite T keeps at least half the terms and cuts the product short
+    # of its full length
+    T = None if draw(st.booleans()) else v + draw(st.integers(len(cs) // 2, len(cs) + 3))
+    return QSeries(cs, v, D, T)
+
+
+@settings(max_examples=25, deadline=None)
+@given(long_series(), long_series())
+def test_long_mul_matches_oracle(f, g):
+    assert outcome(lambda: f * g) == outcome(oracle.mul, f, g)
+
+
+def test_packed_product_starts_at_the_crossover(monkeypatch):
+    packed = []
+    real = kernels._packed_product
+
+    def spying(*args):
+        packed.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "_packed_product", spying)
+    # first a catalog-sized product, 60 by 60 terms: it takes the packed path
+    # (this also bounds the operands built below)
+    f = QSeries(range(1, 61), v=-3, D=2)
+    assert outcome(lambda: f * f) == outcome(oracle.mul, f, f)
+    assert len(packed) == 1
+    three = QSeries.monomial(3, 1)
+    below = QSeries(range(1, kernels.CROSSOVER))  # one pair short
+    at = QSeries(range(1, kernels.CROSSOVER + 1))
+    assert outcome(lambda: below * three) == outcome(oracle.mul, below, three)
+    assert len(packed) == 1
+    assert outcome(lambda: at * three) == outcome(oracle.mul, at, three)
+    assert len(packed) == 2
+
+
+def test_packed_digits_hold_extreme_coefficients():
+    # 255 equal terms of the largest size their bit length allows: the middle
+    # product coefficient comes within a factor of 2 of each width's sign bit
+    P = 255
+    for bits in (4, 12, 28, 60):
+        c = 2**bits - 1
+        f = QSeries([c] * P)
+        square = tuple(c * c * min(k + 1, 2 * P - 1 - k) for k in range(2 * P - 1))
+        assert (f * f).coeffs == square
+        assert (f * -f).coeffs == tuple(-x for x in square)
 
 
 def test_leading_unit_inverse_stays_integral():
