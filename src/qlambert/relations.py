@@ -23,10 +23,10 @@ homomorphism, one to one on every minor within those bounds, so Bareiss's
 fraction-free elimination runs on plain ints with exact divisions, and the
 determinant's signed s-bit digits are the coefficients.  Relation fitting
 solves its linear system by fraction-free Gauss-Jordan elimination on
-integer rows, removing each row's gcd after every step, on the leading
-rows only: they fix the relation, and its residual certifies the rest.  ``Fraction`` is
-the public boundary: the coefficients of ``MultiPoly`` and ``BivarPoly``
-are always ``Fraction`` values.
+integer rows, removing each row's gcd after every step; only the leading
+rows are solved, since they fix the relation, and its residual certifies
+the rest.  ``Fraction`` is the public boundary: the coefficients of
+``MultiPoly`` and ``BivarPoly`` are always ``Fraction`` values.
 """
 
 from __future__ import annotations
@@ -760,8 +760,8 @@ def find_relation(x: QSeries, y: QSeries) -> BivarPoly:
     # only the leading block, q^(-mn) .. q^0 (less below a shorter
     # truncation), is solved; the residual check certifies every later
     # coefficient.  Each unknown's column starts with a 1 in its own row
-    # q^-(am+bn), so a whole block has full rank and its solution is the
-    # only candidate the later rows could accept.
+    # q^-(am+bn), so all mn+1 rows have full rank, and their solution is
+    # the only one the later rows could accept.
     fixed = monos[(n, 0)] - monos[(0, m)]
     lo, hi = -m * n, min(t_min, 1)
     columns = [_coefficients(monos[ab], lo, hi) for ab in unknowns]

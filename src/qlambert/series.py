@@ -122,11 +122,11 @@ def _packed_product(fc, mf, gc, mg, s, n):
     """
     N = _ceil_div(n, s)
     a, b = _on_lattice(fc, mf, s, N), _on_lattice(gc, mg, s, N)
-    pairs = min(sum(map(bool, a)), sum(map(bool, b)))
+    # a product coefficient sums at most min(len(a), len(b)) terms
     bits = (
         max(max(a), -min(a)).bit_length()
         + max(max(b), -min(b)).bit_length()
-        + pairs.bit_length()
+        + min(len(a), len(b)).bit_length()
         + 1
     )
     w = (bits + 7) // 8

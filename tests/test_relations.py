@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from qlambert import ExactDivisionError, PrecisionError
+from qlambert import ExactDivisionError, PrecisionError, relations
 from qlambert.relations import (
     BivarPoly,
     MultiPoly,
@@ -207,8 +207,6 @@ def test_find_relation_multiplies_no_series_by_a_constant(monkeypatch):
 
 def _solves(monkeypatch):
     # (row count, reason) of every linear solve find_relation runs
-    import qlambert.relations as relations
-
     seen = []
     real = relations._solve_exact
 

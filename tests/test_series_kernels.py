@@ -121,7 +121,9 @@ def long_series(draw):
     D = draw(grids)
     # a finite T keeps at least half the terms and cuts the product short
     # of its full length
-    T = None if draw(st.booleans()) else v + draw(st.integers(len(cs) // 2, len(cs) + 3))
+    T = None
+    if draw(st.booleans()):
+        T = v + draw(st.integers(len(cs) // 2, len(cs) + 3))
     return QSeries(cs, v, D, T)
 
 
