@@ -143,21 +143,6 @@ class TableReport:
         raise KeyError(label)
 
 
-def _square(quot: GenEtaQuotient) -> GenEtaQuotient:
-    return GenEtaQuotient(quot.level, {g: 2 * r for g, r in quot.exponents.items()})
-
-
-def _product(a: GenEtaQuotient, b: GenEtaQuotient) -> GenEtaQuotient:
-    exps = dict(a.exponents)
-    for g, r in b.exponents.items():
-        exps[g] = exps.get(g, 0) + r
-    return GenEtaQuotient(a.level, exps)
-
-
-def _inverse(quot: GenEtaQuotient) -> GenEtaQuotient:
-    return GenEtaQuotient(quot.level, {g: -r for g, r in quot.exponents.items()})
-
-
 _CUSPS_14 = cusp_set(14).cusps
 _CUSPS_14_UNIT = (Cusp(1, 1), Cusp(1, 2), Cusp(1, 7), Cusp(1, 14))
 _CUSPS_28 = cusp_set(28).cusps
@@ -176,15 +161,23 @@ def order_table(table_id: str) -> TableReport:
       level-28 quotients against level-14 widths).
     """
     tid = table_id.removeprefix("tables/")
+    # a cusp order is linear in the eta exponents, so the order of a square,
+    # product or inverse is twice, the sum or minus the factors' orders
     if tid == "3.1":
         rows = tuple(
-            (label, tuple(gen_eta_cusp_ord(_square(q), 14, r) for r in _CUSPS_14))
+            (label, tuple(2 * gen_eta_cusp_ord(q, 14, r) for r in _CUSPS_14))
             for label, q in (("g1^2", G1), ("g2^2", G2), ("g3^2", G3))
         )
         return TableReport("3.1", 14, tuple(map(str, _CUSPS_14)), rows)
     if tid == "3.2":
         rows = tuple(
-            (label, tuple(gen_eta_cusp_ord(_product(a, b), 14, r) for r in _CUSPS_14))
+            (
+                label,
+                tuple(
+                    gen_eta_cusp_ord(a, 14, r) + gen_eta_cusp_ord(b, 14, r)
+                    for r in _CUSPS_14
+                ),
+            )
             for label, a, b in (
                 ("g1*g2", G1, G2),
                 ("g1*g3", G1, G3),
@@ -213,9 +206,7 @@ def order_table(table_id: str) -> TableReport:
             ),
             (
                 "1/h2",
-                tuple(
-                    gen_eta_cusp_ord(_inverse(H2_GEN), 14, r) for r in _CUSPS_14_UNIT
-                ),
+                tuple(-gen_eta_cusp_ord(H2_GEN, 14, r) for r in _CUSPS_14_UNIT),
             ),
         )
         return TableReport("4.2", 14, tuple(map(str, _CUSPS_14_UNIT)), rows)

@@ -22,11 +22,11 @@ above the product of the rows' l1 norms.  Evaluation is a ring
 homomorphism, one to one on every minor within those bounds, so Bareiss's
 fraction-free elimination runs on plain ints with exact divisions, and the
 determinant's signed s-bit digits are the coefficients.  Relation fitting
-solves its linear system by fraction-free Gauss-Jordan elimination on
-integer rows, removing each row's gcd after every step; only the leading
-rows are solved, since they fix the relation, and its residual certifies
-the rest.  ``Fraction`` is the public boundary: the coefficients of
-``MultiPoly`` and ``BivarPoly`` are always ``Fraction`` values.
+runs no general linear solve: each unknown monomial starts with a 1 at its
+own pole order, so one sweep up the leading rows fixes every coefficient,
+and the residual that sweep leaves certifies the rest.  ``Fraction`` is the
+public boundary: the coefficients of ``MultiPoly`` and ``BivarPoly`` are
+always ``Fraction`` values.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import ExactDivisionError, PrecisionError
 from .series import QSeries
@@ -635,78 +635,14 @@ def vanishing_factor(factors: Sequence[MultiPoly], assignment) -> int:
 # ---------------------------------------------------------------- relations
 
 
-def _solve_exact(rows: list[list], rhs: list):
-    """Exact linear solve; returns (solution, None) or (None, reason).
-
-    reason is "underdetermined" or "inconsistent".  Each row, right-hand
-    side included, is scaled to coprime integers once; the elimination is
-    fraction-free Gauss-Jordan, dividing every updated row by its gcd.
-    Pivots minimize the bit length of the pivot entry.  The solution is
-    returned as Fractions.
-    """
-    m = []
-    for r, b in zip(rows, rhs):
-        row = [*r, b]
-        L = math.lcm(*(c.denominator for c in row))
-        m.append(_primitive([c.numerator * (L // c.denominator) for c in row]))
-    ncols = len(rows[0]) if rows else 0
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for col in range(ncols):
-        cand = [i for i in range(r, len(m)) if m[i][col]]
-        if not cand:
-            continue
-        best = min(cand, key=lambda i: abs(m[i][col]).bit_length())
-        m[r], m[best] = m[best], m[r]
-        pivot_row = m[r]
-        pv = pivot_row[col]
-        for i in range(len(m)):
-            f = m[i][col]
-            if i != r and f:
-                m[i] = _primitive([a * pv - f * b for a, b in zip(m[i], pivot_row)])
-        pivots.append((r, col))
-        r += 1
-        if r == len(m):
-            break
-    for i in range(r, len(m)):
-        if m[i][ncols]:
-            return None, "inconsistent"
-    if len(pivots) < ncols:
-        return None, "underdetermined"
-    sol = [Fraction(0)] * ncols
-    for row, col in pivots:
-        sol[col] = Fraction(m[row][ncols], m[row][col])
-    return sol, None
-
-
-def _primitive(row: list[int]) -> list[int]:
-    # the row divided by the gcd of its entries
-    g = math.gcd(*row)
-    return row if g < 2 else [a // g for a in row]
-
-
-def _coefficients(s: QSeries, lo: int, hi: int) -> list:
-    """Coefficients of q^lo .. q^(hi-1) of an integer-grid series, read
-    straight from its stored window (ints where integral).
-
-    Nothing is stored at or past the truncation, so exponents there read as
-    zero; the caller asks only below it.
-    """
-    out = [0] * (hi - lo)
-    start = max(lo, s.v)
-    stop = min(hi, s.v + len(s.coeffs))
-    if start < stop:
-        out[start - lo : stop - lo] = s.coeffs[start - s.v : stop - s.v]
-    return out
-
-
 def find_relation(x: QSeries, y: QSeries) -> BivarPoly:
     """The monic bivariate relation between two series with poles at infinity.
 
-    With m, n the (coprime) pole orders of x and y, solves for the
-    coefficients of F(X, Y) = X^n - Y^m + sum_{am+bn <= mn} C_{a,b} X^a Y^b
-    such that F(x, y) = 0 on the coefficients of q^(-mn) .. q^0, then checks
-    the residual through the full common truncation.
+    With m, n the (coprime) pole orders of x and y, fits the coefficients
+    of F(X, Y) = X^n - Y^m + sum_{am+bn <= mn} C_{a,b} X^a Y^b such that
+    F(x, y) = 0: the residual, starting at x^n - y^m, is cleared from q^(-mn)
+    up to q^0, each C_{a,b} at the row q^-(am+bn) where x^a y^b starts, and
+    what is left must vanish through the full common truncation.
     """
     for s, label in ((x, "x"), (y, "y")):
         if s.D != 1:
@@ -757,34 +693,27 @@ def find_relation(x: QSeries, y: QSeries) -> BivarPoly:
             f"(have q^{t_min})"
         )
 
-    # only the leading block, q^(-mn) .. q^0 (less below a shorter
-    # truncation), is solved; the residual check certifies every later
-    # coefficient.  Each unknown's column starts with a 1 in its own row
-    # q^-(am+bn), so all mn+1 rows have full rank, and their solution is
-    # the only one the later rows could accept.
-    fixed = monos[(n, 0)] - monos[(0, m)]
-    lo, hi = -m * n, min(t_min, 1)
-    columns = [_coefficients(monos[ab], lo, hi) for ab in unknowns]
-    rows = [list(row) for row in zip(*columns)]
-    rhs = [-c for c in _coefficients(fixed, lo, hi)]
-    sol, reason = _solve_exact(rows, rhs)
-    if reason == "inconsistent":
-        raise ValueError("no relation at this degree bound")
-    if reason == "underdetermined":
+    # Each unknown x^a y^b starts with a 1 at its own q^-(am+bn); for coprime
+    # m, n those orders are distinct and below mn, so the rows of q^-mn ..
+    # q^0 are unit triangular.  Clearing the residual's coefficients from
+    # q^-mn up fixes each C_ab at its own row, every other row must already
+    # be 0, and what is left is the residual through the full truncation.
+    rows = {a * m + b * n: (a, b) for a, b in unknowns}
+    coeffs: dict[tuple[int, int], Fraction] = {(n, 0): Fraction(1), (0, m): Fraction(-1)}
+    residual = monos[(n, 0)] - monos[(0, m)]
+    for k in range(m * n, -min(t_min, 1), -1):
+        c = residual.coefficient(-k)
+        if c:
+            if k not in rows:
+                raise ValueError("no relation at this degree bound")
+            coeffs[rows[k]] = -c
+            residual = residual - monos[rows[k]]._scaled(c)
+    if t_min < 1:
+        # the constant's row q^0 lies past the truncation
         raise PrecisionError(
             f"insufficient truncation: the system is still underdetermined at "
             f"q^{t_min}; increase the expansion order"
         )
-
-    coeffs: dict[tuple[int, int], Fraction] = {(n, 0): Fraction(1), (0, m): Fraction(-1)}
-    for ab, c in zip(unknowns, sol):
-        if c:
-            coeffs[ab] = c
-
-    residual = None
-    for ab, c in coeffs.items():
-        term = monos[ab]._scaled(c)
-        residual = term if residual is None else residual + term
     if not residual.is_zero():
         raise ValueError("no relation at this degree bound")
     return BivarPoly(coeffs, m=m, n=n)

@@ -23,12 +23,13 @@ integral, otherwise a ``Fraction``.  The kernels (sum, product, inverse,
 square root, and powers through the product) are fraction-free: they clear
 each operand's common denominator once, run on plain ``int``s, and divide
 once at the end.  A product with fewer than ``CROSSOVER`` pairs of nonzero
-terms walks those pairs; from there on it is one big-integer multiplication
-(Kronecker substitution) on the lattice of nonzero slots, the multiples of
-the gcd of the nonzero offsets, so padding on a grid finer than the terms
-need is never packed.  ``Fraction`` appears only at the public boundary: the
-readers ``coefficient``, ``leading_coefficient``, ``items`` and
-``valuation`` always return ``Fraction`` values.
+terms, or with a factor of one or two terms, walks those pairs; any other
+is one big-integer multiplication (Kronecker substitution) on the lattice
+of nonzero slots, the multiples of the gcd of the nonzero offsets, so
+padding on a grid finer than the terms need is never packed.  ``Fraction``
+appears only at the public boundary: the readers ``coefficient``,
+``leading_coefficient``, ``items`` and ``valuation`` always return
+``Fraction`` values.
 """
 
 from __future__ import annotations
@@ -84,11 +85,11 @@ def _ceil_div(n: int, d: int) -> int:
     return -((-n) // d)
 
 
-#: products with at least this many pairs of nonzero terms are one big-integer
-#: multiplication; fewer pairs are walked one by one.  On CPython 3.11,
-#: near-square operands gain from 200-400 pairs on and a one-term factor
-#: never does, while the benchmark's products cost the same for any value
-#: from 200 to 1200
+#: products with at least this many pairs of nonzero terms, and at least 3
+#: nonzero terms in each factor, are one big-integer multiplication; the
+#: others are walked pair by pair.  On CPython 3.11, near-square operands
+#: gain from 200-400 pairs on, a one- or two-term factor never does, and the
+#: benchmark's products cost the same for any value from 200 to 1200
 CROSSOVER = 600
 
 # struct codes of the signed little-endian digit widths struct can read
@@ -387,7 +388,7 @@ class QSeries:
         # the nonzero terms, by offset from v on the common grid
         fnz = [(k * mf, c) for k, c in enumerate(fc) if c]
         gnz = [(k * mg, c) for k, c in enumerate(gc) if c]
-        if n > 0 and len(fnz) * len(gnz) >= CROSSOVER:
+        if n > 0 and min(len(fnz), len(gnz)) >= 3 and len(fnz) * len(gnz) >= CROSSOVER:
             # the lattice of the nonzero slots: both operands start at 0
             s = math.gcd(*(i for i, _ in fnz), *(j for j, _ in gnz))
             out = _packed_product(fc, mf, gc, mg, s, n)

@@ -1,20 +1,23 @@
 """Slow reference kernels for the polynomial layer: Fraction arithmetic.
 
-These are the exact division, the Bareiss resultant over polynomial
-entries and the linear solve that ``qlambert.relations`` used before its
-kernels went fraction-free (its resultant is now one integer determinant at
-a Kronecker point), and the term-by-term ``eval_poly`` it used before
-Horner's rule.  They
-work on ``MultiPoly`` values and ``Fraction`` matrices from start to finish,
-through the public ``MultiPoly`` constructor and operators only; those
-operators are checked in turn against the schoolbook product ``mul`` below.
-The differential tests compare them with the integer kernels.
+These are the exact division and the Bareiss resultant over polynomial
+entries that ``qlambert.relations`` used before its kernels went
+fraction-free (its resultant is now one integer determinant at a Kronecker
+point), the term-by-term ``eval_poly`` it used before Horner's rule, and
+the relation fit it used before its one triangular sweep: the full linear
+system of every known row, solved by Gaussian elimination over
+``Fraction``, then the residual.  They work on ``MultiPoly`` values,
+``Fraction`` matrices and ``QSeries`` values through their public
+constructors, readers and operators only; the polynomial operators are
+checked in turn against the schoolbook product ``mul`` below.  The
+differential tests compare them with the kernels.
 """
 
+import math
 from fractions import Fraction
 
-from qlambert import ExactDivisionError
-from qlambert.relations import MultiPoly
+from qlambert import ExactDivisionError, PrecisionError, QSeries
+from qlambert.relations import BivarPoly, MultiPoly
 
 
 def exact_divide(p: MultiPoly, q: MultiPoly) -> MultiPoly:
@@ -149,6 +152,64 @@ def solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]):
     for row, col in pivots:
         sol[col] = m[row][ncols] / m[row][col]
     return sol, None
+
+
+def find_relation(x: QSeries, y: QSeries) -> BivarPoly:
+    """The monic relation X^n - Y^m + sum_{am+bn <= mn} C_{a,b} X^a Y^b
+    between x and y, with m, n their coprime pole orders: the coefficients
+    solve F(x, y) = 0 on every row from q^(-mn) up to the common truncation,
+    and the residual is checked through it."""
+    for s, label in ((x, "x"), (y, "y")):
+        if s.D != 1:
+            raise ValueError(f"{label} must have integer exponents")
+        if s.is_zero() or s.valuation() >= 0:
+            raise ValueError(f"{label} must have a pole at infinity")
+        if s.leading_coefficient() != 1:
+            raise ValueError(f"{label} must have leading coefficient 1")
+    m, n = int(-x.valuation()), int(-y.valuation())
+    if math.gcd(m, n) != 1:
+        raise ValueError(f"pole orders {m} and {n} are not coprime")
+
+    bound = [(a, b) for a in range(n + 1) for b in range(m + 1) if a * m + b * n <= m * n]
+    unknowns = [ab for ab in bound if ab not in ((n, 0), (0, m))]
+    monos = {(a, b): x**a * y**b for a, b in bound}
+
+    truncations = [s.truncation_exponent() for s in monos.values()]
+    known = [math.floor(te) for te in truncations if te is not None]
+    if known:
+        t_min = min(known)
+    else:
+        # all inputs exact: take one past the largest stored exponent
+        t_min = 1 + max((int(e) for s in monos.values() for e, _ in s.items()), default=0)
+
+    if t_min + m * n < len(unknowns):
+        raise PrecisionError(
+            f"insufficient truncation: need expansions through "
+            f"q^{len(unknowns) - m * n} (have q^{t_min})"
+        )
+
+    fixed = monos[(n, 0)] - monos[(0, m)]
+    exponents = range(-m * n, t_min)
+    rows = [[monos[ab].coefficient(e) for ab in unknowns] for e in exponents]
+    rhs = [-fixed.coefficient(e) for e in exponents]
+    sol, reason = solve_exact(rows, rhs)
+    if reason == "inconsistent":
+        raise ValueError("no relation at this degree bound")
+    if reason == "underdetermined":
+        raise PrecisionError(
+            f"insufficient truncation: the system is still underdetermined at "
+            f"q^{t_min}; increase the expansion order"
+        )
+
+    coeffs = {(n, 0): Fraction(1), (0, m): Fraction(-1)}
+    coeffs.update((ab, c) for ab, c in zip(unknowns, sol) if c)
+    residual = fixed
+    for ab, c in zip(unknowns, sol):
+        if c:
+            residual = residual + c * monos[ab]
+    if not residual.is_zero():
+        raise ValueError("no relation at this degree bound")
+    return BivarPoly(coeffs, m=m, n=n)
 
 
 def mul(p: MultiPoly, q: MultiPoly) -> dict:

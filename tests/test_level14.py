@@ -46,8 +46,8 @@ def test_find_relation_recovers_z_cubic():
 
 
 def test_find_relation_returns_fraction_coefficients():
-    # the exact linear solve divides coefficients read from the series; an
-    # int leaking out of QSeries.coefficient would turn those into floats
+    # the sweep reads each coefficient off the residual series, where the
+    # kernels keep ints; the relation must hold Fractions all the same
     rel = find_relation(_sym("z") ** 2, _sym("g") ** 2)
     assert rel.coeffs and all(type(c) is Fraction for c in rel.coeffs.values())
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from qlambert import ExactDivisionError, PrecisionError, relations
+from qlambert import ExactDivisionError, PrecisionError
 from qlambert.relations import (
     BivarPoly,
     MultiPoly,
@@ -205,33 +205,20 @@ def test_find_relation_multiplies_no_series_by_a_constant(monkeypatch):
     assert all(len(a.coeffs) > 1 and len(b.coeffs) > 1 for a, b in products)
 
 
-def _solves(monkeypatch):
-    # (row count, reason) of every linear solve find_relation runs
-    seen = []
-    real = relations._solve_exact
-
-    def spying(rows, rhs):
-        sol, reason = real(rows, rhs)
-        seen.append((len(rows), reason))
-        return sol, reason
-
-    monkeypatch.setattr(relations, "_solve_exact", spying)
-    return seen
-
-
-def test_find_relation_solves_the_leading_block_only(monkeypatch):
-    seen = _solves(monkeypatch)
+def test_find_relation_solves_the_leading_block_only():
     t = qpow(-1) + ONE + 3 * qpow(2)
     x, y = t**3, t**2  # m = 3, n = 2; known far past q^0
     assert find_relation(x, y).coeffs == {(2, 0): 1, (0, 3): -1}
-    # the rows of q^-6 .. q^0
-    assert seen == [(3 * 2 + 1, None)]
+    # the rows of q^-6 .. q^0 fix it: with x^2 and y^3 cut at q^1 (x at q^4,
+    # y at q^5) the same relation comes back, and one row fewer is too few
+    assert find_relation(x.truncate(4), y.truncate(5)).coeffs == {(2, 0): 1, (0, 3): -1}
+    with pytest.raises(PrecisionError, match="underdetermined at q\\^0;"):
+        find_relation(x.truncate(4), y.truncate(4))
 
 
-def test_find_relation_rank_deficient_block_is_underdetermined(monkeypatch):
-    # truncation at q^-1 leaves the block short: the constant's column,
-    # which starts at q^0, is all zero there
-    seen = _solves(monkeypatch)
+def test_find_relation_rank_deficient_block_is_underdetermined():
+    # truncation at q^-1 leaves the block short: the constant's row, q^0,
+    # lies past it
     x = QSeries([1, 0, 2, 1], -2).truncate(3)  # m = 2
     y = QSeries([1, 1, 0, -1], -3).truncate(2)  # n = 3
     with pytest.raises(PrecisionError) as err:
@@ -240,18 +227,15 @@ def test_find_relation_rank_deficient_block_is_underdetermined(monkeypatch):
         "insufficient truncation: the system is still underdetermined at "
         "q^-1; increase the expansion order"
     )
-    assert seen == [(5, "underdetermined")]
 
 
-def test_find_relation_residual_rejects_a_later_mismatch(monkeypatch):
+def test_find_relation_residual_rejects_a_later_mismatch():
     # x^2 - y^3 vanishes through q^0 and the block solves, but x carries
     # an extra q^4, so x^2 - y^3 = 2*t^3*q^4 + q^8 from q^1 on
-    seen = _solves(monkeypatch)
     t = qpow(-1) + ONE
     with pytest.raises(ValueError) as err:
         find_relation(t**3 + qpow(4), t**2)
     assert str(err.value) == "no relation at this degree bound"
-    assert seen == [(7, None)]
 
 
 def test_bivar_poly_display_matches_paper_shape():

@@ -1,8 +1,9 @@
 """Differential tests: the polynomial kernels against the Fraction oracle.
 
-Exact division, the Bareiss resultant and the linear solve must agree with
-``relations_oracle`` exactly: the same quotient, determinant or solution, the
-same exception type and message, the same reason string.  Horner evaluation
+Exact division, the Bareiss resultant and the relation fit must agree with
+``relations_oracle`` exactly: the same quotient, determinant or relation, the
+same exception type and message; the relation fit's triangular sweep is
+checked against a full-system solve over ``Fraction``.  Horner evaluation
 must agree with the term-by-term sum at rationals and polynomials exactly,
 and at series through the smaller truncation.  Results crossing
 the public boundary must hold ``Fraction`` coefficients.
@@ -20,9 +21,9 @@ from qlambert.level14 import F3_RELATION
 from qlambert.relations import (
     BivarPoly,
     MultiPoly,
-    _solve_exact,
     eval_poly,
     exact_divide,
+    find_relation,
     resultant_eliminate,
 )
 
@@ -301,41 +302,43 @@ def test_resultant_special_cases(p, q):
     assert new[0] == tuple(v for v in p.variables if v != "Z")
 
 
-# --------------------------------------------------------------- linear solve
-
-
-matrix_entries = st.one_of(st.integers(-4, 4), st.fractions(-3, 3, max_denominator=4))
+# ------------------------------------------------------------ relation fitting
 
 
 @st.composite
-def systems(draw):
-    ncols = draw(st.integers(1, 4))
-    shape = draw(st.sampled_from(["square", "over", "singular", "inconsistent", "under"]))
-    nrows = {"square": ncols, "over": ncols + draw(st.integers(1, 3))}.get(shape, ncols)
-    rows = [[F(draw(matrix_entries)) for _ in range(ncols)] for _ in range(nrows)]
-    rhs = [F(draw(matrix_entries)) for _ in range(nrows)]
-    if shape == "under":
-        keep = draw(st.integers(0, ncols - 1))
-        rows, rhs = rows[:keep], rhs[:keep]
-    elif shape in ("singular", "inconsistent") and nrows > 1:
-        # the last row a combination of the first two (or a copy of the first)
-        a, b = F(draw(matrix_entries)), F(draw(matrix_entries))
-        second = rows[1] if nrows > 2 else [0] * ncols
-        rows[-1] = [a * x + b * y for x, y in zip(rows[0], second)]
-        rhs[-1] = a * rhs[0] + b * (rhs[1] if nrows > 2 else 0)
-        if shape == "inconsistent":
-            rhs[-1] += draw(st.integers(1, 3))
-    return rows, rhs
+def relation_inputs(draw):
+    """x and y as powers of one t = q^-1 + ..., perhaps with a planted extra
+    term, at pole orders that are coprime or not, cut anywhere from inside
+    the leading block q^-mn .. q^0 to past it."""
+    small = st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=3))
+    t = QSeries([1, *draw(st.lists(small, max_size=4))], v=-1)
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    out = []
+    for power in (m, n):
+        s = t**power
+        if draw(st.booleans()):
+            s = s + QSeries.monomial(draw(st.integers(1, 3)), draw(st.integers(1 - power, 4)))
+        cut = draw(st.one_of(st.none(), st.integers(1 - power, 6)))
+        out.append(s if cut is None else s.truncate(cut))
+    return out
 
 
-@settings(max_examples=300)
-@given(systems())
-def test_linear_solve_agrees(system):
-    rows, rhs = system
-    new = _solve_exact(rows, rhs)
-    assert new == oracle.solve_exact(rows, rhs)
-    if new[0] is not None:
-        assert all(type(c) is F for c in new[0])
+def relation_outcome(fn, x, y):
+    try:
+        rel = fn(x, y)
+    except (ArithmeticError, ValueError) as err:
+        return type(err), str(err)
+    assert all(type(c) is F for c in rel.coeffs.values())
+    return rel.coeffs, rel.m, rel.n
+
+
+@settings(max_examples=120)
+@given(relation_inputs())
+def test_find_relation_agrees(inputs):
+    x, y = inputs
+    assert relation_outcome(find_relation, x, y) == relation_outcome(
+        oracle.find_relation, x, y
+    )
 
 
 @pytest.mark.parametrize(
@@ -350,11 +353,13 @@ def test_linear_solve_agrees(system):
     ],
 )
 def test_linear_solve_reasons(rows, rhs, reason):
+    # the oracle's full-system solve, which test_find_relation_agrees trusts
     rows = [[F(c) for c in r] for r in rows]
     rhs = [F(c) for c in rhs]
-    new = _solve_exact(rows, rhs)
-    assert new == oracle.solve_exact(rows, rhs)
-    assert new[1] == reason
+    sol, got = oracle.solve_exact(rows, rhs)
+    assert got == reason
+    if sol is not None:
+        assert [sum(a * x for a, x in zip(r, sol)) for r in rows] == rhs
 
 
 # ----------------------------------------------------------------- hash and eq

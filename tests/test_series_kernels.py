@@ -147,12 +147,25 @@ def test_packed_product_starts_at_the_crossover(monkeypatch):
     f = QSeries(range(1, 61), v=-3, D=2)
     assert outcome(lambda: f * f) == outcome(oracle.mul, f, f)
     assert len(packed) == 1
-    three = QSeries.monomial(3, 1)
-    below = QSeries(range(1, kernels.CROSSOVER))  # one pair short
-    at = QSeries(range(1, kernels.CROSSOVER + 1))
+    # a three-term factor: one row of pairs short of the crossover walks, at
+    # it packs
+    three = QSeries([3, -1, 2], v=1)
+    rows = -(-kernels.CROSSOVER // 3)
+    below = QSeries(range(1, rows))
+    at = QSeries(range(1, rows + 1))
     assert outcome(lambda: below * three) == outcome(oracle.mul, below, three)
     assert len(packed) == 1
     assert outcome(lambda: at * three) == outcome(oracle.mul, at, three)
+    assert len(packed) == 2
+    # a one- or two-term factor walks however many pairs there are
+    one = QSeries.monomial(3, 1)
+    two = QSeries([3, 0, -2], v=1)
+    for f, g in (
+        (QSeries(range(1, kernels.CROSSOVER + 1)), one),
+        (QSeries(range(1, kernels.CROSSOVER // 2 + 1)), two),
+    ):
+        assert outcome(lambda: f * g) == outcome(oracle.mul, f, g)
+        assert outcome(lambda: g * f) == outcome(oracle.mul, g, f)
     assert len(packed) == 2
 
 
