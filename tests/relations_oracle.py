@@ -174,7 +174,7 @@ def find_relation(x: QSeries, y: QSeries) -> BivarPoly:
     unknowns = [ab for ab in bound if ab not in ((n, 0), (0, m))]
     monos = {(a, b): x**a * y**b for a, b in bound}
 
-    truncations = [s.truncation_exponent() for s in monos.values()]
+    truncations = (s.truncation_exponent() for s in monos.values())
     known = [math.floor(te) for te in truncations if te is not None]
     if known:
         t_min = min(known)
@@ -202,10 +202,10 @@ def find_relation(x: QSeries, y: QSeries) -> BivarPoly:
         )
 
     coeffs = {(n, 0): Fraction(1), (0, m): Fraction(-1)}
-    coeffs.update((ab, c) for ab, c in zip(unknowns, sol) if c)
     residual = fixed
     for ab, c in zip(unknowns, sol):
         if c:
+            coeffs[ab] = c
             residual = residual + c * monos[ab]
     if not residual.is_zero():
         raise ValueError("no relation at this degree bound")
