@@ -14,7 +14,10 @@ factor enters through (-q^a; q^b) = (q^(2a); q^(2b)) / (q^a; q^b).  The
 ``_qproduct``" over them.  A product of integer powers of statements is a
 statement too (``_power_product``): the quotient classes are built that way,
 and the DSL forms a product of eta-type calls as one ``_qproduct`` call, an
-``EtaTypeProduct`` at the window of ``eta_type_product``.
+``EtaTypeProduct`` at the window of ``eta_type_product``.  The kernel
+solves the product's logarithmic-derivative recurrence by halves
+(``_solve``), so past a short block its work is big-integer products
+(``series._packed_product``), not one multiplication per pair of terms.
 
 The primitive products (``pochhammer``, ``eta``, ``gen_eta``, ``theta_f``,
 ``lambert_mod``, ``pi_q``) take an *absolute* exponent ceiling ``order``:
@@ -34,9 +37,40 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 
-from .series import QSeries
+from .series import QSeries, _packed_product
+
+
+#: a range of at most this many coefficients is solved by the direct
+#: recurrence; a longer one is halved (``_solve``)
+_BLOCK = 48
+
+
+def _solve(f, s, l, r):
+    """Fill f[l:r] from  k f_k = sum_{j=1..k} s_j f_(k-j),  given that f[k]
+    for k in [l, r) already holds the part of that sum over f[:l].
+
+    A range longer than ``_BLOCK`` is solved by halves: after the first
+    half, one packed big-integer product (``_packed_product``) adds the
+    part over f[l:mid] to every f[mid:r] at once (slots mid-l .. r-l-1 of
+    f[l:mid] times s[:r-l]; an all-zero block adds nothing), and the second
+    half is solved by the same rule.  Depth d of the halving forms 2^d
+    products of w/2^(d+1) by w/2^d slots, so a window w costs O(M(w) log w)
+    for M the cost of one product, not w^2/2 multiplications.
+    """
+    if r - l > _BLOCK:
+        mid = (l + r) // 2
+        _solve(f, s, l, mid)
+        block = f[l:mid]
+        if any(block):
+            tail = _packed_product(block, 1, s[: r - l], 1, 1, r - l)
+            f[mid:r] = map(add, f[mid:r], tail[mid - l :])
+        _solve(f, s, mid, r)
+        return
+    for k in range(max(l, 1), r):
+        # exact: f has integer coefficients
+        f[k] = sum(map(mul, f[l:k], s[k - l : 0 : -1]), f[k]) // k
 
 
 def _qproduct(statement: tuple, order) -> QSeries:
@@ -45,10 +79,11 @@ def _qproduct(statement: tuple, order) -> QSeries:
     known modulo q^order.
 
     The unit part f is known modulo q^w with w = max(1, ceil(order - pref)).
-    It comes in one pass of integer arithmetic from its logarithmic
-    derivative,  k f_k = sum_{j=1..k} s_j f_(k-j),  where s_j is minus the
-    sum of r * m over the factors (1 - q^m)^r with m | j; no series power,
-    product or inverse is formed.
+    It comes by integer arithmetic from its logarithmic derivative,
+    k f_k = sum_{j=1..k} s_j f_(k-j),  where s_j is minus the sum of r * m
+    over the factors (1 - q^m)^r with m | j; no series power, product or
+    inverse is formed.  ``_solve`` runs the recurrence by halves, so a long
+    window costs big-integer products rather than w^2 / 2 multiplications.
     """
     factors, pref, sign = statement
     pref = Fraction(pref)
@@ -59,9 +94,7 @@ def _qproduct(statement: tuple, order) -> QSeries:
             for j in range(m, w, m):
                 s[j] -= r * m
     f = [1] + [0] * (w - 1)
-    for k in range(1, w):
-        # exact: f has integer coefficients
-        f[k] = sum(map(mul, s[1 : k + 1], f[k - 1 :: -1])) // k
+    _solve(f, s, 0, w)
     if sign < 0:
         f = [-x for x in f]
     n, d = pref.numerator, pref.denominator

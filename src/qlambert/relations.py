@@ -685,12 +685,12 @@ def find_relation(x: QSeries, y: QSeries) -> BivarPoly:
             (int(e) for s in monos.values() for e, _ in s.items()), default=0
         )
 
-    n_eq = t_min + m * n
-    if n_eq < len(unknowns):
-        need = len(unknowns) - m * n
+    # t_min is the least exponent some monomial does not know; the sweep
+    # needs every row up to q^0
+    if t_min + m * n < len(unknowns):
         raise PrecisionError(
-            f"insufficient truncation: need expansions through q^{need} "
-            f"(have q^{t_min})"
+            f"insufficient truncation: need every monomial x^a y^b known "
+            f"through q^0 (unknown from q^{t_min})"
         )
 
     # Each unknown x^a y^b starts with a 1 at its own q^-(am+bn); for coprime

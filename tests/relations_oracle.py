@@ -184,8 +184,8 @@ def find_relation(x: QSeries, y: QSeries) -> BivarPoly:
 
     if t_min + m * n < len(unknowns):
         raise PrecisionError(
-            f"insufficient truncation: need expansions through "
-            f"q^{len(unknowns) - m * n} (have q^{t_min})"
+            f"insufficient truncation: need every monomial x^a y^b known "
+            f"through q^0 (unknown from q^{t_min})"
         )
 
     fixed = monos[(n, 0)] - monos[(0, m)]

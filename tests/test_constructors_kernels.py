@@ -12,6 +12,7 @@ import sys
 import threading
 from contextlib import contextmanager
 
+import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -88,6 +89,48 @@ def test_gen_eta_quotient_matches_oracle(level, data, order):
     assert exact(GenEtaQuotient(level, exponents).series(order)) == exact(
         oracle.gen_eta_quotient(level, exponents, order)
     )
+
+
+# _qproduct solves windows longer than B by halves; these windows sit on
+# either side of one and two halvings, and 1100 takes several levels
+B = constructors._BLOCK
+WINDOWS = [B - 1, B, B + 1, 2 * B, 2 * B + 1, 1100]
+
+
+@pytest.mark.parametrize("w", WINDOWS)
+def test_windows_around_the_block_match_oracle(w):
+    # the quotient has pref = -1/4, so order w - 1 gives its unit part window w
+    assert exact(eta(1, w)) == exact(oracle.eta(1, w))
+    assert exact(theta_f(1, 1, 1, 3, w)) == exact(oracle.theta_product(1, 1, 1, 3, w))
+    quotient = EtaQuotient(14, {1: 3, 2: -1, 7: -3, 14: 1})
+    assert exact(quotient.series(w - 1)) == exact(
+        oracle.eta_quotient(14, quotient.exponents, w - 1)
+    )
+
+
+def test_wide_digits_match_oracle():
+    # coefficients of 1/eta^24 pass 64 bits by q^30, so the packed products
+    # of a long window use digits wider than 8 bytes
+    got = EtaQuotient(1, {1: -24}).series(320)
+    assert max(abs(c) for c in got.coeffs).bit_length() > 250
+    assert exact(got) == exact(oracle.eta_quotient(1, {1: -24}, 320))
+
+
+@pytest.mark.parametrize("k", [B + 5, 2 * B + 7])
+def test_sparse_products_with_zero_blocks_match_oracle(k):
+    # eta(k) is nonzero only every k slots, so whole blocks of it are zero
+    assert exact(eta(k, 1100)) == exact(oracle.eta(k, 1100))
+    assert exact(pochhammer(-1, k, k + 1, 900)) == exact(
+        oracle.pochhammer(-1, k, k + 1, 900)
+    )
+
+
+@pytest.mark.parametrize("order", [2 * B + 1, 500])
+def test_negative_sign_matches_oracle(order):
+    # geta(7, 8) = -eta_{7,1}: the sign law's sign is part of the statement
+    got = gen_eta(7, 8, order)
+    assert got.coeffs[0] == -1
+    assert exact(got) == exact(oracle.gen_eta(7, 8, order))
 
 
 @contextmanager

@@ -216,6 +216,25 @@ def test_find_relation_solves_the_leading_block_only():
         find_relation(x.truncate(4), y.truncate(4))
 
 
+def test_find_relation_short_block_names_the_q0_target():
+    # cut at q^1, y^3 is unknown from q^-3; the target is every monomial
+    # through q^0, which a cut at q^3 still misses (y^3 unknown from q^-1)
+    t = qpow(-1) + ONE + 3 * qpow(2)
+    x, y = t**3, t**2
+    with pytest.raises(PrecisionError) as err:
+        find_relation(x.truncate(1), y.truncate(1))
+    assert str(err.value) == (
+        "insufficient truncation: need every monomial x^a y^b known through "
+        "q^0 (unknown from q^-3)"
+    )
+    with pytest.raises(PrecisionError, match="underdetermined at q\\^-1;"):
+        find_relation(x.truncate(3), y.truncate(3))
+    assert find_relation(x.truncate(5), y.truncate(5)).coeffs == {
+        (2, 0): 1,
+        (0, 3): -1,
+    }
+
+
 def test_find_relation_rank_deficient_block_is_underdetermined():
     # truncation at q^-1 leaves the block short: the constant's row, q^0,
     # lies past it
