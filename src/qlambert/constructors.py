@@ -64,7 +64,7 @@ def _solve(f, s, l, r):
         _solve(f, s, l, mid)
         block = f[l:mid]
         if any(block):
-            tail = _packed_product(block, 1, s[: r - l], 1, 1, r - l)
+            tail = _packed_product(block, 1, s[: r - l], 1, r - l)
             f[mid:r] = map(add, f[mid:r], tail[mid - l :])
         _solve(f, s, mid, r)
         return
@@ -84,6 +84,8 @@ def _qproduct(statement: tuple, order) -> QSeries:
     over the factors (1 - q^m)^r with m | j; no series power, product or
     inverse is formed.  ``_solve`` runs the recurrence by halves, so a long
     window costs big-integer products rather than w^2 / 2 multiplications.
+    With pref = n/d in lowest terms the result lives on the grid 1/d, and f
+    is handed over as is, one slot per power of q at stride d.
     """
     factors, pref, sign = statement
     pref = Fraction(pref)
@@ -98,9 +100,7 @@ def _qproduct(statement: tuple, order) -> QSeries:
     if sign < 0:
         f = [-x for x in f]
     n, d = pref.numerator, pref.denominator
-    cs = [0] * ((w - 1) * d + 1)
-    cs[::d] = f
-    return QSeries._make(cs, n, d, n + w * d)
+    return QSeries._make(f, n, d, n + w * d, d)
 
 
 def _power_product(parts, pref=0) -> tuple:

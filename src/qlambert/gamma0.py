@@ -98,8 +98,9 @@ def _as_cusp(r) -> Cusp:
 
 
 def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+    # ascending; each divisor d <= sqrt(n) pairs with n // d
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def psi(n: int) -> int:
@@ -217,17 +218,20 @@ def apply_gamma(mat: Sequence[Sequence[int]], r) -> Cusp:
 def eta_cusp_order(quot: EtaQuotient, n: int, r) -> Fraction:
     """Invariant order of an eta quotient at a cusp of Gamma_0(n).
 
-    The cusp is reduced to its class representative a/c with c | n first;
-    the order is then (n / (24 gcd(c^2, n))) * sum gcd(c, delta)^2
-    r_delta / delta.  At infinity this is the q-valuation.
+    With c the denominator of the cusp's representative in ``cusp_set(n)``,
+    gcd(c0, n) for a cusp a0/c0 (0, infinity, when n | c0), the order is
+    (n / (24 gcd(c^2, n))) * sum gcd(c, delta)^2 r_delta / delta.  At
+    infinity this is the q-valuation.
     """
-    rep = class_representative(n, r)
-    c = rep.c
+    cusp = _as_cusp(r)
+    if n < 1:
+        raise ValueError("level must be a positive integer")
+    c = math.gcd(cusp.c, n) % n
     total = sum(
         (Fraction(math.gcd(c, d) ** 2, d) * rd for d, rd in quot.exponents.items()),
         Fraction(0),
     )
-    return Fraction(cusp_width(n, rep), 24) * total
+    return Fraction(cusp_width(n, cusp), 24) * total
 
 
 def gen_eta_cusp_ord(quot: GenEtaQuotient, n: int, r) -> Fraction:

@@ -2,34 +2,36 @@
 
 A :class:`QSeries` stores a finite window of exact rational coefficients of
 
-    f(q) = sum_j  c_j * q^(j/D)
+    f(q) = sum_k  c_k * q^((v + k*S)/D)
 
-with integer indices ``j`` on the grid ``1/D``, together with an optional
-truncation index ``T``.  ``T = None`` marks an *exact* Laurent polynomial:
-every coefficient outside the stored window is exactly zero.  A finite ``T``
-means the coefficients of ``q^(j/D)`` for ``j >= T`` are unknown; everything
-below is stored or exactly zero.  All arithmetic propagates truncation
-honestly, so a coefficient is only ever reported when it is actually known.
+on the grid ``1/D``: the first term sits at index ``v`` and the others
+follow every ``S`` grid steps, with an optional truncation index ``T``.
+``T = None`` marks an *exact* Laurent polynomial: every coefficient outside
+the stored window is exactly zero.  A finite ``T`` means the coefficients
+of ``q^(j/D)`` for ``j >= T`` are unknown; everything below is stored or
+exactly zero.  All arithmetic propagates truncation honestly, so a
+coefficient is only ever reported when it is actually known.
 
 Series are normalised on construction: zero coefficients are stripped from
 both ends of the window, stored coefficients at or past ``T`` are discarded,
-and the grid is compressed by the gcd of the support (the compression divisor
-is also required to divide ``T``, so no knowledge is silently lost).  Two
-series that print the same are equal regardless of the grid they were built
-on.
+the stride ``S`` is the gcd of the nonzero terms' offsets from ``v`` (0 when
+there are fewer than two terms), and ``D`` is the coarsest grid that holds
+every term and ``T``: gcd(D, v, S, T) = 1.  So a series on a coset, such as
+eta(d tau) = q^(d/24) * (1 - q^d - ...), stores one slot per step of its
+own terms, never the empty grid slots between them.  Two series that print
+the same are stored the same regardless of the grid they were built on.
 
 Coefficients are stored in canonical form: a Python ``int`` when the value is
 integral, otherwise a ``Fraction``.  The kernels (sum, product, inverse,
 square root, and powers through the product) are fraction-free: they clear
 each operand's common denominator once, run on plain ``int``s, and divide
-once at the end.  A product with fewer than ``CROSSOVER`` pairs of nonzero
+once at the end.  A sum or product works on the common stride of its
+operands' terms.  A product with fewer than ``CROSSOVER`` pairs of nonzero
 terms, or with a factor of one or two terms, walks those pairs; any other
-is one big-integer multiplication (Kronecker substitution) on the lattice
-of nonzero slots, the multiples of the gcd of the nonzero offsets, so
-padding on a grid finer than the terms need is never packed.  ``Fraction``
-appears only at the public boundary: the readers ``coefficient``,
-``leading_coefficient``, ``items`` and ``valuation`` always return
-``Fraction`` values.
+is one big-integer multiplication (Kronecker substitution) on that common
+stride.  ``Fraction`` appears only at the public boundary: the readers
+``coefficient``, ``leading_coefficient``, ``items`` and ``valuation``
+always return ``Fraction`` values.
 """
 
 from __future__ import annotations
@@ -96,33 +98,27 @@ CROSSOVER = 600
 _DIGIT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
 
 
-def _on_lattice(cs, m, s, N):
-    """The first N slots of the stride-s lattice of a coefficient list cs
-    placed every m slots; s divides every offset k*m of a nonzero cs[k]."""
-    g = math.gcd(m, s)
-    sub = cs[:: s // g]  # the only entries on the lattice
-    step = m // g
-    if step == 1:
-        return sub[:N]
-    out = [0] * min(N, (len(sub) - 1) * step + 1)
-    out[::step] = sub[: _ceil_div(len(out), step)]
+def _spread(cs, m, n):
+    """The first n slots of a coefficient list cs placed every m slots."""
+    if m == 1:
+        return cs[:n]
+    out = [0] * min(n, (len(cs) - 1) * m + 1)
+    out[::m] = cs[: _ceil_div(len(out), m)]
     return out
 
 
-def _packed_product(fc, mf, gc, mg, s, n):
+def _packed_product(fc, mf, gc, mg, n):
     """Slots 0 .. n-1 of the product of two integer coefficient lists, fc
-    placed every mf slots and gc every mg slots, whose nonzero terms all
-    lie on offsets divisible by s.
+    placed every mf slots and gc every mg slots.
 
-    Only the stride-s lattice is packed (Kronecker substitution): slot k of
-    each operand is the k-th little-endian w-byte digit of one integer, and
-    every product coefficient fits in a signed digit.  Flipping the top bit
-    of every digit (xor B) turns two's complement digits into digits biased
-    by 2^(8w-1), which are plain unsigned fields: subtracting B then packs
-    signed digits, and adding B before flipping back reads them.
+    The slots are packed (Kronecker substitution): slot k of each operand
+    is the k-th little-endian w-byte digit of one integer, and every product
+    coefficient fits in a signed digit.  Flipping the top bit of every digit
+    (xor B) turns two's complement digits into digits biased by 2^(8w-1),
+    which are plain unsigned fields: subtracting B then packs signed digits,
+    and adding B before flipping back reads them.
     """
-    N = _ceil_div(n, s)
-    a, b = _on_lattice(fc, mf, s, N), _on_lattice(gc, mg, s, N)
+    a, b = _spread(fc, mf, n), _spread(gc, mg, n)
     # a product coefficient sums at most min(len(a), len(b)) terms
     bits = (
         max(max(a), -min(a)).bit_length()
@@ -146,84 +142,77 @@ def _packed_product(fc, mf, gc, mg, s, n):
 
     pa = packed(a)
     pb = pa if b == a else packed(b)  # a square multiplies faster
-    B = int.from_bytes(half * N, "little")
-    low = ((pa * pb + B) & ((1 << (8 * w * N)) - 1)) ^ B
-    raw = low.to_bytes(w * N, "little")
+    B = int.from_bytes(half * n, "little")
+    low = ((pa * pb + B) & ((1 << (8 * w * n)) - 1)) ^ B
+    raw = low.to_bytes(w * n, "little")
     if code:
-        out = list(struct.unpack("<%d%s" % (N, code), raw))
-    else:
-        out = [
-            int.from_bytes(raw[k : k + w], "little", signed=True)
-            for k in range(0, w * N, w)
-        ]
-    if s == 1:
-        return out
-    spread = [0] * n
-    spread[::s] = out
-    return spread
+        return list(struct.unpack("<%d%s" % (n, code), raw))
+    return [
+        int.from_bytes(raw[k : k + w], "little", signed=True)
+        for k in range(0, w * n, w)
+    ]
 
 
 class QSeries:
     """One truncated Laurent series in q^(1/D) with exact rational coefficients.
 
-    ``coeffs[k]`` is the coefficient of ``q^((v+k)/D)``, stored as an ``int``
-    when integral and as a ``Fraction`` otherwise; the public readers return
-    ``Fraction``.  Instances are immutable; all operations return new series.
+    ``coeffs[k]`` is the coefficient of ``q^((v+k*S)/D)``, stored as an
+    ``int`` when integral and as a ``Fraction`` otherwise; the public readers
+    return ``Fraction``.  The stride ``S`` is the gcd of the nonzero terms'
+    offsets from ``v`` (0 for fewer than two terms), so no stored slot lies
+    between two steps of the terms.  Instances are immutable; all operations
+    return new series.
     """
 
-    __slots__ = ("D", "v", "coeffs", "T")
+    __slots__ = ("D", "v", "S", "coeffs", "T")
 
     def __init__(self, coeffs=(), v=0, D=1, T=None):
         if not isinstance(D, int) or D <= 0:
             raise ValueError("grid denominator D must be a positive integer")
         self._set([_rat(c) for c in coeffs], int(v), D, None if T is None else int(T))
 
-    def _set(self, cs, v, D, T):
-        # normalise canonical coefficients cs into self
+    def _set(self, cs, v, D, T, S=1):
+        # normalise canonical coefficients cs, placed every S grid slots
+        # from index v, into self; a lone term sits on any stride
+        S = S or 1
         n = len(cs)
         lead = 0
         while lead < n and not cs[lead]:
             lead += 1
         end = n
-        if T is not None and v + end > T:
-            end = max(lead, T - v)
+        if T is not None and v + (end - 1) * S >= T:
+            end = max(lead, _ceil_div(T - v, S))
         while end > lead and not cs[end - 1]:
             end -= 1
-        if end == lead:
-            if T is None:
-                self.D, self.v, self.coeffs, self.T = 1, 0, (), None
-            else:
-                s = math.gcd(D, T)
-                self.D, self.v, self.coeffs, self.T = D // s, T // s, (), T // s
-            return
-        v += lead
-        s = D if T is None else math.gcd(D, T)
-        if s > 1:
-            for k in range(lead, end):
-                if cs[k]:
-                    s = math.gcd(s, v + k - lead)
-                    if s == 1:
-                        break
-        if s > 1:
-            self.D, self.v, self.coeffs = D // s, v // s, tuple(cs[lead:end:s])
-            self.T = None if T is None else T // s
-        else:
-            self.D, self.v, self.coeffs, self.T = D, v, tuple(cs[lead:end]), T
+        # no known nonzero term: v = T, or 0 for the exact zero
+        v = v + lead * S if end > lead else T or 0
+        # the gcd of the nonzero terms' offsets from the first, in slots
+        t = 0
+        for k in range(lead + 1, end):
+            if cs[k]:
+                t = math.gcd(t, k - lead)
+                if t == 1:
+                    break
+        S *= t
+        g = math.gcd(D, v, S) if T is None else math.gcd(D, v, S, T)
+        self.D, self.v, self.S = D // g, v // g, S // g
+        self.coeffs = tuple(cs[lead:end : t or 1])
+        self.T = None if T is None else T // g
 
     # -- raw construction ------------------------------------------------
 
     @staticmethod
-    def _make(cs, v, D, T) -> "QSeries":
+    def _make(cs, v, D, T, S=1) -> "QSeries":
         # normalising construction from canonical coefficients (no coercion)
         s = object.__new__(QSeries)
-        s._set(cs, v, D, T)
+        s._set(cs, v, D, T, S)
         return s
 
     @staticmethod
-    def _raw(coeffs, v, D, T):
+    def _raw(coeffs, v, D, T, S):
         # caller guarantees the normalisation invariants
         s = object.__new__(QSeries)
-        s.D, s.v, s.coeffs, s.T = D, v, tuple(coeffs), T
+        s.D, s.v, s.S, s.coeffs, s.T = D, v, S, tuple(coeffs), T
         return s
 
     @classmethod
@@ -287,8 +276,9 @@ class QSeries:
         t = e * self.D
         if t.denominator == 1:
             j = t.numerator
-            if self.coeffs and self.v <= j < self.v + len(self.coeffs):
-                return _frac(self.coeffs[j - self.v])
+            k, r = divmod(j - self.v, self.S or 1)
+            if not r and 0 <= k < len(self.coeffs):
+                return _frac(self.coeffs[k])
             if self.T is None or j < self.T:
                 return _ZERO
         elif self.T is None or e < Fraction(self.T, self.D):
@@ -302,7 +292,7 @@ class QSeries:
         """Yield (exponent, coefficient) for each stored nonzero term."""
         for k, c in enumerate(self.coeffs):
             if c:
-                yield Fraction(self.v + k, self.D), _frac(c)
+                yield Fraction(self.v + k * self.S, self.D), _frac(c)
 
     # -- ring operations --------------------------------------------------
 
@@ -318,12 +308,18 @@ class QSeries:
         if not parts:
             return QSeries._make((), 0, D, T)
         lo = min(s.v * m for s, m in parts)
-        hi = max((s.v + len(s.coeffs) - 1) * m + 1 for s, m in parts)
+        # the common stride of both operands' terms on the grid D
+        S = math.gcd(*(x for s, m in parts for x in (s.v * m - lo, s.S * m))) or 1
+        n = max(s.v * m - lo + (len(s.coeffs) - 1) * s.S * m for s, m in parts) // S + 1
         if T is not None:
-            hi = min(hi, T)
-        cleared = [(s.v * m - lo, m, *_cleared(s.coeffs)) for s, m in parts]
+            n = min(n, _ceil_div(T - lo, S))
+        # (first slot, step in slots, L, integers) of each operand
+        cleared = [
+            ((s.v * m - lo) // S, s.S * m // S or 1, *_cleared(s.coeffs))
+            for s, m in parts
+        ]
         L = math.lcm(*(Ls for _, _, Ls, _ in cleared))
-        out = [0] * max(0, hi - lo)
+        out = [0] * max(0, n)
         for j, m, Ls, cs in cleared:
             scale = L // Ls
             # zip stops at whichever ends first: the terms or the window
@@ -331,12 +327,12 @@ class QSeries:
             out[j : j + len(summed) * m : m] = summed
         if L > 1:
             out = [_ratio(x, L) if x else 0 for x in out]
-        return QSeries._make(out, lo, D, T)
+        return QSeries._make(out, lo, D, T, S)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QSeries._raw(tuple(-c for c in self.coeffs), self.v, self.D, self.T)
+        return QSeries._raw((-c for c in self.coeffs), self.v, self.D, self.T, self.S)
 
     def _scaled(self, c) -> "QSeries":
         # self * c for a nonzero rational c, without a series product
@@ -346,7 +342,7 @@ class QSeries:
         cs = [x * c.numerator for x in ints]
         if d > 1:
             cs = [_ratio(x, d) if x else 0 for x in cs]
-        return QSeries._raw(cs, self.v, self.D, self.T)
+        return QSeries._raw(cs, self.v, self.D, self.T, self.S)
 
     def __sub__(self, other):
         o = _coerce(other)
@@ -380,18 +376,19 @@ class QSeries:
         if not self.coeffs or not o.coeffs:
             return QSeries._make((), 0, D, T)
         v = fv + gv
-        n = (len(self.coeffs) - 1) * mf + (len(o.coeffs) - 1) * mg + 1
+        # the common stride S of the terms, and each factor's step in it
+        S = math.gcd(self.S * mf, o.S * mg) or 1
+        sf, sg = self.S * mf // S, o.S * mg // S
+        n = (len(self.coeffs) - 1) * sf + (len(o.coeffs) - 1) * sg + 1
         if T is not None:
-            n = min(n, T - v)
+            n = min(n, _ceil_div(T - v, S))
         Lf, fc = _cleared(self.coeffs)
         Lg, gc = _cleared(o.coeffs)
-        # the nonzero terms, by offset from v on the common grid
-        fnz = [(k * mf, c) for k, c in enumerate(fc) if c]
-        gnz = [(k * mg, c) for k, c in enumerate(gc) if c]
+        # the nonzero terms, by slot from v on the common stride
+        fnz = [(k * sf, c) for k, c in enumerate(fc) if c]
+        gnz = [(k * sg, c) for k, c in enumerate(gc) if c]
         if n > 0 and min(len(fnz), len(gnz)) >= 3 and len(fnz) * len(gnz) >= CROSSOVER:
-            # the lattice of the nonzero slots: both operands start at 0
-            s = math.gcd(*(i for i, _ in fnz), *(j for j, _ in gnz))
-            out = _packed_product(fc, mf, gc, mg, s, n)
+            out = _packed_product(fc, sf, gc, sg, n)
         else:
             # walk the nonzero pairs
             if len(fnz) > len(gnz):
@@ -408,7 +405,7 @@ class QSeries:
         L = Lf * Lg
         if L > 1:
             out = [_ratio(x, L) if x else 0 for x in out]
-        return QSeries._make(out, v, D, T)
+        return QSeries._make(out, v, D, T, S)
 
     __rmul__ = __mul__
 
@@ -444,12 +441,15 @@ class QSeries:
     def _unit_part(self):
         # self with the leading monomial divided out; auto-compressed
         return QSeries._make(
-            self.coeffs, 0, self.D, None if self.T is None else self.T - self.v
+            self.coeffs, 0, self.D, None if self.T is None else self.T - self.v, self.S
         )
 
     @staticmethod
     def _window(u, terms, what):
-        # grid slots of u to compute for an inverse or square root
+        # (R, S, n) for an inverse or square root of the unit part u: the
+        # window of R grid slots, and the stride S and first n slots of it
+        # that the result, a series in q^(S/D) like u, takes.  A lone
+        # truncated term takes one slot.
         if terms is not None and int(terms) < 1:
             raise ValueError(f"{what} a series needs terms >= 1, got {terms}")
         if u.T is None:
@@ -458,8 +458,11 @@ class QSeries:
                     f"{what} an exact series gives an infinite expansion; "
                     "pass terms=<orders past the leading exponent>"
                 )
-            return int(terms) * u.D
-        return u.T if terms is None else min(u.T, int(terms) * u.D)
+            R = int(terms) * u.D
+        else:
+            R = u.T if terms is None else min(u.T, int(terms) * u.D)
+        S = u.S or R
+        return R, S, _ceil_div(R, S)
 
     def invert(self, terms=None) -> "QSeries":
         """Multiplicative inverse.
@@ -480,11 +483,11 @@ class QSeries:
         if u.T is None and len(u.coeffs) == 1:
             return QSeries._make((_rat(1 / Fraction(u.coeffs[0])),), -self.v, self.D, None)
         mono = QSeries._make((1,), -self.v, self.D, None)
-        R = self._window(u, terms, "inverting")
+        R, S, n = self._window(u, terms, "inverting")
         # u = A/L with integer A, so 1/u = L * B with B = 1/A; writing
         # B_k = P_k / c^(k+1) for c = A_0 keeps P integral:
         #   P_k = -sum_{i=1..k} A_i c^(i-1) P_(k-i)
-        L, A = _cleared(u.coeffs[:R])
+        L, A = _cleared(u.coeffs[:n])
         c = A[0]
         weights = []
         power = 1
@@ -492,9 +495,9 @@ class QSeries:
             if A[i]:
                 weights.append((i, A[i] * power))
             power *= c
-        P = [0] * R
+        P = [0] * n
         P[0] = 1
-        for k in range(1, R):
+        for k in range(1, n):
             acc = 0
             for i, w in weights:
                 if i > k:
@@ -506,7 +509,7 @@ class QSeries:
         for x in P:
             b.append(_ratio(L * x, den) if den > 0 else _ratio(-L * x, -den))
             den *= c
-        return QSeries._make(b, 0, u.D, R) * mono
+        return QSeries._make(b, 0, u.D, R, S) * mono
 
     def div(self, other, terms=None) -> "QSeries":
         """self / other.
@@ -572,20 +575,20 @@ class QSeries:
         mono = QSeries._make((_ratio(rn, rd),), e.numerator, e.denominator, None)
         if u.T is None and len(u.coeffs) == 1:
             return mono
-        R = self._window(u, terms, "square root of")
+        R, S, n = self._window(u, terms, "square root of")
         # u/c0 = A/L with integer A and A_0 = L.  Its square root b has
         # b_k = G_k / (4L)^k with integer G: G_0 = 1 and
         #   G_k = 2^(2k-1) L^(k-1) A_k - (1/2) sum_{i=1..k-1} G_i G_(k-i),
         # where every G_i (i >= 1) is even, so the halving is exact.
-        Lu, A = _cleared(u.coeffs[:R])
+        Lu, A = _cleared(u.coeffs[:n])
         if den > 1:
             A = [x * den for x in A]
         L = Lu * num
-        G = [0] * R
+        G = [0] * n
         G[0] = 1
         nonzero = []
         scale = 2  # 2^(2k-1) L^(k-1)
-        for k in range(1, R):
+        for k in range(1, n):
             acc = A[k] * scale if k < len(A) and A[k] else 0
             for i in nonzero:
                 if 2 * i >= k:
@@ -598,7 +601,7 @@ class QSeries:
                 nonzero.append(k)
             scale *= 4 * L
         b = [_ratio(x, (4 * L) ** k) if x else 0 for k, x in enumerate(G)]
-        return QSeries._make(b, 0, u.D, R) * mono
+        return QSeries._make(b, 0, u.D, R, S) * mono
 
     # -- reshaping ---------------------------------------------------------
 
@@ -608,7 +611,7 @@ class QSeries:
         T = _ceil_div(t.numerator, t.denominator)
         if self.T is not None:
             T = min(T, self.T)
-        return QSeries._make(self.coeffs, self.v, self.D, T)
+        return QSeries._make(self.coeffs, self.v, self.D, T, self.S)
 
     def subs_qpow(self, m) -> "QSeries":
         """Substitute q -> q^m for a positive rational m."""
@@ -616,10 +619,9 @@ class QSeries:
         if m <= 0:
             raise ValueError("substitution exponent must be positive")
         p, r = m.numerator, m.denominator
-        cs = [0] * ((len(self.coeffs) - 1) * p + 1) if self.coeffs else []
-        cs[::p] = self.coeffs
+        # the term at (v + k*S)/D moves to (v*p + k*S*p)/(D*r)
         T = None if self.T is None else self.T * p
-        return QSeries._make(cs, self.v * p, self.D * r, T)
+        return QSeries._make(self.coeffs, self.v * p, self.D * r, T, self.S * p)
 
     # -- comparison and display --------------------------------------------
 
@@ -674,7 +676,7 @@ def _coerce(x):
     if isinstance(x, QSeries):
         return x
     if isinstance(x, (int, Fraction)):
-        return QSeries._raw((_rat(x),), 0, 1, None) if x else QSeries._raw((), 0, 1, None)
+        return QSeries._raw((_rat(x),) if x else (), 0, 1, None, 0)
     return None
 
 

@@ -2,9 +2,9 @@
 
 These are the sum, product, inverse and square root that QSeries used before
 its coefficient kernels went fraction-free.  They work on Fractions from
-start to finish, touch only the public fields ``coeffs``, ``v``, ``D``,
-``T`` and the normalising constructor, and share no code with the kernels
-in ``qlambert.series``.  The differential tests compare the two.
+start to finish, read a series only through its fields ``v``, ``D``, ``T``
+and its terms from ``items()``, build one only through the normalising
+constructor, and share no code with the kernels in ``qlambert.series``.  The differential tests compare the two.
 """
 
 import math
@@ -17,12 +17,14 @@ _ONE = Fraction(1)
 
 
 def _on_grid(s, D):
-    # (v, coefficient list, T) of s viewed on the finer grid D
+    # (v, coefficient list, T) of s viewed on the finer grid D, one entry
+    # per grid step from v through the last term
     m = D // s.D
-    cs = [_ZERO] * ((len(s.coeffs) - 1) * m + 1) if s.coeffs else []
-    for k, c in enumerate(s.coeffs):
-        cs[k * m] = Fraction(c)
-    return s.v * m, cs, None if s.T is None else s.T * m
+    v, cs = s.v * m, []
+    for e, c in s.items():
+        j = int(e * D) - v
+        cs += [_ZERO] * (j - len(cs)) + [c]
+    return v, cs, None if s.T is None else s.T * m
 
 
 def add(f, g):
@@ -47,7 +49,7 @@ def add(f, g):
 
 
 def mul(f, g):
-    if (not f.coeffs and f.T is None) or (not g.coeffs and g.T is None):
+    if (f.is_zero() and f.T is None) or (g.is_zero() and g.T is None):
         return QSeries()
     D = math.lcm(f.D, g.D)
     fv, fc, fT = _on_grid(f, D)
@@ -76,7 +78,10 @@ def mul(f, g):
 
 
 def _unit_part(f):
-    return QSeries(f.coeffs, 0, f.D, None if f.T is None else f.T - f.v)
+    # (u, its coefficient list on its own grid)
+    v, cs, T = _on_grid(f, f.D)
+    u = QSeries(cs, 0, f.D, None if T is None else T - v)
+    return u, _on_grid(u, u.D)[1]
 
 
 def _window(u, terms, what):
@@ -88,15 +93,15 @@ def _window(u, terms, what):
 
 
 def invert(f, terms=None):
-    if not f.coeffs:
+    if f.is_zero():
         if f.T is None:
             raise ZeroDivisionError("cannot invert the zero series")
         raise PrecisionError("zero through its truncation")
-    u = _unit_part(f)
-    if u.T is None and len(u.coeffs) == 1:
-        return QSeries((1 / Fraction(u.coeffs[0]),), -f.v, f.D)
+    u, ucs = _unit_part(f)
+    if u.T is None and len(ucs) == 1:
+        return QSeries((1 / ucs[0],), -f.v, f.D)
     R = _window(u, terms, "inverse")
-    a = [Fraction(c) for c in u.coeffs[:R]] + [_ZERO] * max(0, R - len(u.coeffs))
+    a = ucs[:R] + [_ZERO] * max(0, R - len(ucs))
     b = [_ZERO] * R
     inv0 = 1 / a[0]
     b[0] = inv0
@@ -111,23 +116,23 @@ def invert(f, terms=None):
 
 
 def sqrt(f, terms=None):
-    if not f.coeffs:
+    if f.is_zero():
         if f.T is None:
             return QSeries()
         raise PrecisionError("zero through its truncation")
-    c0 = Fraction(f.coeffs[0])
+    c0 = f.leading_coefficient()
     if c0 < 0:
         raise ValueError("no rational square root: negative leading coefficient")
     rn, rd = math.isqrt(c0.numerator), math.isqrt(c0.denominator)
     if rn * rn != c0.numerator or rd * rd != c0.denominator:
         raise ValueError("no rational square root: leading coefficient")
-    u = _unit_part(f)
+    u, ucs = _unit_part(f)
     e = Fraction(f.v, 2 * f.D)
     mono = QSeries((Fraction(rn, rd),), e.numerator, e.denominator)
-    if u.T is None and len(u.coeffs) == 1:
+    if u.T is None and len(ucs) == 1:
         return mono
     R = _window(u, terms, "square root")
-    a = [c / c0 for c in u.coeffs[:R]] + [_ZERO] * max(0, R - len(u.coeffs))
+    a = [c / c0 for c in ucs[:R]] + [_ZERO] * max(0, R - len(ucs))
     b = [_ZERO] * R
     b[0] = _ONE
     half = Fraction(1, 2)

@@ -1,9 +1,12 @@
 """Cusp enumeration, equivalence, and exact vanishing-order tables."""
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+
+from qlambert import gamma0
 
 from qlambert.constructors import (
     EtaQuotient,
@@ -100,6 +103,11 @@ def test_cusp_set_edge_levels():
     assert Cusp(1, 3) in reps and Cusp(2, 3) in reps
 
 
+def test_divisors_are_every_divisor_in_order():
+    for n in range(1, 400):
+        assert gamma0._divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
+
+
 def test_width_sums_match_index():
     for n in range(1, 61):
         table = cusp_set(n)
@@ -162,6 +170,50 @@ def test_eta_cusp_order_reduces_to_class_representative():
     for a, c in ((1, 1), (3, 2), (5, 14), (9, 7), (1, 16)):
         rep = class_representative(14, Cusp(a, c))
         assert eta_cusp_order(g_sq, 14, Cusp(a, c)) == eta_cusp_order(g_sq, 14, rep)
+
+
+def _order_by_class_search(quot, n, r):
+    # the order at the representative that the class search finds
+    rep = class_representative(n, r)
+    total = sum(
+        (Fraction(math.gcd(rep.c, d) ** 2, d) * rd for d, rd in quot.exponents.items()),
+        Fraction(0),
+    )
+    return Fraction(cusp_width(n, rep), 24) * total
+
+
+@st.composite
+def _quotient_level_cusp(draw):
+    m = draw(st.integers(1, 120))
+    deltas = [d for d in range(1, m + 1) if m % d == 0]
+    quot = EtaQuotient(m, draw(st.dictionaries(st.sampled_from(deltas), st.integers(-6, 6))))
+    # the quotient's own level, or any other: a delta need not divide n
+    n = m if draw(st.booleans()) else draw(st.integers(1, 120))
+    if draw(st.booleans()):
+        return quot, n, draw(st.sampled_from(cusp_set(n).cusps))
+    a, c = draw(st.integers(-500, 500)), draw(st.integers(0, 500))
+    return quot, n, Cusp(a or 1, c)
+
+
+@settings(max_examples=300)
+@given(_quotient_level_cusp())
+def test_eta_cusp_order_matches_the_class_search(case):
+    quot, n, r = case
+    assert eta_cusp_order(quot, n, r) == _order_by_class_search(quot, n, r)
+
+
+def test_eta_cusp_order_runs_no_class_search(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("eta_cusp_order searched the cusp classes")
+
+    monkeypatch.setattr(gamma0, "cusp_equivalent", refuse)
+    quot = EtaQuotient(8000, {1: 24, 8000: -24})
+    orders = [eta_cusp_order(quot, 8000, r) for r, _ in cusp_set(8000)]
+    assert sum(orders) == 0  # weight 0
+    # a cusp equivalent to infinity: the order there is the q-valuation
+    assert eta_cusp_order(quot, 8000, Cusp(7, 8000 * 3)) == quot.prefactor_exponent()
+    with pytest.raises(ValueError):
+        eta_cusp_order(quot, 0, Cusp(1, 0))
 
 
 def test_eta_order_at_infinity_is_valuation():

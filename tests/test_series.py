@@ -1,5 +1,6 @@
 """Ring axioms, truncation bookkeeping and edge cases for QSeries."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qlambert import ONE, PrecisionError, QSeries, qpow
+from qlambert.constructors import eta, gen_eta, gosper_symbols
+from qlambert.dsl import evaluate, parse
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
@@ -80,17 +83,40 @@ def test_scalar_coercion(f):
 
 @given(series(), st.sampled_from([2, 3, 7]))
 def test_grid_rescaling_is_invisible(f, m):
+    # one entry per step of the finer grid: term k sits k*S*m steps from v
     if f.coeffs:
-        spread = [F(0)] * ((len(f.coeffs) - 1) * m + 1)
+        spread = [F(0)] * ((len(f.coeffs) - 1) * f.S * m + 1)
         for k, c in enumerate(f.coeffs):
-            spread[k * m] = c
+            spread[k * f.S * m] = c
     else:
         spread = []
     T = None if f.T is None else f.T * m
     g = QSeries(spread, f.v * m, f.D * m, T)
     assert f == g
     assert g.D == f.D  # normalisation compresses the grid right back
-    assert g.v == f.v and g.T == f.T and g.coeffs == f.coeffs
+    assert (g.v, g.S, g.T, g.coeffs) == (f.v, f.S, f.T, f.coeffs)
+
+
+@pytest.mark.parametrize(
+    "build, slots",
+    [
+        pytest.param(lambda: eta(1, 100), 93, id="eta(1)"),
+        pytest.param(lambda: gen_eta(11, 3, 312), 313, id="gen_eta(11,3)"),
+        pytest.param(lambda: qpow(F(1, 1009)) * eta(1, 40), 36, id="q^(1/1009)*eta(1)"),
+        pytest.param(lambda: qpow(F(1, 1000003)) * eta(1, 5), 3, id="q^(1/1000003)*eta(1)"),
+        pytest.param(lambda: gosper_symbols("g", 100), 100, id="symbol(g)"),
+        pytest.param(
+            lambda: evaluate(parse("subq(theta(1,1,1,1)^4, 3)"), 450), 450, id="subq"
+        ),
+    ],
+)
+def test_storage_is_one_slot_per_step_of_the_terms(build, slots):
+    # a series on a coset of a coarse step stores no slot between two steps
+    f = build()
+    assert len(f.coeffs) == slots
+    offsets = [int(e * f.D) - f.v for e, _ in f.items()]
+    assert math.gcd(*offsets) == f.S
+    assert offsets[-1] == (slots - 1) * f.S
 
 
 def test_compression_keeps_truncation_exact():

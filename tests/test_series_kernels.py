@@ -1,8 +1,8 @@
 """Differential tests: the QSeries kernels against the Fraction oracle.
 
 Every result must agree with ``series_oracle`` in grid index, grid
-denominator, truncation and coefficients, and every failure must raise the
-same exception type.  Kernel results must also be in canonical storage form:
+denominator, stride, truncation and coefficients, and every failure must
+raise the same exception type.  Kernel results must also be in canonical storage form:
 an ``int`` for each integral coefficient, a ``Fraction`` otherwise.
 """
 
@@ -42,11 +42,35 @@ def series(draw, nonzero=False):
     return QSeries(cs, v, D, T)
 
 
+@st.composite
+def coset_series(draw):
+    # terms every 2nd, 3rd or 5th step of the grid 1/D, moved off that
+    # step's lattice by a factor q^(a/b): stored on a stride of a finer grid
+    terms = draw(st.lists(coefficients, min_size=1, max_size=8))
+    terms[0] = terms[0] or draw(leads)
+    step = draw(st.sampled_from([2, 3, 5]))
+    a, b = draw(st.integers(1, 6)), draw(st.sampled_from([1, 2, 3, 7]))
+    D = draw(st.sampled_from([1, 2, 3]))
+    cs = [0] * ((len(terms) - 1) * step * b + 1)
+    cs[:: step * b] = terms
+    v = draw(st.integers(-5, 5)) * b + a * D
+    # a finite T may fall between two terms
+    T = None if draw(st.booleans()) else v + draw(st.integers(1, len(cs) + 3))
+    return QSeries(cs, v, D * b, T)
+
+
 zero_series = st.one_of(
     st.just(QSeries()),
     st.builds(lambda T, D: QSeries.zero(T, D), st.integers(-3, 8), grids),
 )
-operands = st.one_of(series(), series(nonzero=True), zero_series)
+substituted = st.builds(
+    lambda f, m: f.subs_qpow(m),
+    series(),
+    st.sampled_from([2, 3, F(1, 2), F(2, 3), F(5, 3)]),
+)
+operands = st.one_of(
+    series(), series(nonzero=True), zero_series, coset_series(), substituted
+)
 terms = st.one_of(st.none(), st.integers(1, 8))
 
 
@@ -57,7 +81,7 @@ def outcome(fn, *args):
         return type(err)
     for c in result.coeffs:
         assert type(c) is int or (type(c) is F and c.denominator > 1), c
-    return result.v, result.D, result.T, result.coeffs
+    return result.v, result.D, result.S, result.T, result.coeffs
 
 
 @settings(max_examples=300)
