@@ -4,7 +4,8 @@ These are the sum, product, inverse and square root that QSeries used before
 its coefficient kernels went fraction-free.  They work on Fractions from
 start to finish, read a series only through its fields ``v``, ``D``, ``T``
 and its terms from ``items()``, build one only through the normalising
-constructor, and share no code with the kernels in ``qlambert.series``.  The differential tests compare the two.
+constructor, and share no code with the kernels in ``qlambert.series``.
+The differential tests compare the two.
 """
 
 import math

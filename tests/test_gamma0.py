@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qlambert import gamma0
-
 from qlambert.constructors import (
     EtaQuotient,
     GenEtaQuotient,
@@ -186,7 +185,8 @@ def _order_by_class_search(quot, n, r):
 def _quotient_level_cusp(draw):
     m = draw(st.integers(1, 120))
     deltas = [d for d in range(1, m + 1) if m % d == 0]
-    quot = EtaQuotient(m, draw(st.dictionaries(st.sampled_from(deltas), st.integers(-6, 6))))
+    exponents = draw(st.dictionaries(st.sampled_from(deltas), st.integers(-6, 6)))
+    quot = EtaQuotient(m, exponents)
     # the quotient's own level, or any other: a delta need not divide n
     n = m if draw(st.booleans()) else draw(st.integers(1, 120))
     if draw(st.booleans()):

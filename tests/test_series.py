@@ -103,10 +103,14 @@ def test_grid_rescaling_is_invisible(f, m):
         pytest.param(lambda: eta(1, 100), 93, id="eta(1)"),
         pytest.param(lambda: gen_eta(11, 3, 312), 313, id="gen_eta(11,3)"),
         pytest.param(lambda: qpow(F(1, 1009)) * eta(1, 40), 36, id="q^(1/1009)*eta(1)"),
-        pytest.param(lambda: qpow(F(1, 1000003)) * eta(1, 5), 3, id="q^(1/1000003)*eta(1)"),
+        pytest.param(
+            lambda: qpow(F(1, 1000003)) * eta(1, 5), 3, id="q^(1/1000003)*eta(1)"
+        ),
         pytest.param(lambda: gosper_symbols("g", 100), 100, id="symbol(g)"),
         pytest.param(
-            lambda: evaluate(parse("subq(theta(1,1,1,1)^4, 3)"), 450), 450, id="subq"
+            lambda: evaluate(parse("subq(theta(1,1,1,1)^4, 3)"), 450),
+            450,
+            id="subq(theta(1,1,1,1)^4,3)",
         ),
     ],
 )

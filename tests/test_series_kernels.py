@@ -2,8 +2,9 @@
 
 Every result must agree with ``series_oracle`` in grid index, grid
 denominator, stride, truncation and coefficients, and every failure must
-raise the same exception type.  Kernel results must also be in canonical storage form:
-an ``int`` for each integral coefficient, a ``Fraction`` otherwise.
+raise the same exception type.  Kernel results must also be in canonical
+storage form: an ``int`` for each integral coefficient, a ``Fraction``
+otherwise.
 """
 
 from fractions import Fraction as F
