@@ -2,11 +2,10 @@
 
 import math
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import dsl
 from .errors import DSLError
@@ -21,8 +20,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IdentityRecord:
+class IdentityRecord(NamedTuple):
     """One catalog entry: a named identity with a default truncation."""
 
     name: str
@@ -33,8 +31,7 @@ class IdentityRecord:
     source: str = ""
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     """Outcome of checking one identity as a truncated-series equality.
 
     ``status`` is "verified" when left - right vanishes identically through

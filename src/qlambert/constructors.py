@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from operator import add, mul
 
@@ -129,8 +129,9 @@ def eta_type_product(parts: list, order, q_exponent=0) -> QSeries:
     that is one ``_qproduct`` call, forms it.
     """
     w = min(max(1, math.ceil(Fraction(order) - p)) for (_, p, _), _ in parts)
-    product = EtaTypeProduct(parts, q_exponent)
-    return product.series(product.prefactor_exponent() + w)
+    # the merged statement's prefactor, read off without merging the factors
+    pref = q_exponent + sum(r * p for (_, p, _), r in parts)
+    return EtaTypeProduct(parts, q_exponent).series(pref + w)
 
 
 def _factor_dict(triples) -> dict:
@@ -215,12 +216,15 @@ def gen_eta(level: int, g: int, order) -> QSeries:
 class _Quotient:
     """A product of integer powers of eta-type functions.  For one family,
     ``exponents`` maps an index to its exponent and ``_part`` states the
-    function of an index.
+    function of an index.  Each class is an immutable named tuple of its
+    fields.
 
     ``series`` is the product layer's one method: each class binds it in its
     own namespace, where a tracer that looks a class's ``series`` up there
     (``bench/layers.py``) finds it.
     """
+
+    __slots__ = ()
 
     def statement(self) -> tuple:
         return _power_product((self._part(i), r) for i, r in self.exponents.items())
@@ -233,32 +237,28 @@ class _Quotient:
         return _qproduct(self.statement(), order)
 
 
-@dataclass
-class EtaQuotient(_Quotient):
+class EtaQuotient(_Quotient, namedtuple("EtaQuotient", "level exponents")):
     """A product  prod_{delta | level} eta(delta tau)^(r_delta).
 
     ``exponents`` maps delta -> r_delta; zero exponents are dropped and every
     delta must divide the level.
     """
 
-    level: int
-    exponents: dict
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.level < 1:
+    def __new__(cls, level: int, exponents: dict):
+        if level < 1:
             raise ValueError("level must be a positive integer")
         clean = {}
-        for d in sorted(self.exponents):
-            r = self.exponents[d]
+        for d in sorted(exponents):
+            r = exponents[d]
             if not r:
                 continue
             d = int(d)
-            if d < 1 or self.level % d:
-                raise ValueError(
-                    f"eta argument {d} does not divide the level {self.level}"
-                )
+            if d < 1 or level % d:
+                raise ValueError(f"eta argument {d} does not divide the level {level}")
             clean[d] = int(r)
-        self.exponents = clean
+        return tuple.__new__(cls, (level, clean))
 
     def weight(self) -> Fraction:
         return Fraction(sum(self.exponents.values()), 2)
@@ -269,28 +269,24 @@ class EtaQuotient(_Quotient):
     series = _Quotient.series
 
 
-@dataclass
-class GenEtaQuotient(_Quotient):
+class GenEtaQuotient(_Quotient, namedtuple("GenEtaQuotient", "level exponents")):
     """A product  prod_g eta_{level,g}^(r_g)  with 1 <= g <= level/2."""
 
-    level: int
-    exponents: dict
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.level < 1:
+    def __new__(cls, level: int, exponents: dict):
+        if level < 1:
             raise ValueError("level must be a positive integer")
         clean = {}
-        for g in sorted(self.exponents):
-            r = self.exponents[g]
+        for g in sorted(exponents):
+            r = exponents[g]
             if not r:
                 continue
             g = int(g)
-            if not 1 <= g <= self.level // 2:
-                raise ValueError(
-                    f"index {g} outside 1..{self.level // 2} for level {self.level}"
-                )
+            if not 1 <= g <= level // 2:
+                raise ValueError(f"index {g} outside 1..{level // 2} for level {level}")
             clean[g] = int(r)
-        self.exponents = clean
+        return tuple.__new__(cls, (level, clean))
 
     def _part(self, g: int) -> tuple:
         return gen_eta_statement(self.level, g)
@@ -298,13 +294,14 @@ class GenEtaQuotient(_Quotient):
     series = _Quotient.series
 
 
-@dataclass
-class EtaTypeProduct(_Quotient):
+class EtaTypeProduct(
+    _Quotient,
+    namedtuple("EtaTypeProduct", "parts q_exponent", defaults=(Fraction(0),)),
+):
     """q^q_exponent * prod over ``parts`` (statement, r) of statement^r: a
     product of integer powers of eta-type functions of any families."""
 
-    parts: list
-    q_exponent: Fraction = Fraction(0)
+    __slots__ = ()
 
     def statement(self) -> tuple:
         return _power_product(self.parts, self.q_exponent)

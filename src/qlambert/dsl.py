@@ -51,8 +51,8 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from operator import add
+from operator import add, mul, sub, truediv
+from typing import NamedTuple
 
 from .constructors import (
     bailey_specialization,
@@ -95,32 +95,44 @@ MAX_NESTING = 100
 
 @dataclass(frozen=True)
 class Lit:
+    """A rational constant."""
+
     value: Fraction
 
 
 @dataclass(frozen=True)
 class Q:
+    """The power q^exponent."""
+
     exponent: Fraction
 
 
 @dataclass(frozen=True)
 class Call:
+    """A call of a named function on its arguments."""
+
     name: str
     args: tuple
 
 
 @dataclass(frozen=True)
 class Neg:
+    """Unary minus."""
+
     node: object
 
 
 @dataclass(frozen=True)
 class Sqrt:
+    """The square root of a series."""
+
     node: object
 
 
 @dataclass(frozen=True)
 class BinOp:
+    """left op right, for op one of + - * /."""
+
     op: str
     left: object
     right: object
@@ -128,12 +140,16 @@ class BinOp:
 
 @dataclass(frozen=True)
 class Pow:
+    """A power with a rational exponent."""
+
     base: object
     exponent: Fraction
 
 
 @dataclass(frozen=True)
 class Subq:
+    """The substitution q -> q^power."""
+
     node: object
     power: int
 
@@ -166,117 +182,127 @@ _ETA_TYPE = {
 
 
 # -- tokenizer -----------------------------------------------------------------
+#
+# A token is its text, and the end of the input is the empty token.  Its kind
+# follows from its first character: a digit starts an integer, a letter or
+# "_" a name.  Positions are found again only for an error (_where), so a
+# scan allocates nothing but the token strings.
 
-_TOKEN_RE = re.compile(
-    r"(?P<WS>\s+)"
-    r"|(?P<INT>\d+)"
-    r"|(?P<NAME>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<EQ>==)"
-    r"|(?P<OP>[-+*/^(),])"
-)
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    col: int
+_TOKEN = r"\d+|[A-Za-z_][A-Za-z_0-9]*|==|[-+*/^(),]"
+_TOKEN_RE = re.compile(_TOKEN)
+#: the longest prefix of a text made of tokens and blanks
+_TOKENS_RE = re.compile(rf"(?:\s+|{_TOKEN})*")
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
 
-def _tokenize(text: str):
-    tokens = []
-    pos, line, start = 0, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise DSLError(
-                f"unexpected character {text[pos]!r}", line, pos - start + 1
-            )
-        kind = m.lastgroup
-        if kind != "WS":
-            tokens.append(_Token(kind, m.group(), line, pos - start + 1))
-        else:
-            line += m.group().count("\n")
-            nl = text.rfind("\n", pos, m.end())
-            if nl >= 0:
-                start = nl + 1
-        pos = m.end()
-    tokens.append(_Token("END", "", line, len(text) - start + 1))
+def _tokenize(text: str) -> list:
+    """The tokens of ``text``, ending with the empty token."""
+    end = _TOKENS_RE.match(text).end()
+    if end < len(text):
+        raise DSLError(f"unexpected character {text[end]!r}", *_line_col(text, end))
+    tokens = _TOKEN_RE.findall(text)
+    tokens.append("")
     return tokens
+
+
+def _where(text: str, index: int) -> tuple:
+    """The 1-based (line, column) of the token ``index`` of ``text``."""
+    pos = len(text)
+    for k, m in enumerate(_TOKEN_RE.finditer(text)):
+        if k == index:
+            pos = m.start()
+            break
+    return _line_col(text, pos)
+
+
+def _line_col(text: str, pos: int) -> tuple:
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
 # -- parser --------------------------------------------------------------------
 
+#: the constant folds of the binary operators
+_FOLD = {"+": add, "-": sub, "*": mul, "/": truediv}
+
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
         self.depth = 0
 
-    def peek(self) -> _Token:
+    def peek(self) -> str:
         return self.tokens[self.i]
 
-    def next(self) -> _Token:
+    def next(self) -> str:
         tok = self.tokens[self.i]
         self.i += 1
         return tok
 
+    def error(self, message: str, at: int) -> DSLError:
+        """A DSLError at the token with index ``at``."""
+        return DSLError(message, *_where(self.text, at))
+
     def fail(self, expected: str):
         tok = self.peek()
-        got = repr(tok.text) if tok.kind != "END" else "end of input"
-        raise DSLError(f"expected {expected}, got {got}", tok.line, tok.col)
+        got = repr(tok) if tok else "end of input"
+        raise self.error(f"expected {expected}, got {got}", self.i)
 
-    def enter(self, tok: _Token):
+    def enter(self, at: int):
         # the parser recurses once per nesting level; bound it
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise DSLError(
-                f"expression nested more than {MAX_NESTING} levels deep",
-                tok.line,
-                tok.col,
+            raise self.error(
+                f"expression nested more than {MAX_NESTING} levels deep", at
             )
 
     def expect(self, text: str, expected=None):
-        tok = self.peek()
-        if tok.text != text:
+        if self.peek() != text:
             self.fail(expected or f"'{text}'")
-        return self.next()
+        self.i += 1
+
+    def expect_in_call(self, text: str, name: str, kinds: str):
+        # the ',' or ')' of a call; the message is formed only on failure
+        if self.peek() != text:
+            arity = "%d argument%s" % (len(kinds), "s" if len(kinds) > 1 else "")
+            self.fail(f"'{text}' ({name} takes {arity})")
+        self.i += 1
 
     def integer(self, what="an integer") -> int:
         sign = 1
-        if self.peek().text == "-":
-            self.next()
+        if self.peek() == "-":
+            self.i += 1
             sign = -1
         tok = self.peek()
-        if tok.kind != "INT":
+        if not tok.isdecimal():
             self.fail(what)
-        self.next()
-        return sign * int(tok.text)
+        self.i += 1
+        return sign * int(tok)
 
     # expr := term (("+"|"-") term)*
     def expr(self):
         node = self.term()
-        while self.peek().text in ("+", "-"):
-            op = self.next().text
-            node = self._binop(op, node, self.term())
+        while self.peek() in ("+", "-"):
+            at = self.i
+            node = self._binop(self.next(), node, self.term(), at)
         return node
 
     # term := factor (("*"|"/") factor)*
     def term(self):
         node = self.factor()
-        while self.peek().text in ("*", "/"):
-            tok = self.next()
-            node = self._binop(tok.text, node, self.factor(), tok)
+        while self.peek() in ("*", "/"):
+            at = self.i
+            node = self._binop(self.next(), node, self.factor(), at)
         return node
 
     # factor := atom ("^" exponent)?
     def factor(self):
         node = self.atom()
-        if self.peek().text != "^":
+        if self.peek() != "^":
             return node
-        tok = self.next()
+        at = self.i
+        self.i += 1
         e = self.exponent()
         if isinstance(node, Q):
             return Q(node.exponent * e)
@@ -284,85 +310,83 @@ class _Parser:
             try:
                 return Lit(node.value ** int(e))
             except ZeroDivisionError:
-                raise DSLError("zero raised to a negative power", tok.line, tok.col)
+                raise self.error("zero raised to a negative power", at)
         return Pow(node, e)
 
     # exponent := integer | "(" integer "/" integer ")"
     def exponent(self) -> Fraction:
-        if self.peek().text != "(":
+        if self.peek() != "(":
             return Fraction(self.integer("an exponent"))
-        self.next()
+        self.i += 1
         num = self.integer("an exponent numerator")
-        tok = self.expect("/", "'/' in a rational exponent")
+        at = self.i
+        self.expect("/", "'/' in a rational exponent")
         den = self.integer("an exponent denominator")
         if den == 0:
-            raise DSLError("zero denominator in exponent", tok.line, tok.col)
+            raise self.error("zero denominator in exponent", at)
         self.expect(")")
         return Fraction(num, den)
 
     # atom := rational | "q" | call | "(" expr ")" | "-" factor | sqrt-call
     # (unary minus takes a whole factor: ^ binds tighter, so -q^2 = -(q^2))
     def atom(self):
+        at = self.i
         tok = self.peek()
-        if tok.text == "-":
-            self.next()
-            self.enter(tok)
+        if tok == "-":
+            self.i += 1
+            self.enter(at)
             node = self._neg(self.factor())
             self.depth -= 1
             return node
-        if tok.text == "(":
-            self.next()
-            self.enter(tok)
+        if tok == "(":
+            self.i += 1
+            self.enter(at)
             node = self.expr()
             self.expect(")")
             self.depth -= 1
             return node
-        if tok.kind == "INT":
-            self.next()
-            return Lit(Fraction(int(tok.text)))
-        if tok.kind == "NAME":
+        if tok.isdecimal():
+            self.i += 1
+            return Lit(Fraction(int(tok)))
+        if tok[:1] in _NAME_START:
             return self.name_atom()
         self.fail("a number, 'q', a call, '(' or '-'")
 
     def name_atom(self):
-        tok = self.next()
-        name = tok.text
+        at = self.i
+        name = self.next()
         if name == "q":
             return Q(Fraction(1))
         if name == "sqrt":
             self.expect("(", "'(' after 'sqrt'")
-            self.enter(tok)
+            self.enter(at)
             node = self.expr()
             self.expect(")")
             self.depth -= 1
             return Sqrt(node)
         if name not in _CALLS:
-            raise DSLError(f"unknown function {name!r}", tok.line, tok.col)
+            raise self.error(f"unknown function {name!r}", at)
         kinds = _CALLS[name][0]
         self.expect("(", f"'(' after {name!r}")
-        self.enter(tok)
-        arity = "%d argument%s" % (len(kinds), "s" if len(kinds) > 1 else "")
+        self.enter(at)
         args = []
         for k, kind in enumerate(kinds):
             if k:
-                self.expect(",", f"',' ({name} takes {arity})")
+                self.expect_in_call(",", name, kinds)
             if kind == "i":
                 args.append(self.integer())
             elif kind == "n":
-                arg = self.peek()
-                if arg.kind != "NAME":
+                if self.peek()[:1] not in _NAME_START:
                     self.fail("a symbol name")
-                args.append(self.next().text)
+                args.append(self.next())
             else:
                 args.append(self.expr())
-        self.expect(")", f"')' ({name} takes {arity})")
+        self.expect_in_call(")", name, kinds)
         self.depth -= 1
         if name == "subq":
             node, power = args
             if power < 1:
-                raise DSLError(
-                    "subq needs a positive substitution power", tok.line, tok.col
-                )
+                raise self.error("subq needs a positive substitution power", at)
             return Subq(node, power)
         return Call(name, tuple(args))
 
@@ -374,21 +398,11 @@ class _Parser:
             return Lit(-node.value)
         return Neg(node)
 
-    def _binop(self, op, left, right, tok=None):
+    def _binop(self, op, left, right, at: int):
         if isinstance(left, Lit) and isinstance(right, Lit):
             if op == "/" and right.value == 0:
-                raise DSLError(
-                    "division by zero in a constant",
-                    tok.line if tok else None,
-                    tok.col if tok else None,
-                )
-            f = {
-                "+": lambda a, b: a + b,
-                "-": lambda a, b: a - b,
-                "*": lambda a, b: a * b,
-                "/": lambda a, b: a / b,
-            }[op]
-            return Lit(f(left.value, right.value))
+                raise self.error("division by zero in a constant", at)
+            return Lit(_FOLD[op](left.value, right.value))
         return BinOp(op, left, right)
 
 
@@ -396,7 +410,7 @@ def parse(text: str):
     """Parse a single expression."""
     p = _Parser(text)
     node = p.expr()
-    if p.peek().kind != "END":
+    if p.peek():
         p.fail("end of input")
     return _bounded(node)
 
@@ -405,11 +419,11 @@ def parse_identity(text: str):
     """Parse "lhs == rhs"; returns the pair of expression trees."""
     p = _Parser(text)
     left = p.expr()
-    if p.peek().kind != "EQ":
+    if p.peek() != "==":
         p.fail("'=='")
     p.next()
     right = p.expr()
-    if p.peek().kind != "END":
+    if p.peek():
         p.fail("end of input")
     return _bounded(left), _bounded(right)
 
@@ -531,11 +545,11 @@ def _nesting(root) -> int:
 _CHECK = "check"
 
 
-@dataclass(frozen=True)
-class _Product:
+class _Product(NamedTuple):
     """The product leaf  q^qexp * prod call^r  over the pairs (call, r) of
     ``calls``, all eta-type calls.  A call whose exponents cancel stays in,
-    since it still bounds the truncation."""
+    since it still bounds the truncation.  A tuple, so that its ``==`` and
+    hash as a memo key run in C."""
 
     calls: frozenset
     qexp: Fraction
@@ -662,17 +676,30 @@ def _leaf(node, order: int, memo: dict) -> QSeries:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-@lru_cache(maxsize=256)
+#: id(tree) -> (tree, conversion) of the trees converted lately, at most
+#: _CONVERTED_MAX of them; the entry holds the tree, so its id stays its own
+_CONVERTED: dict = {}
+_CONVERTED_MAX = 256
+
+
 def _converted(node) -> tuple:
     """(polynomial, ((leaf, (index, spec)), ...)) of a tree: the polynomial
     over its leaves and the leaves in order of first appearance.
 
     Cached because verify converts each side for the prediction and again
-    for every pass; callers only read the result.
+    for the evaluation; callers only read the result.  The cache is keyed by
+    the tree's identity, since hashing a tree walks all of it.
     """
+    hit = _CONVERTED.get(id(node))
+    if hit is not None and hit[0] is node:
+        return hit[1]
     leaves: dict = {}
     poly = _poly(_convert(node, leaves), leaves)
-    return poly, tuple(leaves.items())
+    result = poly, tuple(leaves.items())
+    if len(_CONVERTED) >= _CONVERTED_MAX:
+        _CONVERTED.clear()
+    _CONVERTED[id(node)] = node, result
+    return result
 
 
 def _convert(node, leaves: dict):
@@ -824,9 +851,7 @@ def _monomial_only(poly: tuple) -> bool:
 
 
 def _register(node, leaves: dict, spec) -> tuple:
-    entry = leaves.get(node)
-    if entry is None:
-        entry = leaves[node] = (len(leaves), spec)
+    entry = leaves.setdefault(node, (len(leaves), spec))
     m = (0,) * entry[0] + (1,)
     return {m: 1}, {m}
 
@@ -884,10 +909,11 @@ def _value(poly: tuple, values: list, shadows: list) -> QSeries:
     """The series of a polynomial at the leaf values, cut at the truncation
     its monomials' own products give."""
     terms, _ = poly
-    names = [f"x{i}" for i in range(len(values))]
+    names = tuple(f"x{i}" for i in range(len(values)))
     pad = (0,) * len(values)
+    # terms holds nonzero coefficients on monomials of integer exponents
     result = eval_poly(
-        MultiPoly(names, {m + pad[len(m) :]: c for m, c in terms.items()}),
+        MultiPoly._make(names, {m + pad[len(m) :]: c for m, c in terms.items()}),
         dict(zip(names, values)),
     )
     if not isinstance(result, QSeries):

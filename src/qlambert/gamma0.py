@@ -16,7 +16,7 @@ All arithmetic is exact (integers and Fractions).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Sequence
 
@@ -37,18 +37,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class Cusp:
+class Cusp(namedtuple("Cusp", "a c")):
     """A cusp of the extended upper half plane, stored as a reduced fraction.
 
     ``Cusp(a, c)`` represents a/c; infinity is ``Cusp(1, 0)``.  The
     constructor reduces to lowest terms and normalizes the sign so c >= 0.
+    Cusps compare and hash as the pair (a, c).
     """
 
-    a: int
-    c: int
+    __slots__ = ()
 
-    def __init__(self, a: int, c: int) -> None:
+    def __new__(cls, a: int, c: int):
         if not (isinstance(a, int) and isinstance(c, int)):
             raise TypeError("cusp entries must be integers")
         if a == 0 and c == 0:
@@ -58,8 +57,7 @@ class Cusp:
         c //= g
         if c < 0 or (c == 0 and a < 0):
             a, c = -a, -c
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "c", c)
+        return tuple.__new__(cls, (a, c))
 
     def __str__(self) -> str:
         if self.c == 0:
@@ -128,12 +126,38 @@ def cusp_width(n: int, r) -> int:
     return n // math.gcd(c * c, n)
 
 
-@dataclass(frozen=True)
 class CuspTable:
-    """A complete set of cusp representatives of Gamma_0(level) with widths."""
+    """A complete set of cusp representatives of Gamma_0(level) with widths.
 
-    level: int
-    entries: tuple[tuple[Cusp, int], ...]
+    Immutable; iterating it yields the (cusp, width) entries.
+    """
+
+    __slots__ = ("level", "entries")
+
+    def __init__(self, level: int, entries: tuple[tuple[Cusp, int], ...]):
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "entries", entries)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not CuspTable:
+            return NotImplemented
+        return (self.level, self.entries) == (other.level, other.entries)
+
+    def __hash__(self):
+        return hash((self.level, self.entries))
+
+    def __repr__(self) -> str:
+        return f"CuspTable(level={self.level!r}, entries={self.entries!r})"
+
+    def __reduce__(self):
+        # copies and pickles go through the constructor, not __setattr__
+        return CuspTable, (self.level, self.entries)
 
     @property
     def cusps(self) -> tuple[Cusp, ...]:

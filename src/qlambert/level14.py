@@ -4,7 +4,8 @@ and the resultant elimination pipeline.
 The polynomials are read from the identity catalog, their one statement:
 EQ38 and EQ49 from ``eq-3.8`` and ``eq-4.9``, THM12_CUBIC and the degree-16
 cofactor K_POLY from ``elim-K``, F3_RELATION and F4_RELATION from ``rel-F3``
-(in z^2, g^2) and ``rel-F4`` (in t, g^2).  The quotients g1-g3, h1 and h2
+(in z^2, g^2) and ``rel-F4`` (in t, g^2).  They are read on first use, not
+at import, and then kept (``_polynomials``).  The quotients g1-g3, h1 and h2
 are the symbol table's objects, and the cusp lists of the four order tables
 (ids "3.1", "3.2", "4.1", "4.2") come from ``gamma0.cusp_set``; only the
 level-28 generalized-eta forms of h1 and h2 are stated here.
@@ -12,8 +13,9 @@ level-28 generalized-eta forms of h1 and h2 are stated here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from typing import NamedTuple
 
 from . import dsl
 from .catalog import get_identity
@@ -94,13 +96,40 @@ def _relation(name: str, x: str, x_power: int) -> BivarPoly:
     return BivarPoly(coeffs, m=max(b for _, b in coeffs), n=max(a for a, _ in coeffs))
 
 
-(EQ38,) = _left_side("eq-3.8", VAR_SYMBOLS)
-EQ37_FACTORS = (EQ38, eval_poly(EQ38, {"Z": Z, "G": -G}))
-(EQ49,) = _left_side("eq-4.9", VAR_SYMBOLS)
-_cubic, K_POLY = _left_side("elim-K", {"F": "f", "G": "g"})
-THM12_CUBIC = _cubic.with_variables(EQ38.variables)
-F3_RELATION = _relation("rel-F3", "z", 2)
-F4_RELATION = _relation("rel-F4", "t", 1)
+#: the names of the polynomials, which ``_polynomials`` forms
+_POLYNOMIALS = (
+    "EQ38",
+    "EQ37_FACTORS",
+    "EQ49",
+    "THM12_CUBIC",
+    "K_POLY",
+    "F3_RELATION",
+    "F4_RELATION",
+)
+
+
+@cache
+def _polynomials() -> dict:
+    """Each polynomial by name, read from the catalog on the first call."""
+    (eq38,) = _left_side("eq-3.8", VAR_SYMBOLS)
+    (eq49,) = _left_side("eq-4.9", VAR_SYMBOLS)
+    cubic, k_poly = _left_side("elim-K", {"F": "f", "G": "g"})
+    return {
+        "EQ38": eq38,
+        "EQ37_FACTORS": (eq38, eval_poly(eq38, {"Z": Z, "G": -G})),
+        "EQ49": eq49,
+        "THM12_CUBIC": cubic.with_variables(eq38.variables),
+        "K_POLY": k_poly,
+        "F3_RELATION": _relation("rel-F3", "z", 2),
+        "F4_RELATION": _relation("rel-F4", "t", 1),
+    }
+
+
+def __getattr__(name: str):
+    # the polynomials are module attributes that importing does not form
+    if name in _POLYNOMIALS:
+        return _polynomials()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def eliminate() -> dict:
@@ -111,24 +140,25 @@ def eliminate() -> dict:
     the remaining cofactor with K_POLY.  Returns a report with the
     stripped content and both factors.
     """
-    res = resultant_eliminate(EQ38, EQ49, "Z")
+    polys = _polynomials()
+    res = resultant_eliminate(polys["EQ38"], polys["EQ49"], "Z")
     primitive, scalar, mono = res.strip_content()
-    cofactor = exact_divide(primitive, THM12_CUBIC)
+    cubic = polys["THM12_CUBIC"]
+    cofactor = exact_divide(primitive, cubic)
     return {
         "resultant": res,
         "scalar": scalar,
         "monomial": dict(zip(res.variables, mono)),
-        "cubic": THM12_CUBIC,
+        "cubic": cubic,
         "cofactor": cofactor,
-        "cofactor_matches": cofactor == K_POLY,
+        "cofactor_matches": cofactor == polys["K_POLY"],
     }
 
 
 # ----------------------------------------------------------- order tables
 
 
-@dataclass(frozen=True)
-class TableReport:
+class TableReport(NamedTuple):
     """A labelled grid of invariant cusp orders."""
 
     table_id: str
@@ -143,9 +173,7 @@ class TableReport:
         raise KeyError(label)
 
 
-_CUSPS_14 = cusp_set(14).cusps
 _CUSPS_14_UNIT = (Cusp(1, 1), Cusp(1, 2), Cusp(1, 7), Cusp(1, 14))
-_CUSPS_28 = cusp_set(28).cusps
 
 TABLE_IDS = ("3.1", "3.2", "4.1", "4.2")
 
@@ -164,18 +192,20 @@ def order_table(table_id: str) -> TableReport:
     # a cusp order is linear in the eta exponents, so the order of a square,
     # product or inverse is twice, the sum or minus the factors' orders
     if tid == "3.1":
+        cusps_14 = cusp_set(14).cusps
         rows = tuple(
-            (label, tuple(2 * gen_eta_cusp_ord(q, 14, r) for r in _CUSPS_14))
+            (label, tuple(2 * gen_eta_cusp_ord(q, 14, r) for r in cusps_14))
             for label, q in (("g1^2", G1), ("g2^2", G2), ("g3^2", G3))
         )
-        return TableReport("3.1", 14, tuple(map(str, _CUSPS_14)), rows)
+        return TableReport("3.1", 14, tuple(map(str, cusps_14)), rows)
     if tid == "3.2":
+        cusps_14 = cusp_set(14).cusps
         rows = tuple(
             (
                 label,
                 tuple(
                     gen_eta_cusp_ord(a, 14, r) + gen_eta_cusp_ord(b, 14, r)
-                    for r in _CUSPS_14
+                    for r in cusps_14
                 ),
             )
             for label, a, b in (
@@ -184,20 +214,21 @@ def order_table(table_id: str) -> TableReport:
                 ("g2*g3", G2, G3),
             )
         )
-        return TableReport("3.2", 14, tuple(map(str, _CUSPS_14)), rows)
+        return TableReport("3.2", 14, tuple(map(str, cusps_14)), rows)
     if tid == "4.1":
+        cusps_28 = cusp_set(28).cusps
         twisted = tuple(
             eta_cusp_order(H1_ETA, 28, class_representative(28, apply_gamma(ALPHA, r)))
-            for r in _CUSPS_28
+            for r in cusps_28
         )
-        direct = tuple(eta_cusp_order(H2_ETA, 28, r) for r in _CUSPS_28)
+        direct = tuple(eta_cusp_order(H2_ETA, 28, r) for r in cusps_28)
         product = tuple(a + b for a, b in zip(twisted, direct))
         rows = (
             ("h1(alpha tau)", twisted),
             ("h2", direct),
             ("h1(alpha tau)*h2", product),
         )
-        return TableReport("4.1", 28, tuple(map(str, _CUSPS_28)), rows)
+        return TableReport("4.1", 28, tuple(map(str, cusps_28)), rows)
     if tid == "4.2":
         rows = (
             (

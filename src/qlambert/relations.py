@@ -32,7 +32,7 @@ always ``Fraction`` values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from operator import add, sub
 from typing import Mapping, Sequence
@@ -377,36 +377,26 @@ def variables(*names: str) -> tuple[MultiPoly, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class BivarPoly:
+class BivarPoly(namedtuple("BivarPoly", "coeffs m n")):
     """A monic relation X^n - Y^m + sum C_{a,b} X^a Y^b with am + bn <= mn.
 
     ``m`` and ``n`` are the pole orders at infinity of the two series the
     relation was fitted to; ``coeffs`` maps (a, b) to the coefficient of
     X^a Y^b and includes the fixed monomials (n, 0) -> 1 and (0, m) -> -1.
+    Two relations are equal when their fields are.
     """
 
-    coeffs: Mapping[tuple[int, int], Fraction]
-    m: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "coeffs",
-            {k: _rat(c) for k, c in dict(self.coeffs).items() if c},
-        )
+    def __new__(cls, coeffs: Mapping[tuple[int, int], Fraction], m: int, n: int):
+        clean = {k: _rat(c) for k, c in dict(coeffs).items() if c}
+        return tuple.__new__(cls, (clean, m, n))
 
     def as_multipoly(self, names: tuple[str, str] = ("X", "Y")) -> MultiPoly:
         return MultiPoly(names, dict(self.coeffs))
 
     def __str__(self):
         return str(self.as_multipoly())
-
-    def __eq__(self, other):
-        if not isinstance(other, BivarPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs and (self.m, self.n) == (other.m, other.n)
 
     def __hash__(self):
         # coeffs holds canonical nonzero values, so equal relations hash equal

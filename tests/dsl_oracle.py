@@ -1,6 +1,7 @@
-"""Slow reference evaluator for the DSL: the node-by-node recursion.
+"""Slow references for the DSL: the node-by-node evaluator and the
+token-object tokenizer.
 
-This is how ``qlambert.dsl.evaluate`` worked before it read polynomial
+``evaluate`` is how ``qlambert.dsl.evaluate`` worked before it read polynomial
 subtrees as polynomials: every node is evaluated on its own, a repeated
 subtree as often as it appears, and ``+``, ``-``, ``*`` and ``^`` are series
 operations in the order the tree gives them.  It shares the node types, the
@@ -8,7 +9,14 @@ call table and the printer with ``qlambert.dsl``, and none of its
 evaluation: the eta-type calls, which ``qlambert.dsl`` forms as product
 leaves, go to their own constructors here.  The differential tests compare
 the two.
+
+``tokenize`` is how ``qlambert.dsl`` tokenized before its tokens became bare
+strings: one regex match per token or run of blanks, each token an object
+carrying its kind, text, line and column.
 """
+
+import re
+from dataclasses import dataclass
 
 from qlambert.constructors import eta, gen_eta, pi_q, theta_f
 from qlambert.dsl import _CALLS, BinOp, Call, Lit, Neg, Pow, Q, Sqrt, Subq, to_text
@@ -70,3 +78,46 @@ def _wrap(node, func, *args):
     except (ArithmeticError, ValueError, KeyError) as err:
         message = err.args[0] if err.args else str(err)
         raise DSLError(f"{message} in '{to_text(node)}'") from err
+
+
+# -- tokenizer -------------------------------------------------------------------
+
+_TOKEN_RE = re.compile(
+    r"(?P<WS>\s+)"
+    r"|(?P<INT>\d+)"
+    r"|(?P<NAME>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<EQ>==)"
+    r"|(?P<OP>[-+*/^(),])"
+)
+
+
+@dataclass(frozen=True)
+class Token:
+    kind: str
+    text: str
+    line: int
+    col: int
+
+
+def tokenize(text: str) -> list:
+    """The tokens of ``text``, ending with an END token; a character that
+    starts no token is a DSLError at its line and column."""
+    tokens = []
+    pos, line, start = 0, 1, 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            raise DSLError(
+                f"unexpected character {text[pos]!r}", line, pos - start + 1
+            )
+        kind = m.lastgroup
+        if kind != "WS":
+            tokens.append(Token(kind, m.group(), line, pos - start + 1))
+        else:
+            line += m.group().count("\n")
+            nl = text.rfind("\n", pos, m.end())
+            if nl >= 0:
+                start = nl + 1
+        pos = m.end()
+    tokens.append(Token("END", "", line, len(text) - start + 1))
+    return tokens

@@ -8,7 +8,8 @@ with the oracle run at a wider window.  Every failure must raise the same
 exception type with the same message.  Products of eta-type calls get a
 strategy of their own, since the evaluator forms each one as a single
 q-product.  The shipped catalog is checked the same way at the windows
-``verify`` evaluates at.
+``verify`` evaluates at.  The string tokenizer is checked against the
+oracle's token objects, kinds, lines and columns included.
 """
 
 from collections import Counter
@@ -356,3 +357,61 @@ def test_a_product_fails_with_the_message_of_its_bad_call(text, message):
         with pytest.raises(DSLError) as err:
             evaluate_fn(node, 10)
         assert str(err.value) == message
+
+
+# ------------------------------------------------------------------ tokenizer
+
+
+def _kind(token: str) -> str:
+    # a token's kind as the parser reads it off its text
+    if not token:
+        return "END"
+    if token.isdecimal():
+        return "INT"
+    if token[0] in dsl._NAME_START:
+        return "NAME"
+    return "EQ" if token == "==" else "OP"
+
+
+def _tokens(tokenize, text):
+    """(kind, text, line, col) of each token, or the DSLError's (message,
+    line, col)."""
+    try:
+        tokens = tokenize(text)
+    except DSLError as err:
+        return "error", str(err), err.line, err.col
+    if tokenize is oracle.tokenize:
+        return [(t.kind, t.text, t.line, t.col) for t in tokens]
+    return [(_kind(t), t, *dsl._where(text, i)) for i, t in enumerate(tokens)]
+
+
+# texts pieced together from tokens, blanks and line breaks, and now and
+# then a character that starts no token: a lone "=", punctuation, a
+# non-ASCII letter, a superscript digit (not a decimal digit) or any other;
+# an Arabic-Indic digit is a decimal digit, so it makes an integer
+_TOKEN_PIECES = st.sampled_from(
+    ["q", "eta", "x_1", "12", "\u0663", "0", "==", "+", "-", "*", "/", "^", "(", ")", ","]
+)
+_BLANKS = st.sampled_from([" ", "\n", "\t", "\r\n", "\n\n  ", "\u2028", "\x0b"])
+_STRAYS = st.one_of(st.sampled_from(["=", "$", ".", "\u00e9", "\u00b2"]), st.characters())
+_TOKEN_TEXT = st.lists(
+    st.one_of(_TOKEN_PIECES, _BLANKS, _TOKEN_PIECES, _BLANKS, _STRAYS), max_size=30
+).map("".join)
+
+
+@settings(max_examples=300)
+@given(_TOKEN_TEXT)
+def test_tokens_agree_with_the_oracle(text):
+    assert _tokens(dsl._tokenize, text) == _tokens(oracle.tokenize, text)
+
+
+@pytest.mark.parametrize("name", sorted(catalog.load_catalog()))
+def test_catalog_lines_tokenize_and_parse_as_with_the_oracle(name, monkeypatch):
+    record = catalog.get_identity(name)
+    line = record.source
+    assert _tokens(dsl._tokenize, line) == _tokens(oracle.tokenize, line)
+    # the parser fed the oracle's token texts gives the catalog's trees
+    monkeypatch.setattr(
+        dsl, "_tokenize", lambda text: [t.text for t in oracle.tokenize(text)]
+    )
+    assert dsl.parse_identity(line) == (record.left, record.right)
