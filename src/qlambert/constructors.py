@@ -19,6 +19,14 @@ solves the product's logarithmic-derivative recurrence by halves
 (``_solve``), so past a short block its work is big-integer products
 (``series._packed_product``), not one multiplication per pair of terms.
 
+What the kernel solves is the product's *exponent sequence* c(m), the
+power of (1 - q^m) for m below the window: theta(-1,1,-1,1) and
+eta(1)^2/eta(2) state one product and read one c.  The solved unit part is
+memoized on c (``_memo_unit_part``, an ``lru_cache`` whose ``cache_info()``
+shows hits and misses), process-wide and bounded to ``_MEMO_ENTRIES``
+windows of at most ``_MEMO_SLOTS`` slots; a hit costs forming and hashing
+c, O(w), and sign and prefactor are applied after the lookup.
+
 The primitive products (``pochhammer``, ``eta``, ``gen_eta``, ``theta_f``,
 ``lambert_mod``, ``pi_q``) take an *absolute* exponent ceiling ``order``:
 the result is known modulo ``q^order`` (often a little further).  The named
@@ -33,6 +41,7 @@ stated, since a build is cut at its own valuation plus R.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from collections import namedtuple
@@ -40,6 +49,8 @@ from fractions import Fraction
 from operator import add, mul
 
 from .series import QSeries, _packed_product
+
+_ZERO = Fraction(0)
 
 
 #: a range of at most this many coefficients is solved by the direct
@@ -78,29 +89,61 @@ def _qproduct(statement: tuple, order) -> QSeries:
     sign * q^pref * prod over ``factors`` {(a, b): r} of (q^a; q^b)_inf^r,
     known modulo q^order.
 
-    The unit part f is known modulo q^w with w = max(1, ceil(order - pref)).
-    It comes by integer arithmetic from its logarithmic derivative,
-    k f_k = sum_{j=1..k} s_j f_(k-j),  where s_j is minus the sum of r * m
-    over the factors (1 - q^m)^r with m | j; no series power, product or
-    inverse is formed.  ``_solve`` runs the recurrence by halves, so a long
-    window costs big-integer products rather than w^2 / 2 multiplications.
-    With pref = n/d in lowest terms the result lives on the grid 1/d, and f
-    is handed over as is, one slot per power of q at stride d.
+    The unit part f is known modulo q^w with w = max(1, ceil(order - pref)),
+    and depends only on the product's exponent sequence c(1..w-1), c(m) the
+    power of (1 - q^m): a factor (a, b, r) adds r to c(a), c(a + b), ...
+    (one slice-add), so every way of writing one product, as a theta
+    function or as an eta quotient, say, reads the same c.  ``_unit_part``
+    is memoized on c for windows of at most ``_MEMO_SLOTS`` slots (a wider
+    one is solved every time); sign and prefactor are applied after the
+    lookup, so a hit equals a cold build field for field.  With pref = n/d
+    in lowest terms the result lives on the grid 1/d, and f is handed over
+    as is, one slot per power of q at stride d.
     """
     factors, pref, sign = statement
     pref = Fraction(pref)
     w = max(1, math.ceil(Fraction(order) - pref))
-    s = [0] * w
+    c = [0] * w
     for (a, b), r in factors.items():
-        for m in range(a, w, b):
-            for j in range(m, w, m):
-                s[j] -= r * m
-    f = [1] + [0] * (w - 1)
-    _solve(f, s, 0, w)
+        c[a:w:b] = [x + r for x in c[a:w:b]]
+    c = tuple(c)
+    f = _memo_unit_part(c) if w <= _MEMO_SLOTS else _unit_part(c)
     if sign < 0:
         f = [-x for x in f]
     n, d = pref.numerator, pref.denominator
     return QSeries._make(f, n, d, n + w * d, d)
+
+
+def _unit_part(c: tuple) -> tuple:
+    """The coefficients f_0 .. f_(w-1) of  prod_{m=1..w-1} (1 - q^m)^c(m)
+    modulo q^w, for w = len(c) (c[0] is unused).
+
+    They come by integer arithmetic from the logarithmic derivative,
+    k f_k = sum_{j=1..k} s_j f_(k-j)  with  s_j = -sum_{m | j} m c(m)  (one
+    harmonic pass over the m with c(m) != 0); no series power, product or
+    inverse is formed.  ``_solve`` runs the recurrence by halves, so a long
+    window costs big-integer products rather than w^2 / 2 multiplications.
+    """
+    w = len(c)
+    s = [0] * w
+    for m in range(1, w):
+        if c[m]:
+            rm = c[m] * m
+            for j in range(m, w, m):
+                s[j] -= rm
+    f = [1] + [0] * (w - 1)
+    _solve(f, s, 0, w)
+    return tuple(f)
+
+
+#: the memo of ``_unit_part``: process-wide, thread-safe, and bounded to
+#: _MEMO_ENTRIES windows of at most _MEMO_SLOTS slots each (a wider window,
+#: such as one ``expand`` at a huge order, is solved and not kept).  One
+#: ``verify --all`` states 45 distinct products of at most 67 slots; a hit
+#: costs building and hashing the key, O(w), instead of the solve
+_MEMO_ENTRIES = 64
+_MEMO_SLOTS = 1024
+_memo_unit_part = functools.lru_cache(maxsize=_MEMO_ENTRIES)(_unit_part)
 
 
 def _power_product(parts, pref=0) -> tuple:
@@ -129,9 +172,8 @@ def eta_type_product(parts: list, order, q_exponent=0) -> QSeries:
     that is one ``_qproduct`` call, forms it.
     """
     w = min(max(1, math.ceil(Fraction(order) - p)) for (_, p, _), _ in parts)
-    # the merged statement's prefactor, read off without merging the factors
-    pref = q_exponent + sum(r * p for (_, p, _), r in parts)
-    return EtaTypeProduct(parts, q_exponent).series(pref + w)
+    product = EtaTypeProduct(parts, q_exponent)
+    return product.series(product.prefactor_exponent() + w)
 
 
 def _factor_dict(triples) -> dict:
@@ -230,7 +272,9 @@ class _Quotient:
         return _power_product((self._part(i), r) for i, r in self.exponents.items())
 
     def prefactor_exponent(self) -> Fraction:
-        return self.statement()[1]
+        # read off the parts: merging the factors would state the product
+        # once here and again in ``series``
+        return sum((r * self._part(i)[1] for i, r in self.exponents.items()), _ZERO)
 
     def series(self, order) -> QSeries:
         """The product modulo q^order."""
@@ -306,6 +350,9 @@ class EtaTypeProduct(
     def statement(self) -> tuple:
         return _power_product(self.parts, self.q_exponent)
 
+    def prefactor_exponent(self) -> Fraction:
+        return Fraction(self.q_exponent) + sum(r * p for (_, p, _), r in self.parts)
+
     series = _Quotient.series
 
 
@@ -364,7 +411,7 @@ def lambert_mod(r: int, modulus: int, order) -> QSeries:
         for m in range(n, order, n):
             c[m] += m // n
         n += modulus
-    return QSeries(c, 0, 1, order)
+    return QSeries._make(c, 0, 1, order)
 
 
 def lambert_L(k: int, order) -> QSeries:

@@ -7,17 +7,23 @@ common truncation, so it would miss a short window or a wrong exponent that
 shows only at high order.
 """
 
+import json
+import os
 import random
+import subprocess
 import sys
 import threading
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import products_oracle as oracle
+import qlambert
 from qlambert import constructors
+from qlambert.series import QSeries
 from qlambert.constructors import (
     SYMBOL_NAMES,
     EtaQuotient,
@@ -25,6 +31,7 @@ from qlambert.constructors import (
     eta,
     gen_eta,
     gosper_symbols,
+    lambert_mod,
     pi_q,
     pochhammer,
     theta_f,
@@ -209,3 +216,177 @@ def test_concurrent_requests_build_each_window_once(monkeypatch):
         sys.setswitchinterval(interval)
     assert not wrong
     assert len(built) == len(set(built)), sorted(built)
+
+
+# -- the memo of the product kernel's unit part ------------------------------
+
+memo = constructors._memo_unit_part
+
+#: one product stated two ways, as in the ``deep`` benchmark workload:
+#: theta(-1,1,-1,1) = eta(1)^2/eta(2), theta(1,1,1,1) = eta(2)^5/(eta(1)^2
+#: eta(4)^2) and prod_g geta(11, g) = eta(1)/eta(11); each pair has one
+#: prefactor, so at one order both read one exponent sequence
+SAME_PRODUCT = [
+    (
+        lambda order: theta_f(-1, 1, -1, 1, order),
+        lambda order: EtaQuotient(2, {1: 2, 2: -1}).series(order),
+    ),
+    (
+        lambda order: theta_f(1, 1, 1, 1, order),
+        lambda order: EtaQuotient(4, {1: -2, 2: 5, 4: -2}).series(order),
+    ),
+    (
+        lambda order: GenEtaQuotient(11, {g: 1 for g in range(1, 6)}).series(order),
+        lambda order: EtaQuotient(11, {1: 1, 11: -1}).series(order),
+    ),
+]
+
+
+@contextmanager
+def counted_solves(monkeypatch):
+    """The windows of the top-level ``_solve`` calls made inside the block."""
+    windows = []
+    solve = constructors._solve
+
+    def counted(f, s, l, r):
+        if l == 0 and r == len(f):
+            windows.append(r)
+        return solve(f, s, l, r)
+
+    monkeypatch.setattr(constructors, "_solve", counted)
+    try:
+        yield windows
+    finally:
+        monkeypatch.setattr(constructors, "_solve", solve)
+
+
+@pytest.mark.parametrize("pair", range(len(SAME_PRODUCT)))
+def test_one_product_stated_two_ways_is_solved_once(monkeypatch, pair):
+    first, second = SAME_PRODUCT[pair]
+    memo.cache_clear()
+    with counted_solves(monkeypatch) as windows:
+        a, b = first(300), second(300)
+    assert len(windows) == 1
+    assert exact(a) == exact(b)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: theta_f(1, 1, 1, 1, 470),
+        lambda: EtaQuotient(14, {1: 3, 2: -1, 7: -3, 14: 1}).series(200),
+        lambda: gen_eta(7, 8, 2 * B + 1),  # a negative sign
+        lambda: pi_q(7, 90),  # a prefactor on the grid 1/4
+        lambda: pochhammer(-1, 3, 5, 120),
+    ],
+)
+def test_a_hit_equals_a_cold_build(build):
+    memo.cache_clear()
+    build()
+    hits = memo.cache_info().hits
+    hit = build()
+    assert memo.cache_info().hits == hits + 1
+    memo.cache_clear()
+    cold = build()
+    assert memo.cache_info().hits == 0
+    assert exact(hit) == exact(cold)
+
+
+def test_sign_and_prefactor_are_applied_after_the_lookup():
+    # geta(7, 8) = -eta_{7,1}, and eta(1) = q^(1/24) (q; q): each pair reads
+    # one exponent sequence
+    memo.cache_clear()
+    plus, minus = gen_eta(7, 1, 200), gen_eta(7, 8, 200)
+    bare, shifted = pochhammer(1, 1, 1, 100), eta(1, 100)
+    assert memo.cache_info().misses == 2
+    assert exact(plus) == exact(oracle.gen_eta(7, 1, 200))
+    assert exact(minus) == exact(oracle.gen_eta(7, 8, 200))
+    assert exact(bare) == exact(oracle.pochhammer(1, 1, 1, 100))
+    assert exact(shifted) == exact(oracle.eta(1, 100))
+
+
+def test_the_memo_is_bounded(monkeypatch):
+    memo.cache_clear()
+    # distinct exponent sequences at a window of 80 slots: (q; q^b) for each b
+    for b in range(1, constructors._MEMO_ENTRIES + 10):
+        pochhammer(1, 1, b, 80)
+    assert memo.cache_info().currsize == constructors._MEMO_ENTRIES
+    # a window wider than _MEMO_SLOTS is solved every time and never kept
+    memo.cache_clear()
+    wide = constructors._MEMO_SLOTS + 1
+    with counted_solves(monkeypatch) as windows:
+        first, again = pochhammer(1, 53, 53, wide), pochhammer(1, 53, 53, wide)
+    assert windows == [wide, wide]
+    assert memo.cache_info().currsize == 0
+    assert exact(first) == exact(again) == exact(oracle.pochhammer(1, 53, 53, wide))
+
+
+def test_concurrent_builds_of_one_product_agree():
+    builds = [build for pair in SAME_PRODUCT for build in pair]
+    want = [exact(oracle.theta_product(-1, 1, -1, 1, 200))] * 2 + [
+        exact(oracle.theta_product(1, 1, 1, 1, 200))
+    ] * 2 + [exact(oracle.eta_quotient(11, {1: 1, 11: -1}, 200))] * 2
+    wrong = []
+    start = threading.Barrier(4)
+
+    def worker(seed):
+        order = list(range(len(builds))) * 3
+        random.Random(seed).shuffle(order)
+        start.wait(timeout=60)
+        for k in order:
+            if exact(builds[k](200)) != want[k]:
+                wrong.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        memo.cache_clear()
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not wrong
+    assert memo.cache_info().currsize == len(SAME_PRODUCT)
+
+
+def test_importing_the_cli_leaves_the_memo_empty():
+    package = Path(qlambert.__file__).resolve().parent
+    done = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import json, qlambert.cli\n"
+            "from qlambert import constructors\n"
+            "print(json.dumps(constructors._memo_unit_part.cache_info()._asdict()))",
+        ],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(package.parent)},
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    info = json.loads(done.stdout)
+    assert info["currsize"] == info["hits"] == info["misses"] == 0
+
+
+@given(st.integers(-8, 8), st.integers(1, 30), st.integers(1, 200))
+def test_lambert_mod_equals_its_coerced_construction(r, modulus, order):
+    got = lambert_mod(r, modulus, order)
+    c = [0] * order
+    for n in range(1, order):
+        if n % modulus == r % modulus:
+            for m in range(n, order, n):
+                c[m] += m // n
+    want = QSeries(c, 0, 1, order)
+    assert (got.D, got.v, got.S, got.T, got.coeffs) == (
+        want.D,
+        want.v,
+        want.S,
+        want.T,
+        want.coeffs,
+    )
+    assert all(type(x) is int for x in got.coeffs)
