@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 import products_oracle as oracle
 import qlambert
 from qlambert import constructors
-from qlambert.series import QSeries
 from qlambert.constructors import (
     SYMBOL_NAMES,
     EtaQuotient,
@@ -36,6 +35,7 @@ from qlambert.constructors import (
     pochhammer,
     theta_f,
 )
+from qlambert.series import QSeries
 
 signs = st.sampled_from([1, -1])
 orders = st.integers(1, 300)
@@ -242,9 +242,8 @@ SAME_PRODUCT = [
 ]
 
 
-@contextmanager
-def counted_solves(monkeypatch):
-    """The windows of the top-level ``_solve`` calls made inside the block."""
+def counted_solves(monkeypatch) -> list:
+    """The windows of the top-level ``_solve`` calls made from now on."""
     windows = []
     solve = constructors._solve
 
@@ -254,18 +253,15 @@ def counted_solves(monkeypatch):
         return solve(f, s, l, r)
 
     monkeypatch.setattr(constructors, "_solve", counted)
-    try:
-        yield windows
-    finally:
-        monkeypatch.setattr(constructors, "_solve", solve)
+    return windows
 
 
 @pytest.mark.parametrize("pair", range(len(SAME_PRODUCT)))
 def test_one_product_stated_two_ways_is_solved_once(monkeypatch, pair):
     first, second = SAME_PRODUCT[pair]
     memo.cache_clear()
-    with counted_solves(monkeypatch) as windows:
-        a, b = first(300), second(300)
+    windows = counted_solves(monkeypatch)
+    a, b = first(300), second(300)
     assert len(windows) == 1
     assert exact(a) == exact(b)
 
@@ -314,8 +310,8 @@ def test_the_memo_is_bounded(monkeypatch):
     # a window wider than _MEMO_SLOTS is solved every time and never kept
     memo.cache_clear()
     wide = constructors._MEMO_SLOTS + 1
-    with counted_solves(monkeypatch) as windows:
-        first, again = pochhammer(1, 53, 53, wide), pochhammer(1, 53, 53, wide)
+    windows = counted_solves(monkeypatch)
+    first, again = pochhammer(1, 53, 53, wide), pochhammer(1, 53, 53, wide)
     assert windows == [wide, wide]
     assert memo.cache_info().currsize == 0
     assert exact(first) == exact(again) == exact(oracle.pochhammer(1, 53, 53, wide))
@@ -323,9 +319,12 @@ def test_the_memo_is_bounded(monkeypatch):
 
 def test_concurrent_builds_of_one_product_agree():
     builds = [build for pair in SAME_PRODUCT for build in pair]
-    want = [exact(oracle.theta_product(-1, 1, -1, 1, 200))] * 2 + [
-        exact(oracle.theta_product(1, 1, 1, 1, 200))
-    ] * 2 + [exact(oracle.eta_quotient(11, {1: 1, 11: -1}, 200))] * 2
+    products = [
+        oracle.theta_product(-1, 1, -1, 1, 200),
+        oracle.theta_product(1, 1, 1, 1, 200),
+        oracle.eta_quotient(11, {1: 1, 11: -1}, 200),
+    ]
+    want = [exact(product) for product in products for _ in range(2)]
     wrong = []
     start = threading.Barrier(4)
 
