@@ -11,10 +11,14 @@ exponent and the sign of  sign * q^pref * prod (q^a; q^b)_inf^r.  A signed
 factor enters through (-q^a; q^b) = (q^(2a); q^(2b)) / (q^a; q^b).  The
 ``*_statement`` functions check their input and state the primitives
 ``eta``, ``geta``, ``pi`` and ``theta``; the constructors are "check, then
-``_qproduct``" over them.  A product of integer powers of statements is a
-statement too (``_power_product``): the quotient classes are built that way,
-and the DSL forms a product of eta-type calls as one ``_qproduct`` call, an
-``EtaTypeProduct`` at the window of ``eta_type_product``.  The kernel
+``_qproduct``" over them.  A prefactor is one ``Fraction`` formed from
+integers: eta_{N,g}'s is (6 g^2 - 6 g N + N^2) / (12 N).  A product of
+integer powers of statements is a statement too (``_power_product``): the
+quotient classes are built that way, each distinct quotient stated once
+(``_memo_statement``, keyed by class, level and exponents, with a read-only
+factor dict), and the DSL forms a product of eta-type calls as one
+``_qproduct`` call, an ``EtaTypeProduct`` at the window of
+``eta_type_product``.  The kernel
 solves the product's logarithmic-derivative recurrence by halves
 (``_solve``), so past a short block its work is big-integer products
 (``series._packed_product``), not one multiplication per pair of terms.
@@ -47,11 +51,9 @@ import threading
 from collections import namedtuple
 from fractions import Fraction
 from operator import add, mul
+from types import MappingProxyType
 
 from .series import QSeries, _packed_product
-
-_ZERO = Fraction(0)
-
 
 #: a range of at most this many coefficients is solved by the direct
 #: recurrence; a longer one is halved (``_solve``)
@@ -216,14 +218,12 @@ def eta(delta: int, order) -> QSeries:
     return _qproduct(eta_statement(delta), order)
 
 
-def _b2(t: Fraction) -> Fraction:
-    # second Bernoulli polynomial
-    return t * t - t + Fraction(1, 6)
-
-
 def gen_eta_prefactor(level: int, g: int) -> Fraction:
-    """Leading exponent  level * B2(g/level) / 2  of eta_{level,g}."""
-    return Fraction(level, 2) * _b2(Fraction(g % level, level))
+    """Leading exponent  level * B2(g/level) / 2  of eta_{level,g}, for B2
+    the second Bernoulli polynomial; with g reduced modulo the level this is
+    (6 g^2 - 6 g level + level^2) / (12 level), formed in integers."""
+    g %= level
+    return Fraction(6 * g * (g - level) + level * level, 12 * level)
 
 
 def _gen_eta_index(level: int, g: int) -> tuple:
@@ -255,11 +255,31 @@ def gen_eta(level: int, g: int, order) -> QSeries:
     return _qproduct(gen_eta_statement(level, g), order)
 
 
+def _state(cls, level: int, items: tuple) -> tuple:
+    """The statement of the ``cls`` quotient of ``level`` with exponent
+    ``items`` ((index, r) pairs), its factor dict read-only."""
+    factors, pref, sign = _power_product(
+        (cls._part(level, i), r) for i, r in items
+    )
+    return MappingProxyType(factors), pref, sign
+
+
+#: the memo of ``_state``: process-wide, thread-safe and bounded.  Its key is
+#: (class, level, exponent items), since an eta quotient and a generalized
+#: eta quotient with equal fields compare equal as tuples.  One ``verify
+#: --all`` states 7 distinct quotients in 50 requests, and the benchmark's
+#: algebra workload 11 in 163; a hit costs hashing the key
+_STATEMENT_ENTRIES = 128
+_memo_statement = functools.lru_cache(maxsize=_STATEMENT_ENTRIES)(_state)
+
+
 class _Quotient:
     """A product of integer powers of eta-type functions.  For one family,
-    ``exponents`` maps an index to its exponent and ``_part`` states the
-    function of an index.  Each class is an immutable named tuple of its
-    fields.
+    ``exponents`` maps an index to its exponent and ``_part(level, index)``
+    states the function of an index.  Each class is an immutable named
+    tuple of its fields, and its statement is formed once per distinct
+    value (``_memo_statement``), for its series, its prefactor exponent and
+    its float value (``numeric``) alike.
 
     ``series`` is the product layer's one method: each class binds it in its
     own namespace, where a tracer that looks a class's ``series`` up there
@@ -269,12 +289,11 @@ class _Quotient:
     __slots__ = ()
 
     def statement(self) -> tuple:
-        return _power_product((self._part(i), r) for i, r in self.exponents.items())
+        """(factors, pref, sign), the factor dict read-only."""
+        return _memo_statement(type(self), self.level, tuple(self.exponents.items()))
 
     def prefactor_exponent(self) -> Fraction:
-        # read off the parts: merging the factors would state the product
-        # once here and again in ``series``
-        return sum((r * self._part(i)[1] for i, r in self.exponents.items()), _ZERO)
+        return self.statement()[1]
 
     def series(self, order) -> QSeries:
         """The product modulo q^order."""
@@ -307,7 +326,8 @@ class EtaQuotient(_Quotient, namedtuple("EtaQuotient", "level exponents")):
     def weight(self) -> Fraction:
         return Fraction(sum(self.exponents.values()), 2)
 
-    def _part(self, delta: int) -> tuple:
+    @staticmethod
+    def _part(level: int, delta: int) -> tuple:
         return eta_statement(delta)
 
     series = _Quotient.series
@@ -332,8 +352,7 @@ class GenEtaQuotient(_Quotient, namedtuple("GenEtaQuotient", "level exponents"))
             clean[g] = int(r)
         return tuple.__new__(cls, (level, clean))
 
-    def _part(self, g: int) -> tuple:
-        return gen_eta_statement(self.level, g)
+    _part = staticmethod(gen_eta_statement)
 
     series = _Quotient.series
 

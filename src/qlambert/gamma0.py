@@ -10,7 +10,8 @@ Conventions used throughout:
   invariant quotient has integer orders summing to zero over a full set
   of representatives.
 
-All arithmetic is exact (integers and Fractions).
+All arithmetic is exact: the orders are summed in integers, and each is one
+Fraction.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import Sequence
 
-from .constructors import EtaQuotient, GenEtaQuotient, _b2
+from .constructors import EtaQuotient, GenEtaQuotient
 
 __all__ = [
     "Cusp",
@@ -245,17 +246,19 @@ def eta_cusp_order(quot: EtaQuotient, n: int, r) -> Fraction:
     With c the denominator of the cusp's representative in ``cusp_set(n)``,
     gcd(c0, n) for a cusp a0/c0 (0, infinity, when n | c0), the order is
     (n / (24 gcd(c^2, n))) * sum gcd(c, delta)^2 r_delta / delta.  At
-    infinity this is the q-valuation.
+    infinity this is the q-valuation.  With N the quotient's level, the sum
+    is taken in integers as sum gcd(c, delta)^2 r_delta (N / delta), and the
+    order is one Fraction of it over 24 N.
     """
     cusp = _as_cusp(r)
     if n < 1:
         raise ValueError("level must be a positive integer")
     c = math.gcd(cusp.c, n) % n
+    level = quot.level
     total = sum(
-        (Fraction(math.gcd(c, d) ** 2, d) * rd for d, rd in quot.exponents.items()),
-        Fraction(0),
+        math.gcd(c, d) ** 2 * rd * (level // d) for d, rd in quot.exponents.items()
     )
-    return Fraction(cusp_width(n, cusp), 24) * total
+    return Fraction(cusp_width(n, cusp) * total, 24 * level)
 
 
 def gen_eta_cusp_ord(quot: GenEtaQuotient, n: int, r) -> Fraction:
@@ -268,16 +271,18 @@ def gen_eta_cusp_ord(quot: GenEtaQuotient, n: int, r) -> Fraction:
         m0 = (d^2 / 2M) * sum_g r_g P2(a g / d),
         Ord = (n / gcd(c^2, n)) * m0,
 
-    where P2 is the periodic second Bernoulli polynomial.  At infinity
-    (1, 0) this is the q-valuation; M need not divide n, which is what
-    the mixed-level tables use.
+    where P2 is the periodic second Bernoulli polynomial.  With k = a g mod d,
+    d^2 P2(a g / d) = k^2 - k d + d^2 / 6, so the sum is taken in integers as
+    m0 = sum_g r_g (6 k^2 - 6 k d + d^2) / (12 M), and the order is one
+    Fraction.  At infinity (1, 0) this is the q-valuation; M need not divide
+    n, which is what the mixed-level tables use.
     """
     cusp = _as_cusp(r)
     a, c = cusp.a, cusp.c
     m = quot.level
     d = math.gcd(c, m)
-    m0 = Fraction(d * d, 2 * m) * sum(
-        (rg * _b2(Fraction(a * g, d) % 1) for g, rg in quot.exponents.items()),
-        Fraction(0),
-    )
-    return cusp_width(n, cusp) * m0
+    total = 0
+    for g, rg in quot.exponents.items():
+        k = a * g % d
+        total += rg * (6 * k * (k - d) + d * d)
+    return Fraction(cusp_width(n, cusp) * total, 12 * m)

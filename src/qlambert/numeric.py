@@ -5,10 +5,12 @@ statements that are not pure q-series identities (modular transformation
 laws, evaluations at specific points).  Everything runs in ordinary double
 precision with geometric tail bounds on the truncated products.  Every
 product, ``eta_value`` and ``gen_eta_value`` included, is evaluated from the
-factor dict of its ``EtaQuotient`` or ``GenEtaQuotient``, the same dict its
-series is built from, and the named level-14 functions from the same symbol
-table as :func:`~qlambert.constructors.gosper_symbols`.  A value that leaves
-double precision far up the half-plane is a ValueError naming the point.
+statement of its ``EtaQuotient`` or ``GenEtaQuotient``, the one memoized
+statement its series is built from, and the named level-14 functions from
+the same symbol table as :func:`~qlambert.constructors.gosper_symbols`.
+Unit phases e^(pi i n/d) are formed from the integers n and d.  A value
+that leaves double precision far up the half-plane is a ValueError naming
+the point.
 """
 
 import cmath
@@ -205,22 +207,23 @@ def _check_gamma0(gamma, level: int):
     return a, b, c, d
 
 
-def _unit_phase(r) -> complex:
-    """e^(pi i r), exact at quarter-integer r so that degenerate cases
-    (identity matrices, sign laws) come out with deviation exactly 0."""
-    r = Fraction(r) % 2
-    half, rem = divmod(r, Fraction(1, 2))
+def _unit_phase(n: int, d: int) -> complex:
+    """e^(pi i n/d) for integers n and d > 0, exact at half-integer n/d (the
+    quarter turns 1, i, -1, -i) so that degenerate cases (identity matrices,
+    sign laws) come out with deviation exactly 0."""
+    n %= 2 * d
+    quarter, rem = divmod(2 * n, d)
     if not rem:
-        return (1 + 0j, 1j, -1 + 0j, -1j)[half % 4]
-    return cmath.exp(1j * math.pi * float(r))
+        return (1 + 0j, 1j, -1 + 0j, -1j)[quarter]
+    return cmath.exp(1j * math.pi * (n / d))
 
 
 def epsilon(a: int, b: int, c: int, d: int) -> complex:
     """Unit multiplier of the generalized eta transformation, split on the
     parity of c."""
     if c % 2:
-        return _unit_phase(Fraction(b * d * (1 - c * c) + c * (a + d - 3), 6))
-    return -1j * _unit_phase(Fraction(a * c * (1 - d * d) + d * (b - c + 3), 6))
+        return _unit_phase(b * d * (1 - c * c) + c * (a + d - 3), 6)
+    return -1j * _unit_phase(a * c * (1 - d * d) + d * (b - c + 3), 6)
 
 
 _SAMPLES = (0.1 + 1.5j, -0.3 + 0.8j, 0.25 + 0.6j, 2j, Fraction(1, 3) + 1j)
@@ -240,7 +243,7 @@ def check_gen_eta_transform(level: int, g: int, gamma, samples=_SAMPLES) -> floa
             "the transformation formula needs a nonzero lower-left entry"
         )
     eps = epsilon(a, b * level, cc // level, d)
-    phase = _unit_phase(Fraction(g * g * a * b, level) - g * b)
+    phase = _unit_phase(g * g * a * b - g * b * level, level)
     dev = 0.0
     for tau in samples:
         tau = _domain(tau)

@@ -38,7 +38,7 @@ from operator import add, sub
 from typing import Mapping, Sequence
 
 from .errors import ExactDivisionError, PrecisionError
-from .series import QSeries
+from .series import QSeries, _sum
 
 __all__ = [
     "BivarPoly",
@@ -625,6 +625,16 @@ def vanishing_factor(factors: Sequence[MultiPoly], assignment) -> int:
 # ---------------------------------------------------------------- relations
 
 
+def _head(s: QSeries, lo: int, count: int) -> list:
+    """The coefficients of q^lo .. q^(lo + count - 1) of a series on the
+    integer grid that is known there and starts at or after q^lo."""
+    out = [0] * count
+    j, step = s.v - lo, s.S or 1
+    cs = s.coeffs[: max(0, -((j - count) // step))]
+    out[j : j + len(cs) * step : step] = cs
+    return out
+
+
 def find_relation(x: QSeries, y: QSeries) -> BivarPoly:
     """The monic bivariate relation between two series with poles at infinity.
 
@@ -686,24 +696,32 @@ def find_relation(x: QSeries, y: QSeries) -> BivarPoly:
     # Each unknown x^a y^b starts with a 1 at its own q^-(am+bn); for coprime
     # m, n those orders are distinct and below mn, so the rows of q^-mn ..
     # q^0 are unit triangular.  Clearing the residual's coefficients from
-    # q^-mn up fixes each C_ab at its own row, every other row must already
-    # be 0, and what is left is the residual through the full truncation.
+    # q^-mn up fixes each C_ab at its own row, and every other row must
+    # already be 0.  The sweep runs on the heads alone (row i holds the
+    # coefficient of q^(i - mn)), a monomial's head read once, when its row
+    # is reached; the residual through the full truncation is then formed
+    # once, as one linear combination of the monomials.
     rows = {a * m + b * n: (a, b) for a, b in unknowns}
-    coeffs: dict[tuple[int, int], Fraction] = {(n, 0): Fraction(1), (0, m): Fraction(-1)}
-    residual = monos[(n, 0)] - monos[(0, m)]
-    for k in range(m * n, -min(t_min, 1), -1):
-        c = residual.coefficient(-k)
+    count = m * n + min(t_min, 1)
+    residual = list(
+        map(sub, _head(monos[(n, 0)], -m * n, count), _head(monos[(0, m)], -m * n, count))
+    )
+    coeffs = {(n, 0): 1, (0, m): -1}
+    for i in range(count):
+        c = residual[i]
         if c:
-            if k not in rows:
+            ab = rows.get(m * n - i)
+            if ab is None:
                 raise ValueError("no relation at this degree bound")
-            coeffs[rows[k]] = -c
-            residual = residual - monos[rows[k]]._scaled(c)
+            coeffs[ab] = -c
+            head = _head(monos[ab], -m * n, count)
+            residual[i:] = [r - c * h for r, h in zip(residual[i:], head[i:])]
     if t_min < 1:
         # the constant's row q^0 lies past the truncation
         raise PrecisionError(
             f"insufficient truncation: the system is still underdetermined at "
             f"q^{t_min}; increase the expansion order"
         )
-    if not residual.is_zero():
+    if not _sum((c, monos[ab]) for ab, c in coeffs.items()).is_zero():
         raise ValueError("no relation at this degree bound")
     return BivarPoly(coeffs, m=m, n=n)

@@ -25,11 +25,12 @@ Coefficients are stored in canonical form: a Python ``int`` when the value is
 integral, otherwise a ``Fraction``.  The kernels (sum, product, inverse,
 square root, and powers through the product) are fraction-free: they clear
 each operand's common denominator once, run on plain ``int``s, and divide
-once at the end.  A sum or product works on the common stride of its
-operands' terms.  A product with fewer than ``CROSSOVER`` pairs of nonzero
-terms, or with a factor of one or two terms, walks those pairs; any other
-is one big-integer multiplication (Kronecker substitution) on that common
-stride.  ``Fraction`` appears only at the public boundary: the readers
+once at the end.  Every sum, difference and rational multiple of series is
+one linear-combination kernel, ``_sum``: sum c_i * s_i in one pass.  A sum
+or product works on the common stride of its operands' terms.  A product
+with fewer than ``CROSSOVER`` pairs of nonzero terms, or with a factor of
+one or two terms, walks those pairs; any other is one big-integer
+multiplication (Kronecker substitution) on that common stride.  ``Fraction`` appears only at the public boundary: the readers
 ``coefficient``, ``leading_coefficient``, ``items`` and ``valuation``
 always return ``Fraction`` values.
 """
@@ -151,6 +152,47 @@ def _packed_product(fc, mf, gc, mg, n):
         int.from_bytes(raw[k : k + w], "little", signed=True)
         for k in range(0, w * n, w)
     ]
+
+
+def _sum(terms) -> "QSeries":
+    """The sum of c * s over ``terms``, pairs (c, s) of an ``int`` or
+    ``Fraction`` c and a series s, in one pass over integers on the common
+    stride of the terms: each s is cleared of its denominator once, and one
+    common denominator is divided out at the end.  A term with c = 0 is the
+    exact zero, as in a product; the others' least truncation is the sum's.
+    """
+    terms = [(c, s) for c, s in terms if c]
+    D = math.lcm(*(s.D for _, s in terms)) if terms else 1
+    # (c, series, grid multiplier) of each term
+    ms = [(c, s, D // s.D) for c, s in terms]
+    ts = [s.T * m for _, s, m in ms if s.T is not None]
+    T = min(ts) if ts else None
+    parts = [(c, s, m) for c, s, m in ms if s.coeffs]
+    if not parts:
+        return QSeries._make((), 0, D, T)
+    lo = min(s.v * m for _, s, m in parts)
+    # the common stride of the terms on the grid D
+    S = math.gcd(*(x for _, s, m in parts for x in (s.v * m - lo, s.S * m))) or 1
+    n = max(s.v * m - lo + (len(s.coeffs) - 1) * s.S * m for _, s, m in parts) // S + 1
+    if T is not None:
+        n = min(n, _ceil_div(T - lo, S))
+    # (first slot, step in slots, numerator of c, denominator, integers)
+    cleared = []
+    for c, s, m in parts:
+        Ls, ints = _cleared(s.coeffs)
+        cleared.append(
+            ((s.v * m - lo) // S, s.S * m // S or 1, c.numerator, Ls * c.denominator, ints)
+        )
+    L = math.lcm(*(Ls for _, _, _, Ls, _ in cleared))
+    out = [0] * max(0, n)
+    for j, m, p, Ls, cs in cleared:
+        scale = L // Ls * p
+        # zip stops at whichever ends first: the terms or the window
+        summed = [x + c * scale for x, c in zip(out[j::m], cs)]
+        out[j : j + len(summed) * m : m] = summed
+    if L > 1:
+        out = [_ratio(x, L) if x else 0 for x in out]
+    return QSeries._make(out, lo, D, T, S)
 
 
 class QSeries:
@@ -300,34 +342,7 @@ class QSeries:
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        D = math.lcm(self.D, o.D)
-        ms = [(s, D // s.D) for s in (self, o)]
-        ts = [s.T * m for s, m in ms if s.T is not None]
-        T = min(ts) if ts else None
-        parts = [(s, m) for s, m in ms if s.coeffs]
-        if not parts:
-            return QSeries._make((), 0, D, T)
-        lo = min(s.v * m for s, m in parts)
-        # the common stride of both operands' terms on the grid D
-        S = math.gcd(*(x for s, m in parts for x in (s.v * m - lo, s.S * m))) or 1
-        n = max(s.v * m - lo + (len(s.coeffs) - 1) * s.S * m for s, m in parts) // S + 1
-        if T is not None:
-            n = min(n, _ceil_div(T - lo, S))
-        # (first slot, step in slots, L, integers) of each operand
-        cleared = [
-            ((s.v * m - lo) // S, s.S * m // S or 1, *_cleared(s.coeffs))
-            for s, m in parts
-        ]
-        L = math.lcm(*(Ls for _, _, Ls, _ in cleared))
-        out = [0] * max(0, n)
-        for j, m, Ls, cs in cleared:
-            scale = L // Ls
-            # zip stops at whichever ends first: the terms or the window
-            summed = [x + c * scale for x, c in zip(out[j::m], cs)]
-            out[j : j + len(summed) * m : m] = summed
-        if L > 1:
-            out = [_ratio(x, L) if x else 0 for x in out]
-        return QSeries._make(out, lo, D, T, S)
+        return _sum(((1, self), (1, o)))
 
     __radd__ = __add__
 
@@ -336,25 +351,19 @@ class QSeries:
 
     def _scaled(self, c) -> "QSeries":
         # self * c for a nonzero rational c, without a series product
-        c = Fraction(c)
-        L, ints = _cleared(self.coeffs)
-        d = L * c.denominator
-        cs = [x * c.numerator for x in ints]
-        if d > 1:
-            cs = [_ratio(x, d) if x else 0 for x in cs]
-        return QSeries._raw(cs, self.v, self.D, self.T, self.S)
+        return _sum(((c, self),))
 
     def __sub__(self, other):
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return _sum(((1, self), (-1, o)))
 
     def __rsub__(self, other):
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return _sum(((1, o), (-1, self)))
 
     def __mul__(self, other):
         o = _coerce(other)

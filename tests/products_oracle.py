@@ -4,8 +4,9 @@ These are the product constructors and symbol builders that
 ``qlambert.constructors`` used before every product went through one
 kernel: one Pochhammer loop per factor, combined with series powers,
 products and inverses, and one hand-written builder per symbol.  They share
-no product code with the kernel; what did not change comes from
-``qlambert.constructors``: the Lambert sums, the prefactor exponents and the
+no product code with the kernel, and state their own prefactor exponents,
+eta_{N,g}'s from the second Bernoulli polynomial in ``Fraction``s; what did
+not change comes from ``qlambert.constructors``: the Lambert sums and the
 input checks of the quotient classes.  The differential tests compare the two.
 ``theta_sum`` is the theta function as a bilateral sum rather than a
 product, an independent reference for the triple product.
@@ -19,14 +20,18 @@ import cmath
 import math
 from fractions import Fraction
 
-from qlambert.constructors import (
-    EtaQuotient,
-    GenEtaQuotient,
-    gen_eta_prefactor,
-    lambert_L,
-    lambert_L_odd,
-)
+from qlambert.constructors import EtaQuotient, GenEtaQuotient, lambert_L, lambert_L_odd
 from qlambert.series import QSeries, qpow
+
+
+def b2(t: Fraction) -> Fraction:
+    """The second Bernoulli polynomial t^2 - t + 1/6."""
+    return t * t - t + Fraction(1, 6)
+
+
+def gen_eta_prefactor(level: int, g: int) -> Fraction:
+    """The leading exponent  level * B2(g/level) / 2  of eta_{level,g}."""
+    return Fraction(level, 2) * b2(Fraction(g % level, level))
 
 
 def _ceil(x) -> int:
@@ -74,7 +79,7 @@ def gen_eta(level: int, g: int, order) -> QSeries:
 
 def eta_quotient(level: int, exponents: dict, order) -> QSeries:
     quot = EtaQuotient(level, exponents)
-    pref = quot.prefactor_exponent()
+    pref = sum(Fraction(d * r, 24) for d, r in quot.exponents.items())
     w = max(1, _ceil(Fraction(order) - pref))
     num = QSeries([1], 0, 1, w)
     den = QSeries([1], 0, 1, w)
@@ -89,7 +94,7 @@ def eta_quotient(level: int, exponents: dict, order) -> QSeries:
 
 def gen_eta_quotient(level: int, exponents: dict, order) -> QSeries:
     quot = GenEtaQuotient(level, exponents)
-    pref = quot.prefactor_exponent()
+    pref = sum(r * gen_eta_prefactor(level, g) for g, r in quot.exponents.items())
     w = max(1, _ceil(Fraction(order) - pref))
     num = QSeries([1], 0, 1, w)
     den = QSeries([1], 0, 1, w)

@@ -137,13 +137,24 @@ def sqrt(f, terms=None):
     b = [_ZERO] * R
     b[0] = _ONE
     half = Fraction(1, 2)
+    nonzero = []  # the indices i >= 1 with b_i != 0, ascending
     for k in range(1, R):
+        # b_k = (a_k - sum_{0<i<k} b_i b_(k-i)) / 2, each unordered pair once:
+        # the sum is 2 sum_{i < k-i} b_i b_(k-i) + b_(k/2)^2
+        cross = _ZERO
         acc = a[k]
-        for i in range(1, k):
-            if b[i]:
-                acc -= b[i] * b[k - i]
+        for i in nonzero:
+            j = k - i
+            if j <= i:
+                if j == i:
+                    acc -= b[i] * b[i]
+                break
+            if b[j]:
+                cross += b[i] * b[j]
+        acc -= 2 * cross
         if acc:
             b[k] = acc * half
+            nonzero.append(k)
     return mul(QSeries(b, 0, u.D, R), mono)
 
 

@@ -14,6 +14,7 @@ import subprocess
 import sys
 import threading
 from contextlib import contextmanager
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -370,6 +371,118 @@ def test_importing_the_cli_leaves_the_memo_empty():
     assert done.returncode == 0, done.stderr
     info = json.loads(done.stdout)
     assert info["currsize"] == info["hits"] == info["misses"] == 0
+
+
+# -- the statement memo of the quotient classes ------------------------------
+
+statements = constructors._memo_statement
+
+#: quotients of both classes, the level-14 symbols' among them; the last two
+#: are equal as tuples, so only the class in the memo key tells them apart
+QUOTIENTS = [
+    EtaQuotient(14, {1: -2, 2: 4, 7: 2, 14: -4}),
+    EtaQuotient(28, {1: 2, 2: -4, 7: -6, 14: 16, 28: -8}),
+    GenEtaQuotient(14, {1: -2, 6: 2}),
+    GenEtaQuotient(28, {g: (-1) ** g * 2 for g in range(1, 15)}),
+    EtaQuotient(14, {1: 1, 2: -3}),
+    GenEtaQuotient(14, {1: 1, 2: -3}),
+]
+
+
+def uncached_statement(quot):
+    """The quotient's statement merged by ``_power_product`` from the public
+    statements of its parts, with no memo."""
+    if isinstance(quot, EtaQuotient):
+        parts = [(constructors.eta_statement(d), r) for d, r in quot.exponents.items()]
+    else:
+        parts = [
+            (constructors.gen_eta_statement(quot.level, g), r)
+            for g, r in quot.exponents.items()
+        ]
+    return constructors._power_product(parts)
+
+
+@pytest.mark.parametrize("quot", QUOTIENTS)
+def test_a_statement_hit_equals_an_uncached_build(quot):
+    statements.cache_clear()
+    quot.statement()
+    hits = statements.cache_info().hits
+    factors, pref, sign = quot.statement()
+    assert statements.cache_info().hits == hits + 1
+    want_factors, want_pref, want_sign = uncached_statement(quot)
+    # the factor dict's order too: float products multiply in that order
+    assert list(factors.items()) == list(want_factors.items())
+    assert (type(pref), pref, sign) == (Fraction, want_pref, want_sign)
+    assert quot.prefactor_exponent() == want_pref
+
+
+def test_equal_quotients_of_two_classes_are_stated_apart():
+    eta_q, geta_q = QUOTIENTS[-2:]
+    assert eta_q == geta_q
+    statements.cache_clear()
+    assert eta_q.prefactor_exponent() == Fraction(1 - 6, 24)
+    assert geta_q.prefactor_exponent() == uncached_statement(geta_q)[1]
+    assert statements.cache_info().currsize == 2
+
+
+def test_the_statement_memo_is_bounded():
+    statements.cache_clear()
+    bound = constructors._STATEMENT_ENTRIES
+    for k in range(1, bound + 2):
+        level = 2 * k + 1
+        pref = GenEtaQuotient(level, {1: k}).statement()[1]
+        assert pref == k * oracle.gen_eta_prefactor(level, 1)
+    assert statements.cache_info().currsize <= bound
+
+
+def test_a_cached_statement_cannot_be_changed():
+    quot = QUOTIENTS[2]
+    factors, pref, sign = quot.statement()
+    before = list(factors.items())
+    key = next(iter(factors))
+    with pytest.raises(TypeError):
+        factors[key] = 0
+    with pytest.raises(TypeError):
+        del factors[key]
+    with pytest.raises(AttributeError):
+        factors.clear()
+    assert list(quot.statement()[0].items()) == before
+    assert exact(quot.series(60)) == exact(
+        oracle.gen_eta_quotient(quot.level, quot.exponents, 60)
+    )
+
+
+def test_concurrent_symbol_builds_agree_with_the_oracle():
+    # the product symbols, and those built from them, requested by four
+    # threads at once from empty symbol caches and an empty statement memo
+    names = ("g", "g1", "g2", "g3", "h1", "h2", "z", "t")
+    jobs = [(name, window) for name in names for window in (15, 30, 45)]
+    want = {job: exact(oracle.symbol(*job)) for job in jobs}
+    wrong = []
+    start = threading.Barrier(4)
+
+    def worker(seed):
+        order = jobs * 2
+        random.Random(seed).shuffle(order)
+        start.wait(timeout=60)
+        for job in order:
+            if exact(gosper_symbols(*job)) != want[job]:
+                wrong.append(job)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with fresh_symbols():
+            statements.cache_clear()
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not wrong
 
 
 @given(st.integers(-8, 8), st.integers(1, 30), st.integers(1, 200))

@@ -7,11 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qlambert import gamma0
-from qlambert.constructors import (
-    EtaQuotient,
-    GenEtaQuotient,
-    gen_eta_prefactor,
-)
+from qlambert.constructors import EtaQuotient, GenEtaQuotient
 from qlambert.gamma0 import (
     Cusp,
     apply_gamma,
@@ -44,6 +40,35 @@ _h2exp.update({g: 2 for g in (1, 3, 5, 9, 11, 13)})
 H2_GEN = GenEtaQuotient(28, _h2exp)
 
 ALPHA = ((1, 0), (14, 1))
+
+
+def _p2(x: Fraction) -> Fraction:
+    # the periodic second Bernoulli polynomial
+    t = x % 1
+    return t * t - t + Fraction(1, 6)
+
+
+def _gen_eta_order_oracle(quot: GenEtaQuotient, n: int, r: Cusp) -> Fraction:
+    # (n / gcd(c^2, n)) (d^2 / 2M) sum_g r_g P2(a g / d), d = gcd(c, M), in
+    # Fractions term by term
+    m = quot.level
+    d = math.gcd(r.c, m)
+    m0 = Fraction(d * d, 2 * m) * sum(
+        (rg * _p2(Fraction(r.a * g, d)) for g, rg in quot.exponents.items()),
+        Fraction(0),
+    )
+    return Fraction(n, math.gcd(r.c * r.c, n)) * m0
+
+
+def _eta_order_oracle(quot: EtaQuotient, n: int, r: Cusp) -> Fraction:
+    # (n / (24 gcd(c0^2, n))) sum gcd(c, delta)^2 r_delta / delta with
+    # c = gcd(c0, n) mod n, in Fractions term by term
+    c = math.gcd(r.c, n) % n
+    total = sum(
+        (Fraction(math.gcd(c, d) ** 2, d) * rd for d, rd in quot.exponents.items()),
+        Fraction(0),
+    )
+    return Fraction(n, 24 * math.gcd(r.c * r.c, n)) * total
 
 
 def _square(quot: GenEtaQuotient) -> GenEtaQuotient:
@@ -279,11 +304,11 @@ def test_order_table_h_functions_on_gamma0_14():
 
 
 def test_gen_eta_order_at_infinity_is_valuation():
+    # the valuation sum_g r_g (M/2) P2(g/M), from the oracle's P2
     for quot in (G1, G2, G3, _square(G1), _product(G1, G3), H1_GEN, H2_GEN):
-        val = sum(
-            r * gen_eta_prefactor(quot.level, g) for g, r in quot.exponents.items()
-        )
-        assert gen_eta_cusp_ord(quot, quot.level, Cusp(1, 0)) == val
+        m = quot.level
+        val = sum(r * Fraction(m, 2) * _p2(Fraction(g, m)) for g, r in quot.exponents.items())
+        assert gen_eta_cusp_ord(quot, m, Cusp(1, 0)) == val
 
 
 def test_gen_eta_orders_match_series_valuations():
@@ -291,3 +316,66 @@ def test_gen_eta_orders_match_series_valuations():
     for quot, n in ((_square(G1), 14), (_square(G3), 14), (H1_GEN, 28), (H2_GEN, 28)):
         s = quot.series(2)
         assert gen_eta_cusp_ord(quot, n, Cusp(1, 0)) == Fraction(s.v, s.D)
+
+
+# ------------------------------- integer order sums against a Fraction oracle
+
+
+def _draw_cusp(draw, n: int) -> Cusp:
+    # infinity, a cusp a/c with c | n, or one with c not dividing n
+    kind = draw(st.sampled_from(("inf", "divides", "other")))
+    if kind == "inf":
+        return Cusp(1, 0)
+    if kind == "divides":
+        c = draw(st.sampled_from(gamma0._divisors(n)))
+    else:
+        c = draw(st.integers(1, 500).filter(lambda c: n % c))
+    return Cusp(draw(st.integers(-500, 500)) or 1, c)
+
+
+@st.composite
+def _gen_quotient_level_cusp(draw):
+    m = draw(st.integers(2, 60))
+    exponents = draw(st.dictionaries(st.integers(1, m // 2), st.integers(-12, 12)))
+    quot = GenEtaQuotient(m, exponents)
+    # the quotient's own level, or any other (mixed level, as in table 4.2)
+    n = m if draw(st.booleans()) else draw(st.integers(1, 60))
+    return quot, n, _draw_cusp(draw, n)
+
+
+@st.composite
+def _eta_quotient_any_cusp(draw):
+    m = draw(st.integers(1, 60))
+    deltas = gamma0._divisors(m)
+    exponents = draw(st.dictionaries(st.sampled_from(deltas), st.integers(-12, 12)))
+    quot = EtaQuotient(m, exponents)
+    n = m if draw(st.booleans()) else draw(st.integers(1, 60))
+    return quot, n, _draw_cusp(draw, n)
+
+
+@settings(max_examples=400)
+@given(_gen_quotient_level_cusp())
+def test_gen_eta_cusp_ord_matches_the_bernoulli_oracle(case):
+    quot, n, r = case
+    got = gen_eta_cusp_ord(quot, n, r)
+    assert type(got) is Fraction
+    assert got == _gen_eta_order_oracle(quot, n, r)
+
+
+@settings(max_examples=400)
+@given(_eta_quotient_any_cusp())
+def test_eta_cusp_order_matches_the_gcd_sum_oracle(case):
+    quot, n, r = case
+    got = eta_cusp_order(quot, n, r)
+    assert type(got) is Fraction
+    assert got == _eta_order_oracle(quot, n, r)
+
+
+def test_the_order_tables_match_the_oracles():
+    # table 4.2's shape: level-28 quotients at the 1/c cusps of level 14
+    for r in (Cusp(1, 1), Cusp(1, 2), Cusp(1, 7), Cusp(1, 14), Cusp(1, 0)):
+        for quot in (G1, G2, G3, H1_GEN, H2_GEN):
+            assert gen_eta_cusp_ord(quot, 14, r) == _gen_eta_order_oracle(quot, 14, r)
+    for r in cusp_set(28).cusps:
+        for quot in (H1_ETA, H2_ETA):
+            assert eta_cusp_order(quot, 28, r) == _eta_order_oracle(quot, 28, r)

@@ -161,6 +161,24 @@ def test_epsilon_exact_units():
     assert abs(nm.epsilon(0, -1, 1, 0) + 1j) < 1e-15
 
 
+@given(st.integers(-10**4, 10**4), st.integers(1, 1000))
+def test_unit_phase_matches_the_complex_exponential(n, d):
+    got = nm._unit_phase(n, d)
+    assert abs(got - cmath.exp(1j * cmath.pi * float(F(n, d)))) < 1e-11
+    if (2 * n) % d:
+        # off the quarter turns: the phase of n/d reduced modulo 2, bit for bit
+        assert got == cmath.exp(1j * cmath.pi * float(F(n, d) % 2))
+
+
+@pytest.mark.parametrize("k", range(-9, 10))
+@pytest.mark.parametrize("scale", [1, 3, 14])
+def test_unit_phase_is_exact_at_half_integers(k, scale):
+    # e^(pi i k/2) is 1, i, -1 or -i exactly, however n/d is written
+    want = (1, 1j, -1, -1j)[k % 4]
+    got = nm._unit_phase(k * scale, 2 * scale)
+    assert got == want and type(got) is complex
+
+
 def test_epsilon_modulus_random_gamma0_14():
     assert nm.check_epsilon_modulus(count=100) < 1e-12
 

@@ -19,11 +19,12 @@ PACKAGE = Path(qlambert.__file__).resolve().parent
 #: prints the loaded qlambert modules and what start-up work was done
 _REPORT = """
 import json, sys
-from qlambert import catalog, level14
+from qlambert import catalog, constructors, level14
 print(json.dumps({
     "modules": sorted(m for m in sys.modules if m.split(".")[0] == "qlambert"),
     "catalog_loaded": catalog.load_catalog.cache_info().currsize,
     "polynomials_built": level14._polynomials.cache_info().currsize,
+    "statements": constructors._memo_statement.cache_info()._asdict(),
 }))
 """
 
@@ -48,6 +49,10 @@ def test_importing_the_cli_loads_every_module_and_does_no_work():
     assert modules <= set(report["modules"])
     assert report["catalog_loaded"] == 0
     assert report["polynomials_built"] == 0
+    # no quotient is stated at import: the symbol table's quotients are
+    # stated on first use
+    statements = report["statements"]
+    assert statements["currsize"] == statements["hits"] == statements["misses"] == 0
 
 
 def test_expand_parses_no_catalog_entry():
