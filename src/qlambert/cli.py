@@ -5,6 +5,10 @@ Subcommands: ``verify`` (catalog or inline identities), ``cusps``,
 ``eliminate``, ``numeric-check`` and ``expand``.  Exit codes: 0 on
 success/verified, 1 when a verification or numeric check fails, 2 on
 usage errors.
+
+``ord-table`` reads a quotient spec as the DSL reads it: a tree that
+converts to one product leaf of eta and geta calls (``dsl._product_calls``),
+whose orders ``gamma0._orders`` sums as the order tables' rows are summed.
 """
 
 from __future__ import annotations
@@ -12,14 +16,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import numeric
 from .catalog import IdentityRecord, load_catalog, verify
 from .constructors import EtaQuotient, GenEtaQuotient
-from .dsl import BinOp, Call, Lit, Pow, evaluate, parse, parse_identity
+from .dsl import _product_calls, evaluate, parse, parse_identity
 from .errors import DSLError
-from .gamma0 import cusp_set, eta_cusp_order, gen_eta_cusp_ord
+from .gamma0 import _orders, cusp_set
 from .level14 import TABLE_IDS, eliminate, order_table
 from .relations import find_relation
 
@@ -161,9 +164,12 @@ def _cmd_cusps(args) -> int:
 
 def _cmd_ord_table(args) -> int:
     text = args.table.strip()
-    bare = text[len("tables/") :] if text.startswith("tables/") else text
-    if bare in TABLE_IDS:
-        return _print_builtin_table(order_table(text), args.json)
+    if text.startswith("tables/") or text in TABLE_IDS:
+        report = order_table(text)
+        if args.level is not None:
+            print("error: a built-in table takes no --level", file=sys.stderr)
+            return 2
+        return _print_builtin_table(report, args.json)
     if args.level is None:
         print("error: a quotient spec needs --level", file=sys.stderr)
         return 2
@@ -204,56 +210,22 @@ def _print_builtin_table(report, as_json: bool) -> int:
 
 
 def _quotient_orders(text: str, level: int) -> list:
-    node = parse(text)
+    # one EtaQuotient of the eta calls, and one GenEtaQuotient per geta level
+    calls = _product_calls(parse(text))
+    if calls is None or any(call.name not in ("eta", "geta") for call in calls):
+        raise ValueError("quotient spec must be a product of eta(d) and geta(M,g) powers")
     eta_exps: dict[int, int] = {}
     gen_exps: dict[int, dict[int, int]] = {}
-    _collect_factors(node, 1, eta_exps, gen_exps)
-    pieces: list = []
-    eta_exps = {d: r for d, r in eta_exps.items() if r}
-    if eta_exps:
-        pieces.append(EtaQuotient(level, eta_exps))
-    for m, bucket in sorted(gen_exps.items()):
-        bucket = {g: r for g, r in bucket.items() if r}
-        if bucket:
-            pieces.append(GenEtaQuotient(m, bucket))
-    rows = []
-    for cusp, _width in cusp_set(level):
-        total = Fraction(0)
-        for piece in pieces:
-            if isinstance(piece, EtaQuotient):
-                total += eta_cusp_order(piece, level, cusp)
-            else:
-                total += gen_eta_cusp_ord(piece, level, cusp)
-        rows.append((cusp, total))
-    return rows
-
-
-def _collect_factors(node, power: int, eta_exps, gen_exps) -> None:
-    """Flatten a product of eta/geta powers; anything else is rejected."""
-    if isinstance(node, BinOp) and node.op in "*/":
-        _collect_factors(node.left, power, eta_exps, gen_exps)
-        flip = -power if node.op == "/" else power
-        _collect_factors(node.right, flip, eta_exps, gen_exps)
-        return
-    if isinstance(node, Pow):
-        if node.exponent.denominator != 1:
-            raise ValueError("quotient spec powers must be integers")
-        _collect_factors(node.base, power * int(node.exponent), eta_exps, gen_exps)
-        return
-    if isinstance(node, Lit) and node.value == 1:
-        return
-    if isinstance(node, Call) and node.name == "eta":
-        (d,) = node.args
-        eta_exps[d] = eta_exps.get(d, 0) + power
-        return
-    if isinstance(node, Call) and node.name == "geta":
-        m, g = node.args
-        bucket = gen_exps.setdefault(m, {})
-        bucket[g] = bucket.get(g, 0) + power
-        return
-    raise ValueError(
-        "quotient spec must be a product of eta(d) and geta(M,g) powers"
-    )
+    for call, r in calls.items():
+        if r and call.name == "eta":
+            eta_exps[call.args[0]] = r
+        elif r:
+            m, g = call.args
+            gen_exps.setdefault(m, {})[g] = r
+    factors = [(EtaQuotient(level, eta_exps), 1)] if eta_exps else []
+    factors += [(GenEtaQuotient(m, exps), 1) for m, exps in sorted(gen_exps.items())]
+    cusps = cusp_set(level).cusps
+    return list(zip(cusps, _orders(factors, level, cusps)))
 
 
 # ---------------------------------------------------------- find-relation

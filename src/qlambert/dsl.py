@@ -39,10 +39,11 @@ A product or quotient of integer powers of ``eta``, ``geta``, ``pi`` and
 q-product forms the leaf (``constructors.eta_type_product``), with the
 prefactors added, the sign law's signs multiplied and the window the
 node-by-node product reaches; a single bare call is a one-factor product
-leaf.  A zero power and a product of q powers alone stay as they are;
-symbols, sums, ``sqrt`` and ``subq`` end a product leaf.  Every call of a
-product leaf is checked where it appears, so an invalid one fails with the
-same message, naming it, as in the node-by-node evaluation.
+leaf.  A zero power is the constant 1, and a product of q powers alone is
+a q power, or a constant where the powers cancel; symbols, sums, ``sqrt``
+and ``subq`` end a product leaf.  Every call of a product leaf is checked
+where it appears, so an invalid one fails with the same message, naming
+it, as in the node-by-node evaluation.
 """
 
 import math
@@ -702,6 +703,22 @@ def _converted(node) -> tuple:
     return result
 
 
+def _product_calls(node):
+    """{call: r} of a tree that converts to one product leaf with coefficient
+    1 and no q power, {} for the constant 1, else None; a call whose exponents
+    cancel, or that is raised to the power 0, has r = 0."""
+    poly, leaves = _converted(node)
+    calls = {leaf: 0 for leaf, (_, spec) in leaves if spec is _CHECK}
+    rest = [(leaf, i) for leaf, (i, spec) in leaves if spec is not _CHECK]
+    if not rest:
+        return calls if poly == ({(): 1}, {()}) else None
+    leaf, i = rest[0]
+    m = (0,) * i + (1,)
+    if rest[1:] or poly != ({m: 1}, {m}) or not isinstance(leaf, _Product) or leaf.qexp:
+        return None
+    return {**calls, **dict(leaf.calls)}
+
+
 def _convert(node, leaves: dict):
     """The polynomial of a tree over the leaves it registers in ``leaves``
     (node -> (index, spec), in order of first appearance), or a _Pending
@@ -773,8 +790,8 @@ def _convert(node, leaves: dict):
         k = int(node.exponent)
         if k < 0:
             saved = dict(leaves)
-            base = _convert(node.base, leaves)
-            if isinstance(base, _Pending) and base.c:
+            base = _as_pending(_convert(node.base, leaves))
+            if base is not None and base.c:
                 return _raised(base, k)
             _restore(leaves, saved)
             return _register(node, leaves, None)
@@ -800,12 +817,14 @@ def _restore(leaves: dict, saved: dict) -> None:
 
 
 def _fused(a, b, sign: int):
-    """The _Pending a * b^sign when one operand is a _Pending and the other
-    one too or a constant (a nonzero one to divide by), else None."""
-    if not (isinstance(a, _Pending) or isinstance(b, _Pending)):
+    """The _Pending a * b^sign when each operand is a _Pending or a constant
+    (a nonzero one to divide by), else None."""
+    if not (isinstance(a, _Pending) or _constant(a)) or not (
+        isinstance(b, _Pending) or _constant(b)
+    ):
         return None
     a, b = _as_pending(a), _as_pending(b)
-    if a is None or b is None or (sign < 0 and not b.c):
+    if sign < 0 and not b.c:
         return None
     for call, r in b.calls.items():
         a.calls[call] = a.calls.get(call, 0) + sign * r
@@ -830,15 +849,17 @@ def _raised(x: "_Pending", k: int) -> "_Pending":
 
 def _poly(x, leaves: dict) -> tuple:
     """x, or for a _Pending x the polynomial c * leaf: the leaf is a q power
-    when x has no calls and a _Product otherwise."""
+    when x has no calls and a _Product otherwise, and the constant c stands
+    alone when x has neither calls nor a q power."""
     if not isinstance(x, _Pending):
         return x
-    if not x.c:
-        return {}, set()
+    c = x.c
+    c = c.numerator if c.denominator == 1 else c
+    if not (c and (x.calls or x.qexp)):
+        return ({(): c}, {()}) if c else ({}, set())
     leaf = _Product(frozenset(x.calls.items()), x.qexp) if x.calls else Q(x.qexp)
     (m,), seen = _register(leaf, leaves, None)
-    c = x.c
-    return {m: c.numerator if c.denominator == 1 else c}, seen
+    return {m: c}, seen
 
 
 def _constant(poly: tuple) -> bool:

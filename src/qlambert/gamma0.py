@@ -11,7 +11,11 @@ Conventions used throughout:
   of representatives.
 
 All arithmetic is exact: the orders are summed in integers, and each is one
-Fraction.
+Fraction.  A cusp order is linear in the exponents; ``_orders`` sums the
+orders of a product of quotient powers over a list of cusps, the one path by
+which the order tables and ``ord-table`` read them.  No class search
+(``cusp_equivalent``, ``class_representative``) is on it: an eta quotient's
+order reads only gcd(c, n) and the width, which a cusp class shares.
 """
 
 from __future__ import annotations
@@ -281,8 +285,30 @@ def gen_eta_cusp_ord(quot: GenEtaQuotient, n: int, r) -> Fraction:
     a, c = cusp.a, cusp.c
     m = quot.level
     d = math.gcd(c, m)
-    total = 0
+    total, dd = 0, d * d
     for g, rg in quot.exponents.items():
         k = a * g % d
-        total += rg * (6 * k * (k - d) + d * d)
+        total += rg * (6 * k * (k - d) + dd)
     return Fraction(cusp_width(n, cusp) * total, 12 * m)
+
+
+def _orders(factors, n: int, cusps) -> tuple:
+    """The invariant orders of the product of the powers quot^r over the pairs
+    (quot, r) of ``factors``, at each cusp of ``cusps`` on Gamma_0(n): the sum
+    of r times ``eta_cusp_order`` for an EtaQuotient and ``gen_eta_cusp_ord``
+    for a GenEtaQuotient."""
+    terms = [
+        (eta_cusp_order if isinstance(quot, EtaQuotient) else gen_eta_cusp_ord, quot, r)
+        for quot, r in factors
+    ]
+    if len(terms) == 1 and terms[0][2] == 1:  # one quotient: its own orders
+        order, quot, _ = terms[0]
+        return tuple(order(quot, n, cusp) for cusp in cusps)
+    row = []
+    for cusp in cusps:
+        num, den = 0, 1  # the sum in integers, made one Fraction
+        for order, quot, r in terms:
+            x = order(quot, n, cusp)
+            num, den = num * x.denominator + r * x.numerator * den, den * x.denominator
+        row.append(Fraction(num, den))
+    return tuple(row)

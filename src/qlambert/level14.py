@@ -7,27 +7,22 @@ cofactor K_POLY from ``elim-K``, F3_RELATION and F4_RELATION from ``rel-F3``
 (in z^2, g^2) and ``rel-F4`` (in t, g^2).  They are read on first use, not
 at import, and then kept (``_polynomials``).  The quotients g1-g3, h1 and h2
 are the symbol table's objects, and the cusp lists of the four order tables
-(ids "3.1", "3.2", "4.1", "4.2") come from ``gamma0.cusp_set``; only the
-level-28 generalized-eta forms of h1 and h2 are stated here.
+(ids "3.1", "3.2", "4.1", "4.2") come from ``gamma0.cusp_set``, and their
+rows from ``gamma0._orders``, with no cusp-class search; only the level-28
+generalized-eta forms of h1 and h2 are stated here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from operator import add
 from typing import NamedTuple
 
 from . import dsl
 from .catalog import get_identity
 from .constructors import _SYMBOLS, GenEtaQuotient
-from .gamma0 import (
-    Cusp,
-    apply_gamma,
-    class_representative,
-    cusp_set,
-    eta_cusp_order,
-    gen_eta_cusp_ord,
-)
+from .gamma0 import Cusp, _orders, apply_gamma, cusp_set
 from .relations import BivarPoly, eval_poly, exact_divide, resultant_eliminate, variables
 
 __all__ = [
@@ -174,71 +169,51 @@ class TableReport(NamedTuple):
 
 
 _CUSPS_14_UNIT = (Cusp(1, 1), Cusp(1, 2), Cusp(1, 7), Cusp(1, 14))
+_COLUMNS_14_UNIT = tuple(map(str, _CUSPS_14_UNIT))
 
 TABLE_IDS = ("3.1", "3.2", "4.1", "4.2")
 
+#: the rows of tables 3.1 and 3.2: (label, ((quotient, power), ...))
+_G_ROWS = {
+    "3.1": (("g1^2", ((G1, 2),)), ("g2^2", ((G2, 2),)), ("g3^2", ((G3, 2),))),
+    "3.2": (
+        ("g1*g2", ((G1, 1), (G2, 1))),
+        ("g1*g3", ((G1, 1), (G3, 1))),
+        ("g2*g3", ((G2, 1), (G3, 1))),
+    ),
+}
+
 
 def order_table(table_id: str) -> TableReport:
-    """One of the bundled invariant-order tables.
+    """One of the bundled invariant-order tables ("tables/" prefix optional).
 
     * "3.1" — squares g_j^2 at the four cusps of level 14,
     * "3.2" — pairwise products g_i g_j at the same cusps,
     * "4.1" — h1 twisted by ALPHA, h2, and their product at the six cusps
-      of level 28 (eta-quotient orders plus the ALPHA relabelling),
+      of level 28 (eta-quotient orders at the ALPHA images, whose class
+      needs no search: the order reads only what the class shares),
     * "4.2" — h1 and 1/h2 at the 1/c cusps of level 14 (mixed level:
       level-28 quotients against level-14 widths).
     """
     tid = table_id.removeprefix("tables/")
-    # a cusp order is linear in the eta exponents, so the order of a square,
-    # product or inverse is twice, the sum or minus the factors' orders
-    if tid == "3.1":
-        cusps_14 = cusp_set(14).cusps
-        rows = tuple(
-            (label, tuple(2 * gen_eta_cusp_ord(q, 14, r) for r in cusps_14))
-            for label, q in (("g1^2", G1), ("g2^2", G2), ("g3^2", G3))
-        )
-        return TableReport("3.1", 14, tuple(map(str, cusps_14)), rows)
-    if tid == "3.2":
-        cusps_14 = cusp_set(14).cusps
-        rows = tuple(
-            (
-                label,
-                tuple(
-                    gen_eta_cusp_ord(a, 14, r) + gen_eta_cusp_ord(b, 14, r)
-                    for r in cusps_14
-                ),
-            )
-            for label, a, b in (
-                ("g1*g2", G1, G2),
-                ("g1*g3", G1, G3),
-                ("g2*g3", G2, G3),
-            )
-        )
-        return TableReport("3.2", 14, tuple(map(str, cusps_14)), rows)
+    if tid in _G_ROWS:
+        cusps = cusp_set(14).cusps
+        rows = tuple((label, _orders(f, 14, cusps)) for label, f in _G_ROWS[tid])
+        return TableReport(tid, 14, tuple(map(str, cusps)), rows)
     if tid == "4.1":
-        cusps_28 = cusp_set(28).cusps
-        twisted = tuple(
-            eta_cusp_order(H1_ETA, 28, class_representative(28, apply_gamma(ALPHA, r)))
-            for r in cusps_28
-        )
-        direct = tuple(eta_cusp_order(H2_ETA, 28, r) for r in cusps_28)
-        product = tuple(a + b for a, b in zip(twisted, direct))
+        cusps = cusp_set(28).cusps
+        twisted = _orders(((H1_ETA, 1),), 28, [apply_gamma(ALPHA, r) for r in cusps])
+        direct = _orders(((H2_ETA, 1),), 28, cusps)
         rows = (
             ("h1(alpha tau)", twisted),
             ("h2", direct),
-            ("h1(alpha tau)*h2", product),
+            ("h1(alpha tau)*h2", tuple(map(add, twisted, direct))),
         )
-        return TableReport("4.1", 28, tuple(map(str, cusps_28)), rows)
+        return TableReport("4.1", 28, tuple(map(str, cusps)), rows)
     if tid == "4.2":
         rows = (
-            (
-                "h1",
-                tuple(gen_eta_cusp_ord(H1_GEN, 14, r) for r in _CUSPS_14_UNIT),
-            ),
-            (
-                "1/h2",
-                tuple(-gen_eta_cusp_ord(H2_GEN, 14, r) for r in _CUSPS_14_UNIT),
-            ),
+            ("h1", _orders(((H1_GEN, 1),), 14, _CUSPS_14_UNIT)),
+            ("1/h2", _orders(((H2_GEN, -1),), 14, _CUSPS_14_UNIT)),
         )
-        return TableReport("4.2", 14, tuple(map(str, _CUSPS_14_UNIT)), rows)
+        return TableReport("4.2", 14, _COLUMNS_14_UNIT, rows)
     raise KeyError(f"unknown table id {table_id!r}; known: {', '.join(TABLE_IDS)}")

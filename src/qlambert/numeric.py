@@ -350,7 +350,10 @@ _CHECKS = (
 
 def numeric_report(tol=None) -> dict:
     """Run every floating-point check; returns name -> {deviation, tolerance,
-    passed}.  A uniform tolerance overrides the per-check defaults."""
+    passed}.  A uniform tolerance overrides the per-check defaults; one that
+    is not a finite number >= 0 is a ValueError."""
+    if tol is not None and not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be a finite number >= 0, not {tol!r}")
     report = {}
     for name, func, default in _CHECKS:
         bound = default if tol is None else tol

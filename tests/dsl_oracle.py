@@ -13,14 +13,21 @@ the two.
 ``tokenize`` is how ``qlambert.dsl`` tokenized before its tokens became bare
 strings: one regex match per token or run of blanks, each token an object
 carrying its kind, text, line and column.
+
+``quotient_orders`` is how ``qlambert ord-table`` read a quotient spec before
+it went through the DSL's product leaves: its own walk of the parsed tree,
+which takes products, quotients and integer powers of ``eta`` and ``geta``
+calls and the constant 1, and sums each cusp order in a loop of its own.
 """
 
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 
-from qlambert.constructors import eta, gen_eta, pi_q, theta_f
-from qlambert.dsl import _CALLS, BinOp, Call, Lit, Neg, Pow, Q, Sqrt, Subq, to_text
+from qlambert.constructors import EtaQuotient, GenEtaQuotient, eta, gen_eta, pi_q, theta_f
+from qlambert.dsl import _CALLS, BinOp, Call, Lit, Neg, Pow, Q, Sqrt, Subq, parse, to_text
 from qlambert.errors import DSLError
+from qlambert.gamma0 import cusp_set, eta_cusp_order, gen_eta_cusp_ord
 from qlambert.series import QSeries, qpow
 
 #: the builders of the eta-type calls, which take the order first
@@ -121,3 +128,58 @@ def tokenize(text: str) -> list:
         pos = m.end()
     tokens.append(Token("END", "", line, len(text) - start + 1))
     return tokens
+
+
+def quotient_orders(text: str, level: int) -> list:
+    """[(cusp, order)] over ``cusp_set(level)`` of a product of eta/geta
+    powers; anything else is a ValueError."""
+    node = parse(text)
+    eta_exps: dict[int, int] = {}
+    gen_exps: dict[int, dict[int, int]] = {}
+    collect_factors(node, 1, eta_exps, gen_exps)
+    pieces: list = []
+    eta_exps = {d: r for d, r in eta_exps.items() if r}
+    if eta_exps:
+        pieces.append(EtaQuotient(level, eta_exps))
+    for m, bucket in sorted(gen_exps.items()):
+        bucket = {g: r for g, r in bucket.items() if r}
+        if bucket:
+            pieces.append(GenEtaQuotient(m, bucket))
+    rows = []
+    for cusp, _width in cusp_set(level):
+        total = Fraction(0)
+        for piece in pieces:
+            if isinstance(piece, EtaQuotient):
+                total += eta_cusp_order(piece, level, cusp)
+            else:
+                total += gen_eta_cusp_ord(piece, level, cusp)
+        rows.append((cusp, total))
+    return rows
+
+
+def collect_factors(node, power: int, eta_exps, gen_exps) -> None:
+    """Flatten a product of eta/geta powers; anything else is rejected."""
+    if isinstance(node, BinOp) and node.op in "*/":
+        collect_factors(node.left, power, eta_exps, gen_exps)
+        flip = -power if node.op == "/" else power
+        collect_factors(node.right, flip, eta_exps, gen_exps)
+        return
+    if isinstance(node, Pow):
+        if node.exponent.denominator != 1:
+            raise ValueError("quotient spec powers must be integers")
+        collect_factors(node.base, power * int(node.exponent), eta_exps, gen_exps)
+        return
+    if isinstance(node, Lit) and node.value == 1:
+        return
+    if isinstance(node, Call) and node.name == "eta":
+        (d,) = node.args
+        eta_exps[d] = eta_exps.get(d, 0) + power
+        return
+    if isinstance(node, Call) and node.name == "geta":
+        m, g = node.args
+        bucket = gen_exps.setdefault(m, {})
+        bucket[g] = bucket.get(g, 0) + power
+        return
+    raise ValueError(
+        "quotient spec must be a product of eta(d) and geta(M,g) powers"
+    )

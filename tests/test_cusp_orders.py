@@ -1,0 +1,278 @@
+"""Cusp-order rows: gamma0._orders, the order tables built from it, and the
+ord-table command's reading of a quotient spec through the DSL's product
+leaves, against the tree walk it replaced (dsl_oracle.quotient_orders)."""
+
+import json
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import dsl_oracle as oracle
+from qlambert import cli, gamma0, level14, numeric
+from qlambert.cli import main
+from qlambert.constructors import EtaQuotient, GenEtaQuotient
+from qlambert.dsl import Call, _product_calls, parse
+from qlambert.gamma0 import _orders, cusp_set, eta_cusp_order, gen_eta_cusp_ord
+
+SPEC_ERROR = "quotient spec must be a product of eta(d) and geta(M,g) powers"
+
+
+def run(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+# ------------------------------------------------------------------ _orders
+
+
+def _by_type(quot, n, r):
+    if isinstance(quot, EtaQuotient):
+        return eta_cusp_order(quot, n, r)
+    return gen_eta_cusp_ord(quot, n, r)
+
+
+@st.composite
+def _factors_level_cusps(draw):
+    factors = []
+    for _ in range(draw(st.integers(0, 4))):
+        m = draw(st.integers(1, 40))
+        if draw(st.booleans()):
+            deltas = [d for d in range(1, m + 1) if m % d == 0]
+            exps = draw(st.dictionaries(st.sampled_from(deltas), st.integers(-6, 6)))
+            quot = EtaQuotient(m, exps)
+        else:
+            indices = st.integers(1, max(1, m // 2))
+            exps = draw(st.dictionaries(indices, st.integers(-6, 6))) if m > 1 else {}
+            quot = GenEtaQuotient(m, exps)
+        factors.append((quot, draw(st.integers(-4, 4))))
+    n = draw(st.integers(1, 60))
+    cusps = list(cusp_set(n).cusps)
+    cusps += draw(
+        st.lists(
+            st.tuples(st.integers(-300, 300), st.integers(0, 300)).map(
+                lambda ac: gamma0.Cusp(ac[0] or 1, ac[1])
+            ),
+            max_size=3,
+        )
+    )
+    return factors, n, cusps
+
+
+@settings(max_examples=200)
+@given(_factors_level_cusps())
+def test_orders_is_the_sum_of_the_per_type_orders(case):
+    factors, n, cusps = case
+    row = _orders(factors, n, cusps)
+    want = tuple(
+        sum((r * _by_type(q, n, c) for q, r in factors), Fraction(0)) for c in cusps
+    )
+    assert row == want
+    assert all(type(v) is Fraction for v in row)
+
+
+def test_orders_at_mixed_level_is_table_4_2():
+    # level-28 generalized eta quotients against level-14 widths, and an eta
+    # quotient of level 28 alongside
+    cusps = (gamma0.Cusp(1, 1), gamma0.Cusp(1, 2), gamma0.Cusp(1, 7), gamma0.Cusp(1, 14))
+    h1, h2 = level14.H1_GEN, level14.H2_GEN
+    assert _orders([(h1, 1)], 14, cusps) == (0, 2, 0, 2)
+    assert _orders([(h2, -1)], 14, cusps) == (0, 1, 0, -5)
+    mixed = [(h1, 3), (h2, -2), (level14.H1_ETA, 1)]
+    assert _orders(mixed, 14, cusps) == tuple(
+        3 * gen_eta_cusp_ord(h1, 14, c)
+        - 2 * gen_eta_cusp_ord(h2, 14, c)
+        + eta_cusp_order(level14.H1_ETA, 14, c)
+        for c in cusps
+    )
+
+
+# ------------------------------------------------------------- order tables
+
+
+@pytest.mark.parametrize("table_id", level14.TABLE_IDS)
+def test_order_tables_run_no_class_search(table_id, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an order table searched the cusp classes")
+
+    want = level14.order_table(table_id)
+    monkeypatch.setattr(gamma0, "cusp_equivalent", refuse)
+    monkeypatch.setattr(gamma0, "class_representative", refuse)
+    assert level14.order_table(table_id) == want
+    assert level14.order_table("tables/" + table_id) == want
+
+
+# -------------------------------------------------------- reading a spec
+
+
+_ATOMS = st.one_of(
+    st.integers(1, 30).map(lambda d: f"eta({d})"),
+    st.integers(1, 24).flatmap(
+        lambda m: st.integers(0, m // 2 + 1).map(lambda g: f"geta({m},{g})")
+    ),
+)
+
+
+@st.composite
+def _spec(draw):
+    # products, quotients and integer powers over a few atoms, so that calls
+    # repeat and their exponents can cancel
+    atoms = draw(st.lists(_ATOMS, min_size=1, max_size=4))
+
+    def build(depth):
+        op = draw(st.sampled_from("a*/^")) if depth else "a"
+        if op == "a":
+            return draw(st.sampled_from(atoms))
+        if op == "^":
+            return f"({build(depth - 1)})^{draw(st.integers(-3, 3))}"
+        return f"({build(depth - 1)}){op}({build(depth - 1)})"
+
+    return build(3), draw(st.integers(1, 42))
+
+
+def _outcome(func, *args):
+    try:
+        return "value", func(*args)
+    except ValueError as err:
+        return "error", str(err)
+
+
+@settings(max_examples=300)
+@given(_spec())
+def test_spec_orders_agree_with_the_tree_walk(case):
+    text, level = case
+    assert _outcome(cli._quotient_orders, text, level) == _outcome(
+        oracle.quotient_orders, text, level
+    )
+
+
+@settings(max_examples=200)
+@given(_spec())
+def test_product_calls_are_the_tree_walks_exponents(case):
+    text, _ = case
+    eta_exps, gen_exps = {}, {}
+    oracle.collect_factors(parse(text), 1, eta_exps, gen_exps)
+    want = {Call("eta", (d,)): r for d, r in eta_exps.items()}
+    want.update(
+        {Call("geta", (m, g)): r for m, bucket in gen_exps.items() for g, r in bucket.items()}
+    )
+    assert _product_calls(parse(text)) == want
+
+
+def test_spec_with_mixed_geta_levels_and_cancelled_exponents():
+    text = "geta(14,1)*eta(2)/geta(7,3)^2*geta(7,3)^2*eta(7)/eta(7)"
+    calls = _product_calls(parse(text))
+    assert calls == {
+        Call("geta", (14, 1)): 1,
+        Call("eta", (2,)): 1,
+        Call("geta", (7, 3)): 0,
+        Call("eta", (7,)): 0,
+    }
+    assert cli._quotient_orders(text, 14) == oracle.quotient_orders(text, 14)
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("1", {}),
+        ("q/q", {}),
+        ("q^0", {}),
+        ("eta(1)^0", {Call("eta", (1,)): 0}),
+        ("eta(1)/eta(1)", {Call("eta", (1,)): 0}),
+        ("q*eta(1)/q", {Call("eta", (1,)): 1}),
+        ("1/geta(14,3)^2", {Call("geta", (14, 3)): -2}),
+        ("eta(1)*pi(2)", {Call("eta", (1,)): 1, Call("pi", (2,)): 1}),
+    ],
+)
+def test_product_calls_of_accepted_shapes(text, want):
+    assert _product_calls(parse(text)) == want
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "symbol(z)",
+        "symbol(z)^0*eta(1)",
+        "eta(1)+eta(2)",
+        "eta(1)-eta(1)",
+        "2*eta(1)",
+        "eta(1)/3",
+        "-eta(1)",
+        "0",
+        "2",
+        "q",
+        "q*eta(1)",
+        "eta(1)/q^2",
+        "q^(1/2)*eta(2)",
+        "eta(1)^(1/2)",
+        "sqrt(eta(1)^2)",
+        "subq(eta(1),2)",
+        "L(1)*eta(1)",
+        "eta(1)/symbol(z)",
+    ],
+)
+def test_product_calls_rejects_other_shapes(text):
+    assert _product_calls(parse(text)) is None
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "pi(1)",
+        "theta(1,1,1,1)",
+        "eta(1)*pi(1)",
+        "eta(1)+eta(2)",
+        "2*eta(1)",
+        "eta(1)/2",
+        "q*eta(1)",
+        "q^2",
+        "eta(2)^(1/2)",
+        "sqrt(eta(1))",
+    ],
+)
+def test_ord_table_rejects_what_is_no_quotient(capsys, text):
+    code, out, err = run(capsys, "ord-table", text, "--level", "14")
+    assert (code, out) == (2, "")
+    assert err == f"error: {SPEC_ERROR}\n"
+
+
+# --------------------------------------------------------- usage errors
+
+
+def test_ord_table_builtin_rejects_a_level(capsys):
+    code, out, err = run(capsys, "ord-table", "3.1", "--level", "28")
+    assert (code, out) == (2, "")
+    assert "takes no --level" in err
+    code, out, _ = run(capsys, "ord-table", "tables/4.1", "--level", "28", "--json")
+    assert (code, out) == (2, "")
+
+
+@pytest.mark.parametrize("level", [[], ["--level", "14"]])
+def test_ord_table_unknown_table_id(capsys, level):
+    code, out, err = run(capsys, "ord-table", "tables/9.9", *level)
+    assert (code, out) == (2, "")
+    assert err == "error: unknown table id 'tables/9.9'; known: 3.1, 3.2, 4.1, 4.2\n"
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, -1e-300, math.inf, -math.inf])
+def test_numeric_report_rejects_a_bad_tolerance(tol):
+    with pytest.raises(ValueError, match="tolerance"):
+        numeric.numeric_report(tol)
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "1e400", "-inf"])
+def test_numeric_check_bad_tolerance_is_a_usage_error(capsys, tol):
+    code, out, err = run(capsys, "numeric-check", f"--tol={tol}", "--json")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: tolerance must be a finite number >= 0")
+
+
+def test_numeric_check_takes_tolerance_zero(capsys):
+    code, out, _ = run(capsys, "numeric-check", "--tol", "0", "--json")
+    checks = json.loads(out)["checks"]
+    assert all(row["tolerance"] == 0 for row in checks.values())
+    assert checks["sign_laws"]["passed"] is True
+    assert code == (0 if all(row["passed"] for row in checks.values()) else 1)
