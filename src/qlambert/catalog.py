@@ -127,14 +127,16 @@ def verify(record, truncation=None) -> VerifyReport:
     """Check left - right == 0 through the demanded truncation.
 
     Accepts an IdentityRecord or a catalog name.  Both sides are evaluated
-    once, at a window 16 orders past the demanded truncation, or wider when
-    the leaves' values predict that the products above them eat more than
-    that; the leaves are evaluated once and shared by both sides.  The
-    prediction is a lower bound on the truncation the evaluation reaches,
-    and every leaf's truncation grows with the window, so that window covers
-    the demanded truncation.  Evaluation failures, and a difference known
-    less far than the demanded truncation, are reported with status "error"
-    rather than raised.
+    once, at a window 16 orders past the demanded truncation; the leaves are
+    evaluated there first, to predict the truncation each side reaches, and
+    are shared by both sides.  The prediction is a lower bound on the
+    truncation the evaluation reaches, so when it covers the demanded
+    truncation that window suffices.  Only when it falls short is the window
+    widened, by the shortfall plus a margin of 4; every leaf's truncation
+    grows with the window, so the wider window covers the demanded
+    truncation.  Evaluation failures, and a difference known less far than
+    the demanded truncation, are reported with status "error" rather than
+    raised.
     """
     if isinstance(record, str):
         record = get_identity(record)
@@ -149,8 +151,8 @@ def verify(record, truncation=None) -> VerifyReport:
             sides = (record.left, record.right)
             ends = [dsl._predicted_truncation(side, window) for side in sides]
             ends = [end for end in ends if end is not None]
-            if ends:
-                window = max(window, demanded + math.ceil(window - min(ends)) + 4)
+            if ends and min(ends) < demanded:
+                window = demanded + math.ceil(window - min(ends)) + 4
             diff = dsl.evaluate(record.left, window) - dsl.evaluate(
                 record.right, window
             )

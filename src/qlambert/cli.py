@@ -113,7 +113,12 @@ def _cmd_verify(args) -> int:
         print("error: choose exactly one of NAME, --all, --expr", file=sys.stderr)
         return 2
     if args.all:
-        reports = [verify(name, args.order) for name in sorted(load_catalog())]
+        # widest truncation first, so the narrower entries' symbols are
+        # truncations of builds already made; reported in name order
+        records = load_catalog()
+        widest_first = sorted(records, key=lambda name: (-records[name].truncation, name))
+        done = {name: verify(name, args.order) for name in widest_first}
+        reports = [done[name] for name in sorted(records)]
     elif args.expr is not None:
         left, right = parse_identity(args.expr)
         record = IdentityRecord(

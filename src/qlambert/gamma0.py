@@ -100,6 +100,18 @@ def _as_cusp(r) -> Cusp:
     raise TypeError(f"cannot interpret {r!r} as a cusp")
 
 
+#: the largest level ``cusp_set`` and ``psi`` accept: both walk the
+#: candidate divisors up to sqrt(N), about 10^4 steps at this bound
+_MAX_LEVEL = 10**8
+
+
+def _check_level(n: int) -> None:
+    if n < 1:
+        raise ValueError("level must be a positive integer")
+    if n > _MAX_LEVEL:
+        raise ValueError(f"level {n} is above the largest supported level {_MAX_LEVEL}")
+
+
 def _divisors(n: int) -> list[int]:
     # ascending; each divisor d <= sqrt(n) pairs with n // d
     small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
@@ -107,9 +119,11 @@ def _divisors(n: int) -> list[int]:
 
 
 def psi(n: int) -> int:
-    """Index of Gamma_0(n) in the modular group: n * prod_{p|n} (1 + 1/p)."""
-    if n < 1:
-        raise ValueError("level must be a positive integer")
+    """Index of Gamma_0(n) in the modular group: n * prod_{p|n} (1 + 1/p).
+
+    Levels above 10^8 are refused with ValueError.
+    """
+    _check_level(n)
     num, den = n, 1
     m, p = n, 2
     while p * p <= m:
@@ -185,10 +199,10 @@ def cusp_set(n: int) -> CuspTable:
     For each divisor c of n there are phi(gcd(c, n/c)) classes a/c with
     a running over units modulo gcd(c, n/c).  The class with c = 1 is
     presented as 0 and the class with c = n as infinity.  Widths sum
-    to psi(n).
+    to psi(n).  Levels above 10^8 are refused with ValueError before any
+    divisor is sought.
     """
-    if n < 1:
-        raise ValueError("level must be a positive integer")
+    _check_level(n)
     entries: list[tuple[Cusp, int]] = []
     for c in _divisors(n):
         d = math.gcd(c, n // c)

@@ -413,10 +413,13 @@ def eval_poly(poly, assignment: Mapping[str, object]):
     in the variable with the most distinct exponents (the first such), and
     steps over the gaps between them; the coefficient of each of its powers
     is a combination of powers of the other variables, each of which is
-    formed once, from the next lower power in use.  A rational coefficient
-    scales a value instead of multiplying it as a series, and no value is
-    multiplied by 1.  The DSL evaluates its polynomial subtrees through this
-    function.
+    formed once, from the next lower power in use.  Each Horner step sums
+    the carried value times the step's power, the group's monomials times
+    their coefficients, and its constant term; at series values that sum is
+    one linear combination (``series._sum``), one pass over integers.  A
+    rational coefficient scales a value instead of multiplying it, and no
+    value is multiplied by 1.  The DSL evaluates its polynomial subtrees
+    through this function.
     """
     if isinstance(poly, BivarPoly):
         poly = poly.as_multipoly()
@@ -442,31 +445,37 @@ def eval_poly(poly, assignment: Mapping[str, object]):
     degrees = sorted(groups, reverse=True)
     steps = _powers(h_value, {a - b for a, b in zip(degrees, degrees[1:] + [0])} - {0})
     products: dict[tuple, object] = {}
+    series = all(isinstance(value, QSeries) for _, _, value in used)
 
-    def coefficient(terms):
-        # sum of c * (the monomial in the other variables), the one rational
-        # term of the group apart
-        total, scalar = None, 0
-        for m, c in terms:
+    def combination(group, carried):
+        # the carried pairs plus c * (the monomial in the other variables)
+        # over the group's terms, as (c, value) pairs with None for the
+        # monomial 1; at series values one pass of _sum
+        pairs = list(carried)
+        for m, c in group:
             rest = tuple((i, e) for i, e in enumerate(m) if e and i != h)
-            if not rest:
-                scalar = c
-                continue
-            value = products.get(rest)
-            if value is None:
+            value = products.get(rest) if rest else None
+            if rest and value is None:
                 for i, e in rest:
                     power = tables[i][e]
                     value = power if value is None else value * power
                 products[rest] = value
-            value = _scaled(value, c)
-            total = value if total is None else total + value
-        if total is None:
-            return scalar
-        return total + scalar if scalar else total
+            pairs.append((c, value))
+        if len(pairs) == 1:
+            c, value = pairs[0]
+            return c if value is None else _scaled(value, c)
+        if series:
+            return _sum((c, _ONE if value is None else value) for c, value in pairs)
+        return sum(c if value is None else _scaled(value, c) for c, value in pairs)
 
-    acc = coefficient(groups[degrees[0]])
+    acc = combination(groups[degrees[0]], ())
     for high, low in zip(degrees, degrees[1:]):
-        acc = _times(acc, steps[high - low]) + coefficient(groups[low])
+        power = steps[high - low]
+        if isinstance(acc, Fraction):
+            carried = (acc, power)
+        else:
+            carried = (1, _times(acc, power))
+        acc = combination(groups[low], [carried])
     if degrees[-1]:
         acc = _times(acc, steps[degrees[-1]])
     return acc
@@ -484,6 +493,9 @@ def _powers(x, exponents) -> dict:
         table[e] = step if not prev else table[prev] * step
         prev = e
     return table
+
+
+_ONE = QSeries.constant(1)
 
 
 def _scaled(value, c):

@@ -3,10 +3,12 @@
 These are the exact division and the Bareiss resultant over polynomial
 entries that ``qlambert.relations`` used before its kernels went
 fraction-free (its resultant is now one integer determinant at a Kronecker
-point), the term-by-term ``eval_poly`` it used before Horner's rule, and
-the relation fit it used before its one triangular sweep: the full linear
-system of every known row, solved by Gaussian elimination over
-``Fraction``, then the residual.  They work on ``MultiPoly`` values,
+point), the term-by-term ``eval_poly`` it used before Horner's rule, the
+Horner evaluation it then used, adding term to term with binary operators
+(before each Horner step became one linear combination), and the relation
+fit it used before its one triangular sweep: the full linear system of
+every known row, solved by Gaussian elimination over ``Fraction``, then
+the residual.  They work on ``MultiPoly`` values,
 ``Fraction`` matrices and ``QSeries`` values through their public
 constructors, readers and operators only; the polynomial operators are
 checked in turn against the schoolbook product ``mul`` below.  The
@@ -235,3 +237,63 @@ def eval_poly(poly: MultiPoly, assignment):
                 term = assignment[name] ** e * term
         total = term if total is None else total + term
     return total
+
+
+def eval_poly_chained(poly: MultiPoly, assignment):
+    """Horner's rule in the first variable with the most distinct nonzero
+    exponents, stepping over the gaps between them, with each coefficient
+    summed term by term by binary ``+`` and every power formed by repeated
+    binary ``*``: the evaluation ``eval_poly`` made before each Horner step
+    became one linear combination."""
+    if not poly.coeffs:
+        return Fraction(0)
+    exponents = [{m[i] for m in poly.coeffs} - {0} for i in range(len(poly.variables))]
+    if not any(exponents):
+        return poly.constant_term()
+    h = max(range(len(exponents)), key=lambda i: len(exponents[i]))
+    values = [
+        assignment[name] if exponents[i] else None
+        for i, name in enumerate(poly.variables)
+    ]
+
+    def power(x, e):
+        out = x
+        for _ in range(e - 1):
+            out = out * x
+        return out
+
+    def coefficient(group):
+        total, scalar = None, Fraction(0)
+        for m, c in group:
+            term = None
+            for i, e in enumerate(m):
+                if e and i != h:
+                    x = power(values[i], e)
+                    term = x if term is None else term * x
+            if term is None:
+                scalar = c
+                continue
+            term = term if c == 1 else term * c
+            total = term if total is None else total + term
+        if total is None:
+            return scalar
+        return total + scalar if scalar else total
+
+    groups: dict[int, list] = {}
+    for m, c in poly.coeffs.items():
+        groups.setdefault(m[h], []).append((m, c))
+    degrees = sorted(groups, reverse=True)
+
+    def times(acc, e):
+        # acc * (the Horner variable)^e, a rational acc scaling the power
+        step = power(values[h], e)
+        if isinstance(acc, Fraction):
+            return step if acc == 1 else step * acc
+        return acc * step
+
+    acc = coefficient(groups[degrees[0]])
+    for high, low in zip(degrees, degrees[1:]):
+        acc = times(acc, high - low) + coefficient(groups[low])
+    if degrees[-1]:
+        acc = times(acc, degrees[-1])
+    return acc

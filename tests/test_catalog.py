@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from qlambert import QSeries, dsl
+from qlambert import QSeries, constructors, dsl
 from qlambert.catalog import (
     IdentityRecord,
     get_identity,
@@ -12,6 +12,7 @@ from qlambert.catalog import (
     parse_catalog,
     verify,
 )
+from qlambert.cli import main
 from qlambert.dsl import parse_identity
 from qlambert.errors import DSLError
 
@@ -122,6 +123,50 @@ def test_entries_that_eat_little_keep_the_default_window(monkeypatch):
         record = get_identity(name)
         report, windows = _passes(monkeypatch, name)
         assert report.verified and windows == [record.truncation + 16]
+
+
+def _windows(monkeypatch, name):
+    """The orders of every node evaluation, the prediction's included."""
+    orders = set()
+    real = dsl._eval
+
+    def recording(node, order, memo, predict=False):
+        orders.add(order)
+        return real(node, order, memo, predict)
+
+    monkeypatch.setattr(dsl, "_eval", recording)
+    assert verify(name).verified
+    return sorted(orders)
+
+
+@pytest.mark.parametrize("name", ["thm-1.2", "rel-F3", "rel-F4"])
+def test_a_prediction_that_covers_the_truncation_keeps_its_window(monkeypatch, name):
+    # thm-1.2 is predicted through q^53 of q^50 at 66, rel-F3 and rel-F4
+    # through q^26 of q^25 at 41
+    assert _windows(monkeypatch, name) == [get_identity(name).truncation + 16]
+
+
+def test_a_prediction_that_falls_short_widens_the_window_once(monkeypatch):
+    assert _windows(monkeypatch, "elim-K") == [36, 60]
+
+
+def test_verify_all_builds_each_symbol_once(monkeypatch, capsys):
+    builds = []
+    real = constructors._build
+
+    def recording(name, window):
+        builds.append((name, window))
+        return real(name, window)
+
+    monkeypatch.setattr(constructors, "_SYMBOL_CACHE", {})
+    monkeypatch.setattr(constructors, "_SYMBOL_SERVED", {})
+    monkeypatch.setattr(constructors, "_build", recording)
+    assert main(["verify", "--all"]) == 0
+    names = [name for name, _ in builds]
+    assert len(names) == len(set(names)) and "z" in names and "t" in names
+    # the reports still come in name order
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == sorted(CATALOG_NAMES)
 
 
 def test_a_window_that_keeps_collapsing_is_an_error(monkeypatch):

@@ -38,6 +38,13 @@ def test_cusps_rejects_a_bad_level(capsys):
     assert "positive" in err
 
 
+def test_levels_past_the_bound_exit_2(capsys):
+    for argv in (("cusps", "100000001"), ("ord-table", "eta(1)", "--level", "100000001")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "above the largest supported level 100000000" in err
+
+
 # -------------------------------------------------------------- ord-table
 
 

@@ -127,6 +127,20 @@ def test_cusp_set_edge_levels():
     assert Cusp(1, 3) in reps and Cusp(2, 3) in reps
 
 
+def test_levels_past_the_bound_are_refused_before_any_divisor_walk(monkeypatch):
+    def walked(n):
+        raise AssertionError("a divisor walk ran")
+
+    monkeypatch.setattr(gamma0, "_divisors", walked)
+    for n in (gamma0._MAX_LEVEL + 1, 10**16):
+        with pytest.raises(ValueError, match="largest supported level 100000000"):
+            cusp_set(n)
+        with pytest.raises(ValueError, match="largest supported level"):
+            psi(n)
+    # the bound itself is a level; psi(10^8) = 10^8 * (3/2) * (6/5)
+    assert psi(gamma0._MAX_LEVEL) == 180_000_000
+
+
 def test_divisors_are_every_divisor_in_order():
     for n in range(1, 400):
         assert gamma0._divisors(n) == [d for d in range(1, n + 1) if n % d == 0]

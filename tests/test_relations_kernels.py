@@ -5,7 +5,8 @@ Exact division, the Bareiss resultant and the relation fit must agree with
 same exception type and message; the relation fit's triangular sweep is
 checked against a full-system solve over ``Fraction``.  Horner evaluation
 must agree with the term-by-term sum at rationals and polynomials exactly,
-and at series through the smaller truncation.  Results crossing
+and at series through the smaller truncation; at series it must also equal
+the chained Horner evaluation exactly, truncation included.  Results crossing
 the public boundary must hold ``Fraction`` coefficients.
 """
 
@@ -98,6 +99,32 @@ def test_horner_agrees_with_the_term_by_term_sum(p, data):
             assert (new - old).is_zero()
         else:
             assert new == old
+
+
+grid_series = st.builds(
+    lambda cs, v, D, window: QSeries(cs, v, D, None if window is None else v + window),
+    st.lists(st.one_of(integers, rationals), min_size=1, max_size=5),
+    st.integers(-3, 3),
+    st.sampled_from([1, 2, 3, 6]),
+    st.one_of(st.none(), st.integers(1, 8)),
+)
+
+
+@settings(max_examples=80)
+@given(polys(max_terms=6, max_exp=4), st.one_of(st.just(0), integers, rationals), st.data())
+def test_horner_steps_as_one_combination_match_the_chained_sums(p, constant, data):
+    # gaps in the Horner degrees and a constant term are both drawn
+    p = p + constant
+    assignment = {name: data.draw(grid_series) for name in p.variables}
+    new = eval_poly(p, assignment)
+    old = oracle.eval_poly_chained(p, assignment)
+    assert type(new) is type(old)
+    if isinstance(new, QSeries):
+        # both canonical: the same terms, grid, stride and truncation
+        fields = ("D", "v", "S", "coeffs", "T")
+        assert [getattr(new, f) for f in fields] == [getattr(old, f) for f in fields]
+    else:
+        assert new == old
 
 
 def test_horner_neither_multiplies_by_one_nor_by_a_scalar(monkeypatch):
