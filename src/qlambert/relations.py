@@ -639,10 +639,13 @@ def vanishing_factor(factors: Sequence[MultiPoly], assignment) -> int:
 
 def _head(s: QSeries, lo: int, count: int) -> list:
     """The coefficients of q^lo .. q^(lo + count - 1) of a series on the
-    integer grid that is known there and starts at or after q^lo."""
+    integer grid that is known there and starts at or after q^lo: ints
+    for an integral series, Fractions otherwise."""
     out = [0] * count
     j, step = s.v - lo, s.S or 1
     cs = s.coeffs[: max(0, -((j - count) // step))]
+    if s.L > 1:
+        cs = [Fraction(c, s.L) for c in cs]
     out[j : j + len(cs) * step : step] = cs
     return out
 

@@ -21,16 +21,21 @@ eta(d tau) = q^(d/24) * (1 - q^d - ...), stores one slot per step of its
 own terms, never the empty grid slots between them.  Two series that print
 the same are stored the same regardless of the grid they were built on.
 
-Coefficients are stored in canonical form: a Python ``int`` when the value is
-integral, otherwise a ``Fraction``.  The kernels (sum, product, inverse,
-square root, and powers through the product) are fraction-free: they clear
-each operand's common denominator once, run on plain ``int``s, and divide
-once at the end.  Every sum, difference and rational multiple of series is
+Coefficients are stored as integer numerators over one positive common
+denominator ``L``: the coefficient of slot k is ``coeffs[k] / L``, the sign
+sits in the numerators, and gcd(L, *coeffs) = 1, so ``L`` is the least
+common denominator of the coefficients (1 for an integral series, as every
+product the constructors build is).  The kernels (sum, product, inverse,
+square root, and powers through the product) read ``(L, coeffs)`` and run
+on plain ``int``s; each result's denominator is reduced once, on
+construction.  Every sum, difference and rational multiple of series is
 one linear-combination kernel, ``_sum``: sum c_i * s_i in one pass.  A sum
 or product works on the common stride of its operands' terms.  A product
 with fewer than ``CROSSOVER`` pairs of nonzero terms, or with a factor of
 one or two terms, walks those pairs; any other is one big-integer
-multiplication (Kronecker substitution) on that common stride.  ``Fraction`` appears only at the public boundary: the readers
+multiplication (Kronecker substitution) on that common stride.
+``Fraction`` appears only at the public boundary: the constructor takes
+``int``, ``Fraction`` or ``str`` coefficients, and the readers
 ``coefficient``, ``leading_coefficient``, ``items`` and ``valuation``
 always return ``Fraction`` values.
 """
@@ -46,42 +51,12 @@ from .errors import PrecisionError
 _ZERO = Fraction(0)
 
 
-def _rat(x):
-    """Coerce to a canonical exact rational, refusing floats (exactness is
-    the whole point): an int when integral, otherwise a Fraction."""
-    if isinstance(x, int):
-        return int(x)
-    if isinstance(x, str):
-        x = Fraction(x)
-    if isinstance(x, Fraction):
-        return x.numerator if x.denominator == 1 else x
+def _rat(x) -> Fraction:
+    """Coerce to an exact rational, refusing floats (exactness is the whole
+    point)."""
+    if isinstance(x, (int, str, Fraction)):
+        return Fraction(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
-
-
-def _frac(c) -> Fraction:
-    # a stored coefficient as the Fraction the public readers return
-    return c if type(c) is Fraction else Fraction(c)
-
-
-def _ratio(n: int, d: int):
-    # n/d in canonical form, for d > 0
-    if d == 1:
-        return n
-    x = Fraction(n, d)
-    return x.numerator if x.denominator == 1 else x
-
-
-def _cleared(cs):
-    """(L, ints) with ints[k] == cs[k] * L for the least common denominator L."""
-    L = 1
-    for c in cs:
-        if type(c) is not int:
-            L = math.lcm(L, c.denominator)
-    if L == 1:
-        return 1, cs
-    return L, [
-        c * L if type(c) is int else c.numerator * (L // c.denominator) for c in cs
-    ]
 
 
 def _ceil_div(n: int, d: int) -> int:
@@ -157,9 +132,9 @@ def _packed_product(fc, mf, gc, mg, n):
 def _sum(terms) -> "QSeries":
     """The sum of c * s over ``terms``, pairs (c, s) of an ``int`` or
     ``Fraction`` c and a series s, in one pass over integers on the common
-    stride of the terms: each s is cleared of its denominator once, and one
-    common denominator is divided out at the end.  A term with c = 0 is the
-    exact zero, as in a product; the others' least truncation is the sum's.
+    stride of the terms: each s's numerators are scaled to one common
+    denominator.  A term with c = 0 is the exact zero, as in a product; the
+    others' least truncation is the sum's.
     """
     terms = [(c, s) for c, s in terms if c]
     D = math.lcm(*(s.D for _, s in terms)) if terms else 1
@@ -176,46 +151,44 @@ def _sum(terms) -> "QSeries":
     n = max(s.v * m - lo + (len(s.coeffs) - 1) * s.S * m for _, s, m in parts) // S + 1
     if T is not None:
         n = min(n, _ceil_div(T - lo, S))
-    # (first slot, step in slots, numerator of c, denominator, integers)
-    cleared = []
-    for c, s, m in parts:
-        Ls, ints = _cleared(s.coeffs)
-        cleared.append(
-            ((s.v * m - lo) // S, s.S * m // S or 1, c.numerator, Ls * c.denominator, ints)
-        )
-    L = math.lcm(*(Ls for _, _, _, Ls, _ in cleared))
+    # the denominator of each c * s, and their common one
+    dens = [s.L * c.denominator for c, s, _ in parts]
+    L = math.lcm(*dens)
     out = [0] * max(0, n)
-    for j, m, p, Ls, cs in cleared:
-        scale = L // Ls * p
+    for (c, s, m), den in zip(parts, dens):
+        # first slot and step in slots of s on the common stride
+        j, step = (s.v * m - lo) // S, s.S * m // S or 1
+        scale = L // den * c.numerator
         # zip stops at whichever ends first: the terms or the window
-        summed = [x + c * scale for x, c in zip(out[j::m], cs)]
-        out[j : j + len(summed) * m : m] = summed
-    if L > 1:
-        out = [_ratio(x, L) if x else 0 for x in out]
-    return QSeries._make(out, lo, D, T, S)
+        summed = [x + a * scale for x, a in zip(out[j::step], s.coeffs)]
+        out[j : j + len(summed) * step : step] = summed
+    return QSeries._make(out, lo, D, T, S, L)
 
 
 class QSeries:
     """One truncated Laurent series in q^(1/D) with exact rational coefficients.
 
-    ``coeffs[k]`` is the coefficient of ``q^((v+k*S)/D)``, stored as an
-    ``int`` when integral and as a ``Fraction`` otherwise; the public readers
-    return ``Fraction``.  The stride ``S`` is the gcd of the nonzero terms'
-    offsets from ``v`` (0 for fewer than two terms), so no stored slot lies
-    between two steps of the terms.  Instances are immutable; all operations
-    return new series.
+    ``coeffs[k] / L`` is the coefficient of ``q^((v+k*S)/D)``: ``coeffs``
+    holds ``int`` numerators and ``L`` is their one positive denominator,
+    with gcd(L, *coeffs) = 1; the public readers return ``Fraction``.  The
+    stride ``S`` is the gcd of the nonzero terms' offsets from ``v`` (0 for
+    fewer than two terms), so no stored slot lies between two steps of the
+    terms.  Instances are immutable; all operations return new series.
     """
 
-    __slots__ = ("D", "v", "S", "coeffs", "T")
+    __slots__ = ("D", "v", "S", "coeffs", "T", "L")
 
     def __init__(self, coeffs=(), v=0, D=1, T=None):
         if not isinstance(D, int) or D <= 0:
             raise ValueError("grid denominator D must be a positive integer")
-        self._set([_rat(c) for c in coeffs], int(v), D, None if T is None else int(T))
+        cs = [_rat(c) for c in coeffs]
+        L = math.lcm(*(c.denominator for c in cs))
+        cs = [c.numerator * (L // c.denominator) for c in cs]
+        self._set(cs, int(v), D, None if T is None else int(T), 1, L)
 
-    def _set(self, cs, v, D, T, S=1):
-        # normalise canonical coefficients cs, placed every S grid slots
-        # from index v, into self; a lone term sits on any stride
+    def _set(self, cs, v, D, T, S=1, L=1):
+        # normalise integer numerators cs over L > 0, placed every S grid
+        # slots from index v, into self; a lone term sits on any stride
         S = S or 1
         n = len(cs)
         lead = 0
@@ -238,23 +211,29 @@ class QSeries:
         S *= t
         g = math.gcd(D, v, S) if T is None else math.gcd(D, v, S, T)
         self.D, self.v, self.S = D // g, v // g, S // g
-        self.coeffs = tuple(cs[lead:end : t or 1])
         self.T = None if T is None else T // g
+        cs = cs[lead:end : t or 1]
+        if L > 1:
+            g = math.gcd(L, *cs)
+            if g > 1:
+                L //= g
+                cs = [c // g for c in cs]
+        self.coeffs, self.L = tuple(cs), L
 
     # -- raw construction ------------------------------------------------
 
     @staticmethod
-    def _make(cs, v, D, T, S=1) -> "QSeries":
-        # normalising construction from canonical coefficients (no coercion)
+    def _make(cs, v, D, T, S=1, L=1) -> "QSeries":
+        # normalising construction from integer numerators over L
         s = object.__new__(QSeries)
-        s._set(cs, v, D, T, S)
+        s._set(cs, v, D, T, S, L)
         return s
 
     @staticmethod
-    def _raw(coeffs, v, D, T, S):
+    def _raw(coeffs, v, D, T, S, L=1):
         # caller guarantees the normalisation invariants
         s = object.__new__(QSeries)
-        s.D, s.v, s.S, s.coeffs, s.T = D, v, S, tuple(coeffs), T
+        s.D, s.v, s.S, s.coeffs, s.T, s.L = D, v, S, tuple(coeffs), T, L
         return s
 
     @classmethod
@@ -269,7 +248,7 @@ class QSeries:
     @classmethod
     def monomial(cls, c, e=0) -> "QSeries":
         """The exact single term c * q^e, for rational e."""
-        e = Fraction(_rat(e))
+        e = _rat(e)
         return cls((c,), e.numerator, e.denominator, None)
 
     # -- inspection -------------------------------------------------------
@@ -303,7 +282,7 @@ class QSeries:
 
     def leading_coefficient(self) -> Fraction:
         if self.coeffs:
-            return _frac(self.coeffs[0])
+            return Fraction(self.coeffs[0], self.L)
         if self.T is None:
             raise ValueError("the zero series has no leading term")
         raise PrecisionError("series is zero through its truncation")
@@ -314,13 +293,13 @@ class QSeries:
         Exponents off the grid or outside the stored window are exactly zero
         as long as they lie below the truncation order.
         """
-        e = Fraction(_rat(e))
+        e = _rat(e)
         t = e * self.D
         if t.denominator == 1:
             j = t.numerator
             k, r = divmod(j - self.v, self.S or 1)
             if not r and 0 <= k < len(self.coeffs):
-                return _frac(self.coeffs[k])
+                return Fraction(self.coeffs[k], self.L)
             if self.T is None or j < self.T:
                 return _ZERO
         elif self.T is None or e < Fraction(self.T, self.D):
@@ -334,7 +313,7 @@ class QSeries:
         """Yield (exponent, coefficient) for each stored nonzero term."""
         for k, c in enumerate(self.coeffs):
             if c:
-                yield Fraction(self.v + k * self.S, self.D), _frac(c)
+                yield Fraction(self.v + k * self.S, self.D), Fraction(c, self.L)
 
     # -- ring operations --------------------------------------------------
 
@@ -347,7 +326,9 @@ class QSeries:
     __radd__ = __add__
 
     def __neg__(self):
-        return QSeries._raw((-c for c in self.coeffs), self.v, self.D, self.T, self.S)
+        return QSeries._raw(
+            (-c for c in self.coeffs), self.v, self.D, self.T, self.S, self.L
+        )
 
     def _scaled(self, c) -> "QSeries":
         # self * c for a nonzero rational c, without a series product
@@ -391,8 +372,7 @@ class QSeries:
         n = (len(self.coeffs) - 1) * sf + (len(o.coeffs) - 1) * sg + 1
         if T is not None:
             n = min(n, _ceil_div(T - v, S))
-        Lf, fc = _cleared(self.coeffs)
-        Lg, gc = _cleared(o.coeffs)
+        fc, gc = self.coeffs, o.coeffs
         # the nonzero terms, by slot from v on the common stride
         fnz = [(k * sf, c) for k, c in enumerate(fc) if c]
         gnz = [(k * sg, c) for k, c in enumerate(gc) if c]
@@ -411,10 +391,7 @@ class QSeries:
                     if j >= lim:
                         break  # gnz ascends
                     out[i + j] += a * b
-        L = Lf * Lg
-        if L > 1:
-            out = [_ratio(x, L) if x else 0 for x in out]
-        return QSeries._make(out, v, D, T, S)
+        return QSeries._make(out, v, D, T, S, self.L * o.L)
 
     __rmul__ = __mul__
 
@@ -422,7 +399,7 @@ class QSeries:
         if isinstance(n, Fraction):
             if n.denominator == 1:
                 n = int(n)
-            elif len(self.coeffs) == 1 and self.T is None and self.coeffs[0] == 1:
+            elif self.coeffs == (1,) and self.L == 1 and self.T is None:
                 return QSeries.monomial(1, Fraction(self.v, self.D) * n)
             else:
                 raise ValueError(
@@ -449,9 +426,8 @@ class QSeries:
 
     def _unit_part(self):
         # self with the leading monomial divided out; auto-compressed
-        return QSeries._make(
-            self.coeffs, 0, self.D, None if self.T is None else self.T - self.v, self.S
-        )
+        T = None if self.T is None else self.T - self.v
+        return QSeries._make(self.coeffs, 0, self.D, T, self.S, self.L)
 
     @staticmethod
     def _window(u, terms, what):
@@ -489,15 +465,15 @@ class QSeries:
                 "cannot invert a series that is zero through its truncation"
             )
         u = self._unit_part()
+        c = u.coeffs[0]
         if u.T is None and len(u.coeffs) == 1:
-            return QSeries._make((_rat(1 / Fraction(u.coeffs[0])),), -self.v, self.D, None)
+            return QSeries._make((u.L if c > 0 else -u.L,), -self.v, self.D, None, 1, abs(c))
         mono = QSeries._make((1,), -self.v, self.D, None)
         R, S, n = self._window(u, terms, "inverting")
         # u = A/L with integer A, so 1/u = L * B with B = 1/A; writing
         # B_k = P_k / c^(k+1) for c = A_0 keeps P integral:
         #   P_k = -sum_{i=1..k} A_i c^(i-1) P_(k-i)
-        L, A = _cleared(u.coeffs[:n])
-        c = A[0]
+        A = u.coeffs[:n]
         weights = []
         power = 1
         for i in range(1, len(A)):
@@ -513,12 +489,14 @@ class QSeries:
                     break
                 acc += w * P[k - i]
             P[k] = -acc
-        b = []
-        den = c  # c^(k+1); b stays integral when c is 1 or -1
-        for x in P:
-            b.append(_ratio(L * x, den) if den > 0 else _ratio(-L * x, -den))
-            den *= c
-        return QSeries._make(b, 0, u.D, R, S) * mono
+        # over the one denominator |c|^n, slot k of 1/u is
+        # L P_k c^(n-1-k), negated when c^n < 0
+        den = c**n
+        scale = u.L if den > 0 else -u.L
+        for k in reversed(range(n)):
+            P[k] *= scale
+            scale *= c
+        return QSeries._make(P, 0, u.D, R, S, abs(den)) * mono
 
     def div(self, other, terms=None) -> "QSeries":
         """self / other.
@@ -567,7 +545,7 @@ class QSeries:
             raise PrecisionError(
                 "series is zero through its truncation; square root undetermined"
             )
-        c0 = Fraction(self.coeffs[0])
+        c0 = Fraction(self.coeffs[0], self.L)
         if c0 < 0:
             raise ValueError(
                 f"no rational square root: leading coefficient {c0} is negative"
@@ -581,7 +559,7 @@ class QSeries:
             )
         u = self._unit_part()
         e = Fraction(self.v, 2 * self.D)
-        mono = QSeries._make((_ratio(rn, rd),), e.numerator, e.denominator, None)
+        mono = QSeries._make((rn,), e.numerator, e.denominator, None, 1, rd)
         if u.T is None and len(u.coeffs) == 1:
             return mono
         R, S, n = self._window(u, terms, "square root of")
@@ -589,10 +567,9 @@ class QSeries:
         # b_k = G_k / (4L)^k with integer G: G_0 = 1 and
         #   G_k = 2^(2k-1) L^(k-1) A_k - (1/2) sum_{i=1..k-1} G_i G_(k-i),
         # where every G_i (i >= 1) is even, so the halving is exact.
-        Lu, A = _cleared(u.coeffs[:n])
+        A, L = u.coeffs[:n], u.L * num
         if den > 1:
             A = [x * den for x in A]
-        L = Lu * num
         G = [0] * n
         G[0] = 1
         nonzero = []
@@ -609,28 +586,32 @@ class QSeries:
                 G[k] = acc
                 nonzero.append(k)
             scale *= 4 * L
-        b = [_ratio(x, (4 * L) ** k) if x else 0 for k, x in enumerate(G)]
-        return QSeries._make(b, 0, u.D, R, S) * mono
+        # over the one denominator (4L)^(n-1), slot k is G_k (4L)^(n-1-k)
+        scale = 1
+        for k in reversed(range(n)):
+            G[k] *= scale
+            scale *= 4 * L
+        return QSeries._make(G, 0, u.D, R, S, (4 * L) ** (n - 1)) * mono
 
     # -- reshaping ---------------------------------------------------------
 
     def truncate(self, e) -> "QSeries":
         """Forget all coefficients at exponents >= e."""
-        t = Fraction(_rat(e)) * self.D
+        t = _rat(e) * self.D
         T = _ceil_div(t.numerator, t.denominator)
         if self.T is not None:
             T = min(T, self.T)
-        return QSeries._make(self.coeffs, self.v, self.D, T, self.S)
+        return QSeries._make(self.coeffs, self.v, self.D, T, self.S, self.L)
 
     def subs_qpow(self, m) -> "QSeries":
         """Substitute q -> q^m for a positive rational m."""
-        m = Fraction(_rat(m))
+        m = _rat(m)
         if m <= 0:
             raise ValueError("substitution exponent must be positive")
         p, r = m.numerator, m.denominator
         # the term at (v + k*S)/D moves to (v*p + k*S*p)/(D*r)
         T = None if self.T is None else self.T * p
-        return QSeries._make(self.coeffs, self.v * p, self.D * r, T, self.S * p)
+        return QSeries._make(self.coeffs, self.v * p, self.D * r, T, self.S * p, self.L)
 
     # -- comparison and display --------------------------------------------
 
@@ -685,7 +666,7 @@ def _coerce(x):
     if isinstance(x, QSeries):
         return x
     if isinstance(x, (int, Fraction)):
-        return QSeries._raw((_rat(x),) if x else (), 0, 1, None, 0)
+        return QSeries._raw((x.numerator,) if x else (), 0, 1, None, 0, x.denominator)
     return None
 
 

@@ -44,7 +44,7 @@ levels = st.sampled_from([2, 6, 7, 12, 14, 28])
 
 
 def exact(s):
-    return s.v, s.D, s.T, s.coeffs
+    return s.v, s.D, s.T, s.L, s.coeffs
 
 
 @given(signs, st.integers(1, 12), st.integers(1, 12), orders)

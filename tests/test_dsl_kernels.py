@@ -95,7 +95,7 @@ def outcome(evaluate_fn, node, order):
 
 
 def state(s):
-    return s.v, s.D, s.T, s.coeffs
+    return s.v, s.D, s.T, s.L, s.coeffs
 
 
 def agrees_with_the_oracle(node, order):

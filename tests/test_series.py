@@ -87,14 +87,14 @@ def test_grid_rescaling_is_invisible(f, m):
     if f.coeffs:
         spread = [F(0)] * ((len(f.coeffs) - 1) * f.S * m + 1)
         for k, c in enumerate(f.coeffs):
-            spread[k * f.S * m] = c
+            spread[k * f.S * m] = F(c, f.L)
     else:
         spread = []
     T = None if f.T is None else f.T * m
     g = QSeries(spread, f.v * m, f.D * m, T)
     assert f == g
     assert g.D == f.D  # normalisation compresses the grid right back
-    assert (g.v, g.S, g.T, g.coeffs) == (f.v, f.S, f.T, f.coeffs)
+    assert (g.v, g.S, g.T, g.L, g.coeffs) == (f.v, f.S, f.T, f.L, f.coeffs)
 
 
 @pytest.mark.parametrize(
@@ -112,11 +112,17 @@ def test_grid_rescaling_is_invisible(f, m):
             450,
             id="subq(theta(1,1,1,1)^4,3)",
         ),
+        # halves whose sum cancels the denominator
+        pytest.param(
+            lambda: F(1, 2) * eta(1, 100) + eta(1, 100) / 2, 93, id="eta(1)/2+eta(1)/2"
+        ),
     ],
 )
 def test_storage_is_one_slot_per_step_of_the_terms(build, slots):
-    # a series on a coset of a coarse step stores no slot between two steps
+    # a series on a coset of a coarse step stores no slot between two steps;
+    # every series here is integral, so it is stored over L = 1
     f = build()
+    assert f.L == 1
     assert len(f.coeffs) == slots
     offsets = [int(e * f.D) - f.v for e, _ in f.items()]
     assert math.gcd(*offsets) == f.S

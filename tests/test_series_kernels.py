@@ -3,10 +3,11 @@
 Every result must agree with ``series_oracle`` in grid index, grid
 denominator, stride, truncation and coefficients, and every failure must
 raise the same exception type.  Kernel results must also be in canonical
-storage form: an ``int`` for each integral coefficient, a ``Fraction``
-otherwise.
+storage form: integer numerators over one positive denominator ``L`` that
+shares no factor with all of them.
 """
 
+import math
 from fractions import Fraction as F
 
 from hypothesis import given, settings
@@ -80,9 +81,10 @@ def outcome(fn, *args):
         result = fn(*args)
     except (ArithmeticError, ValueError) as err:
         return type(err)
-    for c in result.coeffs:
-        assert type(c) is int or (type(c) is F and c.denominator > 1), c
-    return result.v, result.D, result.S, result.T, result.coeffs
+    assert all(type(c) is int for c in result.coeffs), result.coeffs
+    assert result.L >= 1
+    assert math.gcd(result.L, *result.coeffs) == 1
+    return result.v, result.D, result.S, result.T, result.L, result.coeffs
 
 
 @settings(max_examples=300)
@@ -209,7 +211,7 @@ def test_packed_digits_hold_extreme_coefficients():
 def test_leading_unit_inverse_stays_integral():
     f = QSeries([-1, 3, 0, -2, 5], v=2, D=3, T=9)
     inv = f.invert()
-    assert all(type(c) is int for c in inv.coeffs)
+    assert inv.L == 1
     assert outcome(f.invert) == outcome(oracle.invert, f)
 
 
