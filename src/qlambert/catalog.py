@@ -127,16 +127,13 @@ def verify(record, truncation=None) -> VerifyReport:
     """Check left - right == 0 through the demanded truncation.
 
     Accepts an IdentityRecord or a catalog name.  Both sides are evaluated
-    once, at a window 16 orders past the demanded truncation; the leaves are
-    evaluated there first, to predict the truncation each side reaches, and
-    are shared by both sides.  The prediction is a lower bound on the
-    truncation the evaluation reaches, so when it covers the demanded
-    truncation that window suffices.  Only when it falls short is the window
-    widened, by the shortfall plus a margin of 4; every leaf's truncation
-    grows with the window, so the wider window covers the demanded
-    truncation.  Evaluation failures, and a difference known less far than
-    the demanded truncation, are reported with status "error" rather than
-    raised.
+    once, at a window 16 orders past the demanded truncation.  Only when the
+    difference is known less far than the demanded truncation are they
+    evaluated once more, at a window wider by the shortfall plus a margin of
+    4; every leaf's truncation grows with the window, so the wider window
+    covers the demanded truncation.  Evaluation failures, and a difference
+    that the wider window still leaves short, are reported with status
+    "error" rather than raised.
     """
     if isinstance(record, str):
         record = get_identity(record)
@@ -146,30 +143,28 @@ def verify(record, truncation=None) -> VerifyReport:
     start = time.perf_counter()
     status, grid, texp, first, detail = "error", None, None, None, ""
     try:
-        with dsl._shared_leaves():
-            window = demanded + 16
-            sides = (record.left, record.right)
-            ends = [dsl._predicted_truncation(side, window) for side in sides]
-            ends = [end for end in ends if end is not None]
-            if ends and min(ends) < demanded:
-                window = demanded + math.ceil(window - min(ends)) + 4
+        window = demanded + 16
+        diff = dsl.evaluate(record.left, window) - dsl.evaluate(record.right, window)
+        end = diff.truncation_exponent()
+        if end is not None and end < demanded:
+            window = demanded + math.ceil(window - end) + 4
             diff = dsl.evaluate(record.left, window) - dsl.evaluate(
                 record.right, window
             )
-            head = diff.truncate(demanded)
-            grid = head.D
-            texp = head.truncation_exponent()
-            if not head.is_zero():
-                status = "failed"
-                first = next(head.items())
-            elif texp is None or texp >= demanded:
-                status = "verified"
-            else:
-                detail = (
-                    "window kept collapsing: got q^%s of the demanded q^%d"
-                    % (texp, demanded)
-                )
-                grid, texp = None, None
+        head = diff.truncate(demanded)
+        grid = head.D
+        texp = head.truncation_exponent()
+        if not head.is_zero():
+            status = "failed"
+            first = next(head.items())
+        elif texp is None or texp >= demanded:
+            status = "verified"
+        else:
+            detail = (
+                "window kept collapsing: got q^%s of the demanded q^%d"
+                % (texp, demanded)
+            )
+            grid, texp = None, None
     except (ArithmeticError, ValueError) as err:
         detail = str(err)
         grid, texp, first = None, None, None

@@ -48,8 +48,6 @@ it, as in the node-by-node evaluation.
 
 import math
 import re
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul, sub, truediv
@@ -568,60 +566,28 @@ class _Pending:
         self.calls, self.qexp, self.c = calls, Fraction(qexp), Fraction(c)
 
 
-#: order -> leaf -> value, shared by the evaluations inside _shared_leaves
-_SHARED: ContextVar = ContextVar("qlambert_dsl_shared_leaves", default=None)
-
-
 def evaluate(node, order: int) -> QSeries:
     """Evaluate a tree to a truncated series.
 
     Primitive constructors are expanded through the absolute order, named
-    symbols get it as their relative window.  Each polynomial subtree is
-    evaluated as a polynomial over its distinct leaves by
-    ``relations.eval_poly``, and truncated where the node-by-node
-    arithmetic would truncate it.  A product of integer powers of eta-type
-    calls and q powers is one leaf, formed by a single q-product over the
-    merged factor dict, and equal to the node-by-node product of its
-    factors.  Arithmetic failures are re-raised as DSLError tagged with the
-    offending subexpression.
+    symbols get it as their relative window.  Each distinct leaf is
+    evaluated once per call, and each polynomial subtree as a polynomial
+    over its leaves by ``relations.eval_poly``, truncated where the
+    node-by-node arithmetic would truncate it.  A product of integer powers
+    of eta-type calls and q powers is one leaf, formed by a single q-product
+    over the merged factor dict, and equal to the node-by-node product of
+    its factors.  An exact operand of more than one term is cut at q^order
+    before it is inverted, raised to a negative power or put under a square
+    root, as a primitive leaf is cut.  Arithmetic failures are re-raised as
+    DSLError tagged with the offending subexpression.
     """
     order = int(order)
     if order < 1:
         raise ValueError("order must be a positive integer")
-    return _eval(node, order, _memo(order))
+    return _eval(node, order, {})
 
 
-@contextmanager
-def _shared_leaves():
-    """Inside the block, evaluations at one order evaluate each leaf once."""
-    token = _SHARED.set({})
-    try:
-        yield
-    finally:
-        _SHARED.reset(token)
-
-
-def _memo(order: int) -> dict:
-    shared = _SHARED.get()
-    return {} if shared is None else shared.setdefault(order, {})
-
-
-def _predicted_truncation(node, order: int):
-    """The truncation exponent that ``evaluate(node, order)`` is predicted
-    to reach, or None when the value is predicted exact.
-
-    The leaves are evaluated (inside _shared_leaves, evaluate then reuses
-    them), but no product above them is formed: QSeries's min rules give
-    each one's valuation and truncation from its factors', taking no
-    cancellation in a sum.  A cancellation can only raise a valuation, so
-    the prediction never exceeds the truncation evaluate reaches.
-    """
-    order = int(order)
-    _, T, D = _eval(node, order, _memo(order), predict=True)
-    return None if T is None else Fraction(T, D)
-
-
-def _eval(node, order: int, memo: dict, predict: bool = False):
+def _eval(node, order: int, memo: dict) -> QSeries:
     poly, leaves = _converted(node)
     values, shadows = [], []
     for leaf, (_, spec) in leaves:
@@ -634,11 +600,6 @@ def _eval(node, order: int, memo: dict, predict: bool = False):
             value = memo.get(leaf)
             if value is None:
                 value = memo[leaf] = _leaf(leaf, order, memo)
-        elif predict:
-            polys, exponents = spec
-            D, grid = _grid([_estimate(p, shadows) for p in polys])
-            shadows.append((*_monomial(exponents, grid), D))
-            continue
         else:
             value = None
             for p, e in zip(*spec):
@@ -647,8 +608,6 @@ def _eval(node, order: int, memo: dict, predict: bool = False):
                 value = x if value is None else value * x
         values.append(value)
         shadows.append(_shadow(value))
-    if predict:
-        return _estimate(poly, shadows)
     return _value(poly, values, shadows)
 
 
@@ -662,45 +621,37 @@ def _leaf(node, order: int, memo: dict) -> QSeries:
         parts = [(_ETA_TYPE[call.name](*call.args), r) for call, r in node.calls]
         return eta_type_product(parts, order, node.qexp)
     if isinstance(node, Sqrt):
-        return _wrap(node, _eval(node.node, order, memo).sqrt)
+        return _wrap(node, _cut(_eval(node.node, order, memo), order).sqrt)
     if isinstance(node, Subq):
         return _eval(node.node, order, memo).subs_qpow(node.power)
     if isinstance(node, Pow):
         base = _eval(node.base, order, memo)
         e = node.exponent
+        if e < 0:
+            base = _cut(base, order)
         return _wrap(node, lambda: base ** (int(e) if e.denominator == 1 else e))
     if isinstance(node, BinOp):
         # a division by a non-constant, or by zero
         left = _eval(node.left, order, memo)
         right = _eval(node.right, order, memo)
+        if left.is_exact():
+            right = _cut(right, order)
         return _wrap(node, lambda: left / right)
     raise TypeError(f"not an expression node: {node!r}")
 
 
-#: id(tree) -> (tree, conversion) of the trees converted lately, at most
-#: _CONVERTED_MAX of them; the entry holds the tree, so its id stays its own
-_CONVERTED: dict = {}
-_CONVERTED_MAX = 256
+def _cut(s: QSeries, order: int) -> QSeries:
+    # the inverse and square root of an exact series of more than one term
+    # have no end, so such an operand is cut at q^order, as a primitive leaf is
+    return s.truncate(order) if s.is_exact() and len(s.coeffs) > 1 else s
 
 
 def _converted(node) -> tuple:
     """(polynomial, ((leaf, (index, spec)), ...)) of a tree: the polynomial
-    over its leaves and the leaves in order of first appearance.
-
-    Cached because verify converts each side for the prediction and again
-    for the evaluation; callers only read the result.  The cache is keyed by
-    the tree's identity, since hashing a tree walks all of it.
-    """
-    hit = _CONVERTED.get(id(node))
-    if hit is not None and hit[0] is node:
-        return hit[1]
+    over its leaves and the leaves in order of first appearance."""
     leaves: dict = {}
     poly = _poly(_convert(node, leaves), leaves)
-    result = poly, tuple(leaves.items())
-    if len(_CONVERTED) >= _CONVERTED_MAX:
-        _CONVERTED.clear()
-    _CONVERTED[id(node)] = node, result
-    return result
+    return poly, tuple(leaves.items())
 
 
 def _product_calls(node):

@@ -315,9 +315,6 @@ def _orders(factors, n: int, cusps) -> tuple:
         (eta_cusp_order if isinstance(quot, EtaQuotient) else gen_eta_cusp_ord, quot, r)
         for quot, r in factors
     ]
-    if len(terms) == 1 and terms[0][2] == 1:  # one quotient: its own orders
-        order, quot, _ = terms[0]
-        return tuple(order(quot, n, cusp) for cusp in cusps)
     row = []
     for cusp in cusps:
         num, den = 0, 1  # the sum in integers, made one Fraction

@@ -4,11 +4,13 @@ token-object tokenizer.
 ``evaluate`` is how ``qlambert.dsl.evaluate`` worked before it read polynomial
 subtrees as polynomials: every node is evaluated on its own, a repeated
 subtree as often as it appears, and ``+``, ``-``, ``*`` and ``^`` are series
-operations in the order the tree gives them.  It shares the node types, the
-call table and the printer with ``qlambert.dsl``, and none of its
-evaluation: the eta-type calls, which ``qlambert.dsl`` forms as product
-leaves, go to their own constructors here.  The differential tests compare
-the two.
+operations in the order the tree gives them.  An exact operand of more than
+one term is cut at q^order before it is inverted, raised to a negative power
+or put under a square root, as a constructor's series is.  It shares the
+node types, the call table and the printer with ``qlambert.dsl``, and none
+of its evaluation: the eta-type calls, which ``qlambert.dsl`` forms as
+product leaves, go to their own constructors here.  The differential tests
+compare the two.
 
 ``tokenize`` is how ``qlambert.dsl`` tokenized before its tokens became bare
 strings: one regex match per token or run of blanks, each token an object
@@ -57,7 +59,7 @@ def _eval(node, order: int) -> QSeries:
     if isinstance(node, Neg):
         return -_eval(node.node, order)
     if isinstance(node, Sqrt):
-        return _wrap(node, _eval(node.node, order).sqrt)
+        return _wrap(node, _cut(_eval(node.node, order), order).sqrt)
     if isinstance(node, BinOp):
         left = _eval(node.left, order)
         right = _eval(node.right, order)
@@ -67,14 +69,25 @@ def _eval(node, order: int) -> QSeries:
             return left - right
         if node.op == "*":
             return left * right
+        if left.T is None:
+            right = _cut(right, order)
         return _wrap(node, lambda: left / right)
     if isinstance(node, Pow):
         base = _eval(node.base, order)
         e = node.exponent
+        if e < 0:
+            base = _cut(base, order)
         return _wrap(node, lambda: base ** (int(e) if e.denominator == 1 else e))
     if isinstance(node, Subq):
         return _eval(node.node, order).subs_qpow(node.power)
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def _cut(s: QSeries, order: int) -> QSeries:
+    # an exact operand whose inverse or square root has no end: cut at q^order
+    if s.T is None and len([c for c in s.coeffs if c]) > 1:
+        return s.truncate(order)
+    return s
 
 
 def _wrap(node, func, *args):

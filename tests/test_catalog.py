@@ -111,43 +111,34 @@ def _passes(monkeypatch, record, truncation=None):
     return report, orders[::2]
 
 
-def test_elim_k_needs_one_pass_at_its_predicted_window(monkeypatch):
+def test_elim_k_widens_the_window_once(monkeypatch):
     report, windows = _passes(monkeypatch, "elim-K")
     assert report.status == "verified" and report.truncation_exponent == 20
-    # the products eat 36 orders of the first window: 20 + 36 + 4
-    assert windows == [60]
+    # the difference at 36 ends at q^2 of the demanded q^20: 20 + 34 + 4
+    assert windows == [36, 58]
+    # and no node is evaluated at any other window
+    assert _windows(monkeypatch, "elim-K") == [36, 58]
 
 
 def test_entries_that_eat_little_keep_the_default_window(monkeypatch):
-    for name in ("gosper-1.1", "eq-3.8", "lemma-4.1-product"):
-        record = get_identity(name)
-        report, windows = _passes(monkeypatch, name)
-        assert report.verified and windows == [record.truncation + 16]
+    for name, record in load_catalog().items():
+        if name != "elim-K":
+            report, windows = _passes(monkeypatch, name)
+            assert report.verified and windows == [record.truncation + 16]
 
 
 def _windows(monkeypatch, name):
-    """The orders of every node evaluation, the prediction's included."""
+    """The orders of every node evaluation."""
     orders = set()
     real = dsl._eval
 
-    def recording(node, order, memo, predict=False):
+    def recording(node, order, memo):
         orders.add(order)
-        return real(node, order, memo, predict)
+        return real(node, order, memo)
 
     monkeypatch.setattr(dsl, "_eval", recording)
     assert verify(name).verified
     return sorted(orders)
-
-
-@pytest.mark.parametrize("name", ["thm-1.2", "rel-F3", "rel-F4"])
-def test_a_prediction_that_covers_the_truncation_keeps_its_window(monkeypatch, name):
-    # thm-1.2 is predicted through q^53 of q^50 at 66, rel-F3 and rel-F4
-    # through q^26 of q^25 at 41
-    assert _windows(monkeypatch, name) == [get_identity(name).truncation + 16]
-
-
-def test_a_prediction_that_falls_short_widens_the_window_once(monkeypatch):
-    assert _windows(monkeypatch, "elim-K") == [36, 60]
 
 
 def test_verify_all_builds_each_symbol_once(monkeypatch, capsys):

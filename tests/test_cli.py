@@ -195,6 +195,23 @@ def test_expand_divides_a_truncated_zero_by_an_exact_series(capsys):
     assert (code, out.strip()) == (0, "O(q^(3/2))")
 
 
+@pytest.mark.parametrize(
+    "text, printed",
+    [
+        ("1/(1-q)", "1 + q + q^2 + q^3 + q^4 + q^5 + O(q^6)"),
+        ("(1-q)^-1", "1 + q + q^2 + q^3 + q^4 + q^5 + O(q^6)"),
+        ("sqrt(1+q)", "1 + 1/2*q - 1/8*q^2 + 1/16*q^3 - 5/128*q^4 + 7/256*q^5 + O(q^6)"),
+        ("q/(q^2-q^3)", "q^-1 + 1 + q + q^2 + O(q^3)"),
+    ],
+)
+def test_expand_cuts_an_exact_operand_at_the_order(capsys, text, printed):
+    # an exact polynomial has no end to its inverse or square root
+    code, out, _ = run(capsys, "expand", text, "--order", "6")
+    assert (code, out.strip()) == (0, printed)
+    code, out, _ = run(capsys, "verify", "--expr", f"{text} == {text} + q^6", "--order", "6")
+    assert code == 0 and "verified through q^6" in out
+
+
 def test_expand_json_shape(capsys):
     # a polynomial in q evaluates exactly, so there is no truncation bound
     code, out, _ = run(capsys, "expand", "1 + 2*q", "--order", "4", "--json")

@@ -42,7 +42,7 @@ CASES = [
     ),
     (
         "verify_sqrt_error.txt",
-        ["verify", "--expr", "sqrt(q^4 - q^5) + (1/2)*L(1) == q^2", "--order", "10"],
+        ["verify", "--expr", "sqrt(q^5 - q^4) + (1/2)*L(1) == q^2", "--order", "10"],
         1,
     ),
     (
