@@ -111,13 +111,16 @@ def _passes(monkeypatch, record, truncation=None):
     return report, orders[::2]
 
 
-def test_elim_k_widens_the_window_once(monkeypatch):
+def test_elim_k_needs_one_pass_at_its_predicted_window(monkeypatch):
     report, windows = _passes(monkeypatch, "elim-K")
     assert report.status == "verified" and report.truncation_exponent == 20
-    # the difference at 36 ends at q^2 of the demanded q^20: 20 + 34 + 4
+    # the difference at 36 ends at q^2 of the demanded q^20, which predicts
+    # the window 20 + 34 + 4
     assert windows == [36, 58]
-    # and no node is evaluated at any other window
-    assert _windows(monkeypatch, "elim-K") == [36, 58]
+    # and one pass at the predicted window covers q^20 on its own
+    record = get_identity("elim-K")
+    diff = dsl.evaluate(record.left, 58) - dsl.evaluate(record.right, 58)
+    assert diff.truncation_exponent() == 24 and diff.truncate(20).is_zero()
 
 
 def test_entries_that_eat_little_keep_the_default_window(monkeypatch):
@@ -139,6 +142,20 @@ def _windows(monkeypatch, name):
     monkeypatch.setattr(dsl, "_eval", recording)
     assert verify(name).verified
     return sorted(orders)
+
+
+@pytest.mark.parametrize("name", ["thm-1.2", "rel-F3", "rel-F4"])
+def test_a_prediction_that_covers_the_truncation_keeps_its_window(monkeypatch, name):
+    # the default window is the prediction: at 66 thm-1.2 is known through
+    # q^53 of q^50, at 41 rel-F3 and rel-F4 through q^26 of q^25, so no node
+    # is evaluated at any other window
+    assert _windows(monkeypatch, name) == [get_identity(name).truncation + 16]
+
+
+def test_a_prediction_that_falls_short_widens_the_window_once(monkeypatch):
+    # elim-K's default window 36 falls short; every node is evaluated at it
+    # and at the one wider window, and at no other
+    assert _windows(monkeypatch, "elim-K") == [36, 58]
 
 
 def test_verify_all_builds_each_symbol_once(monkeypatch, capsys):
