@@ -7,16 +7,14 @@ a series knows its truncation and refuses to answer beyond it.
 from qlambert.constructors import (
     EtaQuotient,
     GenEtaQuotient,
-    eta,
     gosper_symbols,
     lambert_L,
     lambert_L_odd,
-    pi_q,
-    theta_f,
 )
+from qlambert.dsl import evaluate, parse
 
 print("eta(q) itself, on the 1/24 grid:")
-print("  ", eta(1, 6))
+print("  ", evaluate(parse("eta(1)"), 6))
 
 print("\na weight-0 eta quotient:")
 unit = EtaQuotient(14, {2: 4, 7: 2, 1: -2, 14: -4})
@@ -28,7 +26,7 @@ g1 = GenEtaQuotient(14, {6: 2, 1: -2})
 print("  ", g1.series(6))
 
 print("\ntheta product f(-q^8, -q^6) as a series:")
-print("  ", theta_f(-1, 8, -1, 6, 30))
+print("  ", evaluate(parse("theta(-1,8,-1,6)"), 30))
 
 print("\nLambert series: full, odd-indexed, and their relation")
 print("   L(1)    =", lambert_L(1, 8))
@@ -41,4 +39,4 @@ for name in ("z", "g", "f", "t"):
     print(f"   {name:>2} =", gosper_symbols(name, 6))
 
 print("\nthe Pi-quotient that everything is measured against:")
-print("   pi(1)/pi(7) =", (pi_q(1, 8) / pi_q(7, 8)).truncate(4))
+print("   pi(1)/pi(7) =", evaluate(parse("pi(1)/pi(7)"), 8).truncate(4))

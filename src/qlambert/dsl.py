@@ -528,18 +528,18 @@ def _nesting(root) -> int:
 
 # -- evaluation ----------------------------------------------------------------
 #
-# A polynomial is a pair (terms, seen): terms maps monomials to nonzero
-# rationals, and seen holds every monomial that entered it, cancelled ones
-# included, because those still bound the truncation (a cancelled constant
-# leaves the exact zero, and is dropped).  A monomial is a tuple of
-# exponents indexed by leaf, without trailing zeros.  Leaves are keyed by
-# structure.  A leaf's spec is None for a leaf evaluated on its own, _CHECK
-# for an eta-type call, which only enters product leaves and is only
-# checked, and (polynomials, exponents) for a composite leaf, whose value
-# is the product of their powers.  A product is expanded only where the
-# node-by-node product gets the same truncation as the expansion's
-# monomials: one factor a constant, or both single monomials that no
-# cancellation touched.
+# A polynomial is a dict {monomial: coefficient}, where a monomial is a
+# tuple of exponents indexed by leaf, without trailing zeros.  A monomial
+# whose coefficient cancels stays in as a 0 entry, since its product still
+# bounds the truncation (_truncation); a cancelled constant leaves the exact
+# zero, and is dropped.  The arithmetic (_value, _multiplied) skips the 0
+# entries.  Leaves are keyed by structure.  A leaf's spec is None for a leaf
+# evaluated on its own, _CHECK for an eta-type call, which only enters
+# product leaves and is only checked (its value is None), and (polynomials,
+# exponents) for a composite leaf, whose value is the product of their
+# powers.  A product is expanded only where the node-by-node product gets
+# the same truncation as the expansion's monomials: one factor a constant,
+# or both single monomials that no cancellation touched.
 
 _CHECK = "check"
 
@@ -589,26 +589,23 @@ def evaluate(node, order: int) -> QSeries:
 
 def _eval(node, order: int, memo: dict) -> QSeries:
     poly, leaves = _converted(node)
-    values, shadows = [], []
+    values = []
     for leaf, (_, spec) in leaves:
         if spec is _CHECK:
             _wrap(leaf, _ETA_TYPE[leaf.name], *leaf.args)
-            values.append(None)
-            shadows.append((None, None, 1))
-            continue
-        if spec is None:
+            value = None
+        elif spec is None:
             value = memo.get(leaf)
             if value is None:
                 value = memo[leaf] = _leaf(leaf, order, memo)
         else:
             value = None
             for p, e in zip(*spec):
-                x = _value(p, values, shadows)
+                x = _value(p, values)
                 x = x if e == 1 else x**e
                 value = x if value is None else value * x
         values.append(value)
-        shadows.append(_shadow(value))
-    return _value(poly, values, shadows)
+    return _value(poly, values)
 
 
 def _leaf(node, order: int, memo: dict) -> QSeries:
@@ -662,10 +659,10 @@ def _product_calls(node):
     calls = {leaf: 0 for leaf, (_, spec) in leaves if spec is _CHECK}
     rest = [(leaf, i) for leaf, (i, spec) in leaves if spec is not _CHECK]
     if not rest:
-        return calls if poly == ({(): 1}, {()}) else None
+        return calls if poly == {(): 1} else None
     leaf, i = rest[0]
     m = (0,) * i + (1,)
-    if rest[1:] or poly != ({m: 1}, {m}) or not isinstance(leaf, _Product) or leaf.qexp:
+    if rest[1:] or poly != {m: 1} or not isinstance(leaf, _Product) or leaf.qexp:
         return None
     return {**calls, **dict(leaf.calls)}
 
@@ -678,7 +675,7 @@ def _convert(node, leaves: dict):
         c = node.value
         if c.denominator == 1:
             c = c.numerator  # integral coefficients stay ints
-        return ({(): c}, {()}) if c else ({}, set())
+        return {(): c} if c else {}
     if isinstance(node, Q):
         return _Pending({}, node.exponent)
     if isinstance(node, Call) and node.name in _ETA_TYPE:
@@ -689,24 +686,16 @@ def _convert(node, leaves: dict):
         if isinstance(x, _Pending):
             x.c = -x.c
             return x
-        terms, seen = x
-        return {m: -c for m, c in terms.items()}, seen
+        return {m: -c for m, c in x.items()}
     if isinstance(node, BinOp):
         if node.op in ("+", "-"):
-            a = _poly(_convert(node.left, leaves), leaves)
-            b = _poly(_convert(node.right, leaves), leaves)
-            terms = dict(a[0])
+            terms = dict(_poly(_convert(node.left, leaves), leaves))
             sign = 1 if node.op == "+" else -1
-            for m, c in b[0].items():
-                x = terms.get(m, 0) + sign * c
-                if x:
-                    terms[m] = x
-                else:
-                    del terms[m]
-            seen = a[1] | b[1]
-            if () not in terms:
-                seen.discard(())  # a cancelled constant leaves an exact zero
-            return terms, seen
+            for m, c in _poly(_convert(node.right, leaves), leaves).items():
+                terms[m] = terms.get(m, 0) + sign * c
+            if terms.get(()) == 0:
+                del terms[()]  # a cancelled constant leaves an exact zero
+            return terms
         if node.op == "*":
             a, b = _convert(node.left, leaves), _convert(node.right, leaves)
             fused = _fused(a, b, 1)
@@ -718,10 +707,7 @@ def _convert(node, leaves: dict):
             ):
                 return _register(node, leaves, ((a, b), (1, 1)))
             # one side is a single monomial, so the products are distinct
-            return (
-                {_mono(m, n): c * d for m, c in a[0].items() for n, d in b[0].items()},
-                {_mono(m, n) for m in a[1] for n in b[1]},
-            )
+            return {_mono(m, n): c * d for m, c in a.items() for n, d in b.items()}
         if isinstance(node.right, Lit):
             c = node.right.value
             if c:
@@ -729,8 +715,7 @@ def _convert(node, leaves: dict):
                 if isinstance(x, _Pending):
                     x.c /= c
                     return x
-                terms, seen = x
-                return {m: v / c for m, v in terms.items()}, seen
+                return {m: v / c for m, v in x.items()}
         else:
             saved = dict(leaves)
             fused = _fused(_convert(node.left, leaves), _convert(node.right, leaves), -1)
@@ -748,15 +733,12 @@ def _convert(node, leaves: dict):
             return _register(node, leaves, None)
         base = _convert(node.base, leaves)
         if isinstance(base, _Pending):
-            return _raised(base, k) if k else ({(): 1}, {()})
+            return _raised(base, k) if k else {(): 1}
         if not _monomial_only(base):
             return _register(node, leaves, ((base,), (k,)))
         if not k:
-            return {(): 1}, {()}
-        return (
-            {tuple(e * k for e in m): c**k for m, c in base[0].items()},
-            {tuple(e * k for e in m) for m in base[1]},
-        )
+            return {(): 1}
+        return {tuple(e * k for e in m): c**k for m, c in base.items()}
     return _register(node, leaves, None)
 
 
@@ -788,7 +770,7 @@ def _as_pending(x):
     # a _Pending, a constant as one, or None
     if isinstance(x, _Pending):
         return x
-    return _Pending({}, 0, x[0].get((), 0)) if _constant(x) else None
+    return _Pending({}, 0, x.get((), 0)) if _constant(x) else None
 
 
 def _raised(x: "_Pending", k: int) -> "_Pending":
@@ -798,7 +780,7 @@ def _raised(x: "_Pending", k: int) -> "_Pending":
     return x
 
 
-def _poly(x, leaves: dict) -> tuple:
+def _poly(x, leaves: dict) -> dict:
     """x, or for a _Pending x the polynomial c * leaf: the leaf is a q power
     when x has no calls and a _Product otherwise, and the constant c stands
     alone when x has neither calls nor a q power."""
@@ -807,25 +789,24 @@ def _poly(x, leaves: dict) -> tuple:
     c = x.c
     c = c.numerator if c.denominator == 1 else c
     if not (c and (x.calls or x.qexp)):
-        return ({(): c}, {()}) if c else ({}, set())
+        return {(): c} if c else {}
     leaf = _Product(frozenset(x.calls.items()), x.qexp) if x.calls else Q(x.qexp)
-    (m,), seen = _register(leaf, leaves, None)
-    return {m: c}, seen
+    (m,) = _register(leaf, leaves, None)
+    return {m: c}
 
 
-def _constant(poly: tuple) -> bool:
-    return poly[1] <= {()}
+def _constant(poly: dict) -> bool:
+    return poly.keys() <= {()}
 
 
-def _monomial_only(poly: tuple) -> bool:
+def _monomial_only(poly: dict) -> bool:
     # a single monomial (or the zero constant) that no cancellation touched
-    return len(poly[1]) <= 1 and poly[1] == poly[0].keys()
+    return len(poly) <= 1 and all(poly.values())
 
 
-def _register(node, leaves: dict, spec) -> tuple:
-    entry = leaves.setdefault(node, (len(leaves), spec))
-    m = (0,) * entry[0] + (1,)
-    return {m: 1}, {m}
+def _register(node, leaves: dict, spec) -> dict:
+    index, _ = leaves.setdefault(node, (len(leaves), spec))
+    return {(0,) * index + (1,): 1}
 
 
 def _mono(a: tuple, b: tuple) -> tuple:
@@ -859,10 +840,12 @@ def _polynomial(node, names: dict) -> tuple:
     return tuple(_multiplied(p, values, variables) for p in parts)
 
 
-def _multiplied(poly: tuple, values: list, variables: tuple) -> MultiPoly:
+def _multiplied(poly: dict, values: list, variables: tuple) -> MultiPoly:
     # a polynomial at the leaf values of _polynomial
     direct, composite = {}, []
-    for m, c in poly[0].items():
+    for m, c in poly.items():
+        if not c:
+            continue
         key, powers = [0] * len(variables), []
         for e, value in zip(m, values):
             if type(value) is int:
@@ -877,75 +860,47 @@ def _multiplied(poly: tuple, values: list, variables: tuple) -> MultiPoly:
     return sum(composite, start=MultiPoly._make(variables, direct))
 
 
-def _value(poly: tuple, values: list, shadows: list) -> QSeries:
+def _value(poly: dict, values: list) -> QSeries:
     """The series of a polynomial at the leaf values, cut at the truncation
     its monomials' own products give."""
-    terms, _ = poly
     names = tuple(f"x{i}" for i in range(len(values)))
     pad = (0,) * len(values)
-    # terms holds nonzero coefficients on monomials of integer exponents
     result = eval_poly(
-        MultiPoly._make(names, {m + pad[len(m) :]: c for m, c in terms.items()}),
+        MultiPoly._make(names, {m + pad[len(m) :]: c for m, c in poly.items() if c}),
         dict(zip(names, values)),
     )
     if not isinstance(result, QSeries):
         result = QSeries.constant(result)
-    _, T, D = _estimate(poly, shadows)
+    T, D = _truncation(poly, values)
     if T is not None and (result.T is None or result.T * D > T * result.D):
         result = result + QSeries.zero(T, D)
     return result
 
 
-# A shadow is the (v, T, D) of a series as QSeries's min rules use it: the
-# valuation and truncation indices on the grid 1/D, v = None for the exact
-# zero, T = None for an exact series, and v = T when zero through T.
-
-
-def _shadow(s: QSeries) -> tuple:
-    if s.is_exact():
-        return (s.v if s.coeffs else None), None, s.D
-    return s.v, s.T, s.D
-
-
-def _grid(shadows) -> tuple:
-    # (D, [(v, T), ...]): the shadows on their common grid 1/D
-    D = math.lcm(*(d for _, _, d in shadows))
-    return D, [
-        (None if v is None else v * (D // d), None if T is None else T * (D // d))
-        for v, T, d in shadows
-    ]
-
-
-def _monomial(exponents, grid) -> tuple:
-    """The (v, T) of a product of powers, by QSeries's rules: valuations
-    add, and T is v plus the least relative window T - v of a truncated
-    factor; an exact zero factor makes the product the exact zero."""
-    v, window = 0, None
-    for e, (fv, fT) in zip(exponents, grid):
-        if e:
-            if fv is None:
-                return None, None
-            v += e * fv
-            if fT is not None and (window is None or fT - fv < window):
-                window = fT - fv
-    return v, None if window is None else v + window
-
-
-def _estimate(poly: tuple, shadows: list) -> tuple:
-    """The shadow of a polynomial's value: T is the least over the monomials
-    seen, v the least over the terms present (no cancellation), at most T."""
-    terms, seen = poly
-    D, grid = _grid(shadows)
-    v = T = None
-    for m in seen:
-        mv, mT = _monomial(m, grid)
-        if mT is not None and (T is None or mT < T):
-            T = mT
-        if mv is not None and m in terms and (v is None or mv < v):
-            v = mv
-    if T is not None and (v is None or v > T):
-        v = T
-    return v, T, D
+def _truncation(poly: dict, values: list) -> tuple:
+    """(T, D): the least truncation index, on the grid 1/D, of the products
+    of the monomials of a polynomial, cancelled ones included, at the leaf
+    values; T is None when all of them are exact.  By QSeries's rules the
+    valuations of a product add, its T is its valuation plus the least T - v
+    of a truncated factor (v = T for one with no term known), and an exact
+    zero factor makes it the exact zero."""
+    D = math.lcm(*(s.D for s in values if s is not None))
+    T = None
+    for m in poly:
+        v, window = 0, None
+        for e, s in zip(m, values):
+            if not e:
+                continue
+            if s.T is None and not s.coeffs:
+                break  # an exact zero factor: the product is exact
+            k = D // s.D
+            v += e * s.v * k
+            if s.T is not None and (window is None or (s.T - s.v) * k < window):
+                window = (s.T - s.v) * k
+        else:
+            if window is not None and (T is None or v + window < T):
+                T = v + window
+    return T, D
 
 
 def _wrap(node, func, *args):

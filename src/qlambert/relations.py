@@ -38,7 +38,7 @@ from operator import add, sub
 from typing import Mapping, Sequence
 
 from .errors import ExactDivisionError, PrecisionError
-from .series import QSeries, _sum
+from .series import ONE, QSeries, _sum
 
 __all__ = [
     "BivarPoly",
@@ -465,7 +465,7 @@ def eval_poly(poly, assignment: Mapping[str, object]):
             c, value = pairs[0]
             return c if value is None else _scaled(value, c)
         if series:
-            return _sum((c, _ONE if value is None else value) for c, value in pairs)
+            return _sum((c, ONE if value is None else value) for c, value in pairs)
         return sum(c if value is None else _scaled(value, c) for c, value in pairs)
 
     acc = combination(groups[degrees[0]], ())
@@ -493,9 +493,6 @@ def _powers(x, exponents) -> dict:
         table[e] = step if not prev else table[prev] * step
         prev = e
     return table
-
-
-_ONE = QSeries.constant(1)
 
 
 def _scaled(value, c):

@@ -2,6 +2,7 @@
 
 import re
 from fractions import Fraction
+from operator import add, mul, sub, truediv
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -217,23 +218,47 @@ _LEAVES = st.one_of(
 )
 
 
+_FOLD = {"+": add, "-": sub, "*": mul, "/": truediv}
+
+
+def _binop(op, left, right):
+    # the parser folds arithmetic on two literals, and refuses a division
+    # by the literal 0
+    if isinstance(left, Lit) and isinstance(right, Lit):
+        if op == "/" and not right.value:
+            return left
+        return Lit(_FOLD[op](left.value, right.value))
+    return BinOp(op, left, right)
+
+
+def _neg(node):
+    # the parser folds the negation of a literal
+    return Lit(-node.value) if isinstance(node, Lit) else Neg(node)
+
+
+def _power(base, e):
+    # the parser folds a power of q and an integer power of a literal, and
+    # refuses 0 to a negative power; a chain of literal powers grows
+    # doubly exponentially, so a power past a few hundred digits keeps its base
+    if isinstance(base, Q):
+        return Q(base.exponent * e)
+    if isinstance(base, Lit) and e.denominator == 1:
+        v = base.value
+        if (not v and e < 0) or abs(e) * len(str(v)) > 300:
+            return base
+        return Lit(v ** int(e))
+    return Pow(base, e)
+
+
 def _extend(children):
-    # the parser folds Lit-Lit arithmetic, Neg(Lit), and powers of q or of
-    # integer literals, so those shapes are never parser output
-    binops = st.builds(
-        lambda op, pair: BinOp(op, *pair),
-        st.sampled_from("+-*/"),
-        st.tuples(children, children),
-    ).filter(lambda n: not (isinstance(n.left, Lit) and isinstance(n.right, Lit)))
-    negs = children.filter(lambda n: not isinstance(n, Lit)).map(Neg)
-    pows = st.builds(
-        Pow,
-        children.filter(lambda n: not isinstance(n, (Q, Lit))),
-        _EXPONENTS,
-    )
+    # parser output only: each shape the parser folds is drawn as the node it
+    # folds into, rather than filtered out (a filter on the recursive children
+    # makes hypothesis record the whole nested strategy on each retry)
+    binops = st.builds(_binop, st.sampled_from("+-*/"), children, children)
+    pows = st.builds(_power, children, _EXPONENTS)
     sqrts = children.map(Sqrt)
     subqs = st.builds(Subq, children, st.integers(min_value=1, max_value=5))
-    return st.one_of(binops, negs, pows, sqrts, subqs)
+    return st.one_of(binops, children.map(_neg), pows, sqrts, subqs)
 
 
 @settings(max_examples=200)

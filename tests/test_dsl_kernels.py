@@ -188,7 +188,7 @@ def test_catalog_sides_match_the_oracle_exactly(name, monkeypatch):
 
 
 def test_a_power_of_a_sum_is_a_leaf_not_an_expansion():
-    (terms, _), leaves = dsl._converted(parse("(symbol(f) - 4)^3*symbol(g)"))
+    terms, leaves = dsl._converted(parse("(symbol(f) - 4)^3*symbol(g)"))
     assert [leaf for leaf, _ in leaves] == [
         parse("symbol(f)"),
         parse("(symbol(f) - 4)^3"),
@@ -196,18 +196,18 @@ def test_a_power_of_a_sum_is_a_leaf_not_an_expansion():
     ]
     assert terms == {(0, 1, 1): 1}
     (base,), exponents = leaves[1][1][1]
-    assert exponents == (3,) and base[0] == {(1,): 1, (): -4}
-    (terms, _), leaves = dsl._converted(parse("(1 + q)^1000"))
+    assert exponents == (3,) and base == {(1,): 1, (): -4}
+    terms, leaves = dsl._converted(parse("(1 + q)^1000"))
     assert len(leaves) == 2 and terms == {(0, 1): 1}
 
 
 def test_a_product_of_two_sums_stays_a_product():
-    (terms, _), leaves = dsl._converted(catalog.get_identity("elim-K").left)
+    terms, leaves = dsl._converted(catalog.get_identity("elim-K").left)
     assert [leaf for leaf, _ in leaves][:2] == [parse("symbol(f)"), parse("symbol(g)")]
     assert len(leaves) == 3 and terms == {(0, 0, 1): 1}
     (cubic, cofactor), exponents = leaves[2][1][1]
     assert exponents == (1, 1)
-    assert (len(cubic[0]), len(cofactor[0])) == (14, 45)
+    assert (len(cubic), len(cofactor)) == (14, 45)
 
 
 def test_each_distinct_leaf_is_evaluated_once(monkeypatch):
@@ -231,6 +231,15 @@ def test_a_cancelled_monomial_still_bounds_the_truncation():
     assert value.truncation_exponent() == gosper_symbols("z", 10).truncation_exponent()
     node = parse("symbol(g)*(symbol(z) - symbol(z)) + 1")
     assert state(evaluate(node, 10)) == state(oracle.evaluate(node, 10))
+
+
+def test_a_cancelled_monomial_stays_and_a_cancelled_constant_goes():
+    terms, leaves = dsl._converted(parse("symbol(z) - symbol(z)"))
+    assert [leaf for leaf, _ in leaves] == [parse("symbol(z)")]
+    assert terms == {(1,): 0}
+    terms, leaves = dsl._converted(parse("1 + q - 1 - q"))
+    assert [leaf for leaf, _ in leaves] == [Q(F(1))]
+    assert terms == {(1,): 0}
 
 
 def _counting(monkeypatch, counts):
@@ -277,7 +286,7 @@ def test_a_product_of_calls_is_one_q_product(monkeypatch, text):
 )
 def test_constants_ride_along_with_a_product_leaf(text):
     node = parse(text)
-    (terms, _), leaves = dsl._converted(node)
+    terms, leaves = dsl._converted(node)
     assert len(terms) <= 1
     agrees_with_the_oracle(node, 12)
 
@@ -321,14 +330,14 @@ def test_bare_calls_and_zero_powers_stay_as_they_are():
     # a bare call is a one-factor product leaf next to its _CHECK leaf
     for text in ("eta(1)", "geta(11,12)"):
         call = parse(text)
-        (terms, _), leaves = dsl._converted(call)
+        terms, leaves = dsl._converted(call)
         assert leaves == (
             (call, (0, dsl._CHECK)),
             (dsl._Product(frozenset({(call, 1)}), F(0)), (1, None)),
         )
         assert terms == {(0, 1): 1}
     # a zero power leaves its call only checked
-    (terms, seen), leaves = dsl._converted(parse("eta(1)^0*eta(2)"))
+    terms, leaves = dsl._converted(parse("eta(1)^0*eta(2)"))
     eta2 = parse("eta(2)")
     assert [leaf for leaf, _ in leaves] == [
         parse("eta(1)"),
@@ -337,7 +346,7 @@ def test_bare_calls_and_zero_powers_stay_as_they_are():
     ]
     assert [spec for _, (_, spec) in leaves] == [dsl._CHECK, dsl._CHECK, None]
     assert terms == {(0, 0, 1): 1}
-    (terms, _), leaves = dsl._converted(parse("q^2*q/q^(1/2)"))
+    terms, leaves = dsl._converted(parse("q^2*q/q^(1/2)"))
     assert [leaf for leaf, _ in leaves] == [Q(F(5, 2))] and terms == {(1,): 1}
 
 
