@@ -237,16 +237,12 @@ def _neg(node):
 
 
 def _power(base, e):
-    # the parser folds a power of q and an integer power of a literal, and
-    # refuses 0 to a negative power; a chain of literal powers grows
-    # doubly exponentially, so a power past a few hundred digits keeps its base
+    # the parser folds a power of q into a power of q, and an integer power
+    # of a literal into a literal, here the base itself
     if isinstance(base, Q):
         return Q(base.exponent * e)
     if isinstance(base, Lit) and e.denominator == 1:
-        v = base.value
-        if (not v and e < 0) or abs(e) * len(str(v)) > 300:
-            return base
-        return Lit(v ** int(e))
+        return base
     return Pow(base, e)
 
 
