@@ -19,8 +19,8 @@ import sys
 
 from . import numeric
 from .catalog import IdentityRecord, load_catalog, verify
-from .constructors import EtaQuotient, GenEtaQuotient
-from .dsl import _product_calls, evaluate, parse, parse_identity
+from .constructors import EtaQuotient, GenEtaQuotient, _gen_eta_index
+from .dsl import _product_calls, _wrap, evaluate, parse, parse_identity
 from .errors import DSLError
 from .gamma0 import _orders, cusp_set
 from .level14 import TABLE_IDS, eliminate, order_table
@@ -215,18 +215,24 @@ def _print_builtin_table(report, as_json: bool) -> int:
 
 
 def _quotient_orders(text: str, level: int) -> list:
-    # one EtaQuotient of the eta calls, and one GenEtaQuotient per geta level
+    # one EtaQuotient of the eta calls, and one GenEtaQuotient per geta level,
+    # whose indices fold into 1..M/2 by eta_{M,g} = eta_{M,M-g} = -eta_{M,g+M}
+    # (the sign leaves the orders alone); a g divisible by M fails as in expand
     calls = _product_calls(parse(text))
     if calls is None or any(call.name not in ("eta", "geta") for call in calls):
         raise ValueError("quotient spec must be a product of eta(d) and geta(M,g) powers")
     eta_exps: dict[int, int] = {}
     gen_exps: dict[int, dict[int, int]] = {}
     for call, r in calls.items():
-        if r and call.name == "eta":
-            eta_exps[call.args[0]] = r
-        elif r:
-            m, g = call.args
-            gen_exps.setdefault(m, {})[g] = r
+        if call.name == "eta":
+            if r:
+                eta_exps[call.args[0]] = r
+            continue
+        m, g = call.args
+        g, _ = _wrap(call, _gen_eta_index, m, g)
+        g = min(g, m - g)
+        exps = gen_exps.setdefault(m, {})
+        exps[g] = exps.get(g, 0) + r
     factors = [(EtaQuotient(level, eta_exps), 1)] if eta_exps else []
     factors += [(GenEtaQuotient(m, exps), 1) for m, exps in sorted(gen_exps.items())]
     cusps = cusp_set(level).cusps

@@ -21,17 +21,20 @@ binary operator of a chain such as ``a + b + c`` adds a pair of parentheses.
 Deeper input is a DSLError rather than a RecursionError, and every tree that
 parses prints to text that parses back to it.
 
-Evaluation reads each subtree built from ``+``, ``-``, ``*``, unary minus,
-division by a nonzero constant and powers of monomials as a polynomial over
-its distinct leaves: calls, powers of q, ``sqrt``, ``subq``, divisions by a
-non-constant, negative or rational powers.  Each distinct leaf is evaluated
-once per call of ``evaluate``, and the polynomial goes to
-``relations.eval_poly``.  A power of a sum, and a product of two factors
-that are not both single untouched monomials (nor one of them a constant),
-are leaves too, formed as the product of their operands' values: expanding
-them could shrink the truncation or, for powers, blow up the size.  The
-value is truncated where the node-by-node arithmetic would truncate it,
-which a cancelled monomial still bounds, so both give the same series.
+Evaluation converts a tree once, into one registry of its distinct leaves.
+Each subtree built from ``+``, ``-``, ``*``, unary minus, division by a
+nonzero constant and powers of monomials is a polynomial over leaves.
+Calls and powers of q are leaves of their own.  Every other node is a
+*composite leaf* over the polynomials of its operands, registered after
+their leaves: ``sqrt``, ``subq``, a division by a non-constant, a negative
+or rational power, a power of a sum, and a product of two factors that are
+not both single untouched monomials (nor one of them a constant), since
+expanding those could shrink the truncation or, for powers, blow up the
+size.  Each leaf is evaluated once per call of ``evaluate``, in order, a
+composite from its operands' values, and each polynomial goes to
+``relations.eval_poly``.  The value is truncated where the node-by-node
+arithmetic would truncate it, which a cancelled monomial still bounds, so
+both give the same series.
 
 A product or quotient of integer powers of ``eta``, ``geta``, ``pi`` and
 ``theta`` calls, times q powers and constants, is one *product leaf*
@@ -533,13 +536,15 @@ def _nesting(root) -> int:
 # whose coefficient cancels stays in as a 0 entry, since its product still
 # bounds the truncation (_truncation); a cancelled constant leaves the exact
 # zero, and is dropped.  The arithmetic (_value, _multiplied) skips the 0
-# entries.  Leaves are keyed by structure.  A leaf's spec is None for a leaf
-# evaluated on its own, _CHECK for an eta-type call, which only enters
-# product leaves and is only checked (its value is None), and (polynomials,
-# exponents) for a composite leaf, whose value is the product of their
-# powers.  A product is expanded only where the node-by-node product gets
-# the same truncation as the expansion's monomials: one factor a constant,
-# or both single monomials that no cancellation touched.
+# entries.  A tree's leaves are keyed by structure in one registry, each
+# after the leaves its spec uses.  A leaf's spec is None for a call, a q
+# power or a product leaf, evaluated on its own, _CHECK for an eta-type
+# call, which only enters product leaves and is only checked (its value is
+# None), and the tuple of its operands' polynomials for a composite leaf,
+# whose node tells _composite how to form its value from theirs.  A product
+# is expanded only where the node-by-node product gets the same truncation
+# as the expansion's monomials: one factor a constant, or both single
+# monomials that no cancellation touched.
 
 _CHECK = "check"
 
@@ -548,7 +553,7 @@ class _Product(NamedTuple):
     """The product leaf  q^qexp * prod call^r  over the pairs (call, r) of
     ``calls``, all eta-type calls.  A call whose exponents cancel stays in,
     since it still bounds the truncation.  A tuple, so that its ``==`` and
-    hash as a memo key run in C."""
+    hash as a registry key run in C."""
 
     calls: frozenset
     qexp: Fraction
@@ -570,24 +575,26 @@ def evaluate(node, order: int) -> QSeries:
     """Evaluate a tree to a truncated series.
 
     Primitive constructors are expanded through the absolute order, named
-    symbols get it as their relative window.  Each distinct leaf is
-    evaluated once per call, and each polynomial subtree as a polynomial
-    over its leaves by ``relations.eval_poly``, truncated where the
-    node-by-node arithmetic would truncate it.  A product of integer powers
-    of eta-type calls and q powers is one leaf, formed by a single q-product
-    over the merged factor dict, and equal to the node-by-node product of
-    its factors.  An exact operand of more than one term is cut at q^order
-    before it is inverted, raised to a negative power or put under a square
-    root, as a primitive leaf is cut.  Arithmetic failures are re-raised as
-    DSLError tagged with the offending subexpression.
+    symbols get it as their relative window.  The tree is converted once,
+    into a polynomial over one registry of its distinct leaves, and each
+    leaf is evaluated once, in order: calls, q powers and product leaves on
+    their own, composite leaves from the values of their operands'
+    polynomials, which ``relations.eval_poly`` forms, truncated where the
+    node-by-node arithmetic would truncate them.  A product of integer
+    powers of eta-type calls and q powers is one leaf, formed by a single
+    q-product over the merged factor dict, and equal to the node-by-node
+    product of its factors.  An exact operand of more than one term is cut
+    at q^order before it is inverted, raised to a negative power or put
+    under a square root, as a primitive leaf is cut.  Arithmetic failures
+    are re-raised as DSLError tagged with the offending subexpression.
     """
     order = int(order)
     if order < 1:
         raise ValueError("order must be a positive integer")
-    return _eval(node, order, {})
+    return _eval(node, order)
 
 
-def _eval(node, order: int, memo: dict) -> QSeries:
+def _eval(node, order: int) -> QSeries:
     poly, leaves = _converted(node)
     values = []
     for leaf, (_, spec) in leaves:
@@ -595,20 +602,14 @@ def _eval(node, order: int, memo: dict) -> QSeries:
             _wrap(leaf, _ETA_TYPE[leaf.name], *leaf.args)
             value = None
         elif spec is None:
-            value = memo.get(leaf)
-            if value is None:
-                value = memo[leaf] = _leaf(leaf, order, memo)
+            value = _leaf(leaf, order)
         else:
-            value = None
-            for p, e in zip(*spec):
-                x = _value(p, values)
-                x = x if e == 1 else x**e
-                value = x if value is None else value * x
+            value = _composite(leaf, [_value(p, values) for p in spec], order)
         values.append(value)
     return _value(poly, values)
 
 
-def _leaf(node, order: int, memo: dict) -> QSeries:
+def _leaf(node, order: int) -> QSeries:
     if isinstance(node, Q):
         return qpow(node.exponent)
     if isinstance(node, Call):
@@ -617,24 +618,26 @@ def _leaf(node, order: int, memo: dict) -> QSeries:
         # its calls were checked by their _CHECK leaves before it
         parts = [(_ETA_TYPE[call.name](*call.args), r) for call, r in node.calls]
         return eta_type_product(parts, order, node.qexp)
-    if isinstance(node, Sqrt):
-        return _wrap(node, _cut(_eval(node.node, order, memo), order).sqrt)
-    if isinstance(node, Subq):
-        return _eval(node.node, order, memo).subs_qpow(node.power)
-    if isinstance(node, Pow):
-        base = _eval(node.base, order, memo)
-        e = node.exponent
-        if e < 0:
-            base = _cut(base, order)
-        return _wrap(node, lambda: base ** (int(e) if e.denominator == 1 else e))
-    if isinstance(node, BinOp):
-        # a division by a non-constant, or by zero
-        left = _eval(node.left, order, memo)
-        right = _eval(node.right, order, memo)
-        if left.is_exact():
-            right = _cut(right, order)
-        return _wrap(node, lambda: left / right)
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def _composite(node, operands: list, order: int) -> QSeries:
+    """The value of a composite leaf from the values of its operands."""
+    x = operands[0]
+    if isinstance(node, Subq):
+        return x.subs_qpow(node.power)
+    if isinstance(node, Sqrt):
+        return _wrap(node, _cut(x, order).sqrt)
+    if isinstance(node, Pow):
+        if node.exponent < 0:
+            x = _cut(x, order)
+        return _wrap(node, lambda: x**node.exponent)
+    y = operands[1]
+    if node.op == "*":
+        return x * y
+    if x.is_exact():
+        y = _cut(y, order)
+    return _wrap(node, lambda: x / y)
 
 
 def _cut(s: QSeries, order: int) -> QSeries:
@@ -645,7 +648,8 @@ def _cut(s: QSeries, order: int) -> QSeries:
 
 def _converted(node) -> tuple:
     """(polynomial, ((leaf, (index, spec)), ...)) of a tree: the polynomial
-    over its leaves and the leaves in order of first appearance."""
+    over its leaves and the leaves in order of registration, each after the
+    leaves its spec uses."""
     leaves: dict = {}
     poly = _poly(_convert(node, leaves), leaves)
     return poly, tuple(leaves.items())
@@ -669,7 +673,7 @@ def _product_calls(node):
 
 def _convert(node, leaves: dict):
     """The polynomial of a tree over the leaves it registers in ``leaves``
-    (node -> (index, spec), in order of first appearance), or a _Pending
+    (node -> (index, spec), each after its operands' leaves), or a _Pending
     product, which _poly makes a polynomial."""
     if isinstance(node, Lit):
         c = node.value
@@ -696,57 +700,41 @@ def _convert(node, leaves: dict):
             if terms.get(()) == 0:
                 del terms[()]  # a cancelled constant leaves an exact zero
             return terms
-        if node.op == "*":
-            a, b = _convert(node.left, leaves), _convert(node.right, leaves)
-            fused = _fused(a, b, 1)
-            if fused is not None:
-                return fused
-            a, b = _poly(a, leaves), _poly(b, leaves)
-            if not (
-                _constant(a) or _constant(b) or (_monomial_only(a) and _monomial_only(b))
-            ):
-                return _register(node, leaves, ((a, b), (1, 1)))
+        if node.op == "/" and isinstance(node.right, Lit) and node.right.value:
+            c = node.right.value
+            x = _convert(node.left, leaves)
+            if isinstance(x, _Pending):
+                x.c /= c
+                return x
+            return {m: v / c for m, v in x.items()}
+        a, b = _convert(node.left, leaves), _convert(node.right, leaves)
+        fused = _fused(a, b, 1 if node.op == "*" else -1)
+        if fused is not None:
+            return fused
+        a, b = _poly(a, leaves), _poly(b, leaves)
+        if node.op == "*" and (
+            _constant(a) or _constant(b) or (_monomial_only(a) and _monomial_only(b))
+        ):
             # one side is a single monomial, so the products are distinct
             return {_mono(m, n): c * d for m, c in a.items() for n, d in b.items()}
-        if isinstance(node.right, Lit):
-            c = node.right.value
-            if c:
-                x = _convert(node.left, leaves)
-                if isinstance(x, _Pending):
-                    x.c /= c
-                    return x
-                return {m: v / c for m, v in x.items()}
-        else:
-            saved = dict(leaves)
-            fused = _fused(_convert(node.left, leaves), _convert(node.right, leaves), -1)
-            if fused is not None:
-                return fused
-            _restore(leaves, saved)
-    elif isinstance(node, Pow) and node.exponent.denominator == 1:
+        return _register(node, leaves, (a, b))
+    if isinstance(node, Pow) and node.exponent.denominator == 1:
         k = int(node.exponent)
-        if k < 0:
-            saved = dict(leaves)
-            base = _as_pending(_convert(node.base, leaves))
-            if base is not None and base.c:
-                return _raised(base, k)
-            _restore(leaves, saved)
-            return _register(node, leaves, None)
-        base = _convert(node.base, leaves)
-        if isinstance(base, _Pending):
-            return _raised(base, k) if k else {(): 1}
-        if not _monomial_only(base):
-            return _register(node, leaves, ((base,), (k,)))
+        x = _convert(node.base, leaves)
         if not k:
             return {(): 1}
-        return {tuple(e * k for e in m): c**k for m, c in base.items()}
+        # a product stays one, raised, unless a zero one would be inverted
+        pending = _as_pending(x)
+        if pending is not None and (k > 0 or pending.c):
+            return _raised(pending, k)
+        x = _poly(x, leaves)
+        if k > 0 and _monomial_only(x):
+            return {tuple(e * k for e in m): c**k for m, c in x.items()}
+        return _register(node, leaves, (x,))
+    if isinstance(node, (Pow, Sqrt, Subq)):
+        x = _convert(node.base if isinstance(node, Pow) else node.node, leaves)
+        return _register(node, leaves, (_poly(x, leaves),))
     return _register(node, leaves, None)
-
-
-def _restore(leaves: dict, saved: dict) -> None:
-    # undo what converting the operands of an unfused division or negative
-    # power registered, so that it stays one opaque leaf
-    leaves.clear()
-    leaves.update(saved)
 
 
 def _fused(a, b, sign: int):
@@ -819,20 +807,22 @@ def _polynomial(node, names: dict) -> tuple:
     """The tree multiplied out over the variables of ``names`` (variable ->
     symbol name): the operands of a product of sums at the top, any other
     tree as one MultiPoly.  Monomials over symbol leaves are read off, only
-    powers and products of sums are multiplied out, and any other leaf is a
-    ValueError naming it."""
+    products and positive integer powers are multiplied out, and any other
+    leaf is a ValueError naming it."""
     poly, leaves = _converted(node)
     parts = (poly,)
     if isinstance(node, BinOp) and node.op == "*" and leaves and leaves[-1][0] == node:
-        parts, leaves = leaves[-1][1][1][0], leaves[:-1]
+        parts, leaves = leaves[-1][1][1], leaves[:-1]
     variables = tuple(names)
     slots = {Call("symbol", (s,)): i for i, s in enumerate(names.values())}
     values = []  # per leaf: the index of its variable, or its MultiPoly
     for leaf, (_, spec) in leaves:
-        if isinstance(spec, tuple):
-            value = math.prod(_multiplied(p, values, variables) ** e for p, e in zip(*spec))
-        elif leaf in slots:
+        if leaf in slots:
             value = slots[leaf]
+        elif isinstance(leaf, BinOp) and leaf.op == "*":
+            value = math.prod(_multiplied(p, values, variables) for p in spec)
+        elif isinstance(leaf, Pow) and leaf.exponent.denominator == 1 and leaf.exponent > 0:
+            value = _multiplied(spec[0], values, variables) ** int(leaf.exponent)
         else:
             symbols = ", ".join(names.values())
             raise ValueError(f"not a polynomial in {symbols}: '{to_text(leaf)}'")
@@ -863,8 +853,12 @@ def _multiplied(poly: dict, values: list, variables: tuple) -> MultiPoly:
 def _value(poly: dict, values: list) -> QSeries:
     """The series of a polynomial at the leaf values, cut at the truncation
     its monomials' own products give."""
-    names = tuple(f"x{i}" for i in range(len(values)))
-    pad = (0,) * len(values)
+    # variables only up to the longest monomial: ``values`` holds every
+    # leaf registered so far, most of them unused here
+    width = max(map(len, poly), default=0)
+    values = values[:width]
+    names = tuple(f"x{i}" for i in range(width))
+    pad = (0,) * width
     result = eval_poly(
         MultiPoly._make(names, {m + pad[len(m) :]: c for m, c in poly.items() if c}),
         dict(zip(names, values)),

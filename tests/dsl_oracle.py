@@ -20,6 +20,7 @@ carrying its kind, text, line and column.
 it went through the DSL's product leaves: its own walk of the parsed tree,
 which takes products, quotients and integer powers of ``eta`` and ``geta``
 calls and the constant 1, and sums each cusp order in a loop of its own.
+The walk folds each ``geta`` index into 1..M/2 by its own arithmetic.
 """
 
 import re
@@ -171,7 +172,8 @@ def quotient_orders(text: str, level: int) -> list:
 
 
 def collect_factors(node, power: int, eta_exps, gen_exps) -> None:
-    """Flatten a product of eta/geta powers; anything else is rejected."""
+    """Flatten a product of eta/geta powers, each geta index folded into
+    1..M/2; anything else is rejected, and so is a g divisible by M."""
     if isinstance(node, BinOp) and node.op in "*/":
         collect_factors(node.left, power, eta_exps, gen_exps)
         flip = -power if node.op == "/" else power
@@ -189,7 +191,14 @@ def collect_factors(node, power: int, eta_exps, gen_exps) -> None:
         eta_exps[d] = eta_exps.get(d, 0) + power
         return
     if isinstance(node, Call) and node.name == "geta":
+        # eta_{M,g} = eta_{M,M-g} = -eta_{M,g+M}: the orders see g mod M,
+        # and g against M - g; the sign is no order's concern
         m, g = node.args
+        if g % m == 0:
+            raise ValueError(
+                f"index g must not be divisible by the level in '{to_text(node)}'"
+            )
+        g = min(g % m, m - g % m)
         bucket = gen_exps.setdefault(m, {})
         bucket[g] = bucket.get(g, 0) + power
         return

@@ -135,9 +135,9 @@ def _windows(monkeypatch, name):
     orders = set()
     real = dsl._eval
 
-    def recording(node, order, memo):
+    def recording(node, order):
         orders.add(order)
-        return real(node, order, memo)
+        return real(node, order)
 
     monkeypatch.setattr(dsl, "_eval", recording)
     assert verify(name).verified

@@ -14,7 +14,7 @@ import dsl_oracle as oracle
 from qlambert import cli, gamma0, level14, numeric
 from qlambert.cli import main
 from qlambert.constructors import EtaQuotient, GenEtaQuotient
-from qlambert.dsl import Call, _product_calls, parse
+from qlambert.dsl import Call, _product_calls, parse, to_text
 from qlambert.gamma0 import _orders, cusp_set, eta_cusp_order, gen_eta_cusp_ord
 
 SPEC_ERROR = "quotient spec must be a product of eta(d) and geta(M,g) powers"
@@ -108,10 +108,12 @@ def test_order_tables_run_no_class_search(table_id, monkeypatch):
 # -------------------------------------------------------- reading a spec
 
 
+# geta indices run from -M to 2M: both laws fold them into 1..M/2, and the
+# multiples of M are rejected
 _ATOMS = st.one_of(
     st.integers(1, 30).map(lambda d: f"eta({d})"),
     st.integers(1, 24).flatmap(
-        lambda m: st.integers(0, m // 2 + 1).map(lambda g: f"geta({m},{g})")
+        lambda m: st.integers(-m, 2 * m).map(lambda g: f"geta({m},{g})")
     ),
 )
 
@@ -152,14 +154,18 @@ def test_spec_orders_agree_with_the_tree_walk(case):
 @settings(max_examples=200)
 @given(_spec())
 def test_product_calls_are_the_tree_walks_exponents(case):
+    # the product of call^r over the DSL's calls walks to the spec's
+    # exponents, the folded geta indices and a rejected index included
     text, _ = case
-    eta_exps, gen_exps = {}, {}
-    oracle.collect_factors(parse(text), 1, eta_exps, gen_exps)
-    want = {Call("eta", (d,)): r for d, r in eta_exps.items()}
-    want.update(
-        {Call("geta", (m, g)): r for m, bucket in gen_exps.items() for g, r in bucket.items()}
-    )
-    assert _product_calls(parse(text)) == want
+    calls = _product_calls(parse(text))
+    restated = "*".join(f"({to_text(call)})^{r}" for call, r in calls.items())
+
+    def walked(text):
+        eta_exps, gen_exps = {}, {}
+        oracle.collect_factors(parse(text), 1, eta_exps, gen_exps)
+        return eta_exps, gen_exps
+
+    assert _outcome(walked, restated) == _outcome(walked, text)
 
 
 def test_spec_with_mixed_geta_levels_and_cancelled_exponents():
@@ -172,6 +178,27 @@ def test_spec_with_mixed_geta_levels_and_cancelled_exponents():
         Call("eta", (7,)): 0,
     }
     assert cli._quotient_orders(text, 14) == oracle.quotient_orders(text, 14)
+
+
+def test_ord_table_folds_geta_indices(capsys):
+    # eta_{7,4} = eta_{7,3} and eta_{7,-1} = -eta_{7,1}: equal orders, and the
+    # exponents of calls that meet at one index add up
+    rows = {}
+    for text in ("geta(7,3)", "geta(7,4)", "geta(7,1)", "geta(7,-1)", "geta(7,3)^2"):
+        rows[text] = run(capsys, "ord-table", text, "--level", "14")
+        assert rows[text][0] == 0
+    assert rows["geta(7,4)"] == rows["geta(7,3)"]
+    assert rows["geta(7,-1)"] == rows["geta(7,1)"] != rows["geta(7,3)"]
+    both = run(capsys, "ord-table", "geta(7,3)*geta(7,4)", "--level", "14")
+    assert both == rows["geta(7,3)^2"]
+
+
+@pytest.mark.parametrize("text", ["geta(7,7)", "geta(7,-14)*geta(7,1)", "geta(7,0)^0"])
+def test_ord_table_rejects_a_geta_index_as_expand_does(capsys, text):
+    code, out, err = run(capsys, "ord-table", text, "--level", "14")
+    assert (code, out) == (2, "")
+    assert err == run(capsys, "expand", text, "--order", "5")[2]
+    assert "index g must not be divisible by the level in 'geta(7, " in err
 
 
 @pytest.mark.parametrize(

@@ -195,8 +195,9 @@ def test_a_power_of_a_sum_is_a_leaf_not_an_expansion():
         parse("symbol(g)"),
     ]
     assert terms == {(0, 1, 1): 1}
-    (base,), exponents = leaves[1][1][1]
-    assert exponents == (3,) and base == {(1,): 1, (): -4}
+    # its spec is its one operand's polynomial; the exponent stays in the node
+    (base,) = leaves[1][1][1]
+    assert base == {(1,): 1, (): -4}
     terms, leaves = dsl._converted(parse("(1 + q)^1000"))
     assert len(leaves) == 2 and terms == {(0, 1): 1}
 
@@ -205,8 +206,7 @@ def test_a_product_of_two_sums_stays_a_product():
     terms, leaves = dsl._converted(catalog.get_identity("elim-K").left)
     assert [leaf for leaf, _ in leaves][:2] == [parse("symbol(f)"), parse("symbol(g)")]
     assert len(leaves) == 3 and terms == {(0, 0, 1): 1}
-    (cubic, cofactor), exponents = leaves[2][1][1]
-    assert exponents == (1, 1)
+    cubic, cofactor = leaves[2][1][1]
     assert (len(cubic), len(cofactor)) == (14, 45)
 
 
@@ -292,8 +292,23 @@ def test_constants_ride_along_with_a_product_leaf(text):
 
 
 def test_a_division_that_does_not_fuse_is_one_leaf():
+    # the division is one composite leaf over its operands' polynomials,
+    # and the eta calls on either side stay one-factor product leaves
     node = parse("(L(1) + 1)*eta(2)/eta(3)")
-    assert [leaf for leaf, _ in dsl._converted(node)[1]] == [node]
+    terms, leaves = dsl._converted(node)
+    eta2, eta3 = parse("eta(2)"), parse("eta(3)")
+    assert [leaf for leaf, _ in leaves] == [
+        parse("L(1)"),
+        eta2,
+        dsl._Product(frozenset({(eta2, 1)}), F(0)),
+        node.left,
+        eta3,
+        dsl._Product(frozenset({(eta3, 1)}), F(0)),
+        node,
+    ]
+    assert [spec for _, (_, spec) in leaves][1::3] == [dsl._CHECK, dsl._CHECK]
+    assert leaves[-1][1][1] == ({(0, 0, 0, 1): 1}, {(0, 0, 0, 0, 0, 1): 1})
+    assert terms == {(0,) * 6 + (1,): 1}
     agrees_with_the_oracle(node, 12)
 
 
@@ -301,12 +316,50 @@ def test_a_division_that_does_not_fuse_is_one_leaf():
     "text", ["eta(1)*eta(2) + (eta(1) + 1)/(eta(2) + 2)", "eta(1)*eta(2) + (eta(1) + 1)^-1"]
 )
 def test_an_unfused_division_leaves_earlier_calls_as_they_were(text):
-    # converting its operands registers a product leaf of eta(1); that is undone
+    # its operands register a product leaf of eta(1) after the fused
+    # eta(1)*eta(2), and the calls stay _CHECK leaves
     node = parse(text)
-    specs = {leaf: spec for leaf, (_, spec) in dsl._converted(node)[1]}
-    assert specs[parse("eta(1)")] == specs[parse("eta(2)")] == dsl._CHECK
-    assert specs[node.right] is None and len(specs) == 4
+    leaves = dsl._converted(node)[1]
+    specs = {leaf: spec for leaf, (_, spec) in leaves}
+    eta1, eta2 = parse("eta(1)"), parse("eta(2)")
+    assert specs[eta1] == specs[eta2] == dsl._CHECK
+    fused = dsl._Product(frozenset({(eta1, 1), (eta2, 1)}), F(0))
+    alone = dsl._Product(frozenset({(eta1, 1)}), F(0))
+    assert [leaf for leaf, _ in leaves][2:4] == [fused, alone]
+    assert leaves[-1][0] == node.right
+    assert specs[node.right][0] == {(0, 0, 0, 1): 1, (): 1}
+    assert len(specs) == (6 if isinstance(node.right, BinOp) else 5)
     agrees_with_the_oracle(node, 12)
+
+
+@pytest.mark.parametrize("name", ["gosper-1.3", "gosper-1.4", "gosper-1.6", "eq-4.6"])
+def test_each_evaluation_converts_its_tree_once(name, monkeypatch):
+    # square roots and divisions convert into the tree's one registry
+    record = catalog.get_identity(name)
+    converted = []
+    real = dsl._converted
+
+    def recording(node):
+        converted.append(node)
+        return real(node)
+
+    monkeypatch.setattr(dsl, "_converted", recording)
+    for side in (record.left, record.right):
+        converted.clear()
+        evaluate(side, record.truncation + 16)
+        assert converted == [side]
+
+
+@settings(max_examples=150)
+@given(st.one_of(trees, products))
+def test_composite_operands_use_only_earlier_leaves(node):
+    poly, leaves = dsl._converted(node)
+    assert [index for _, (index, _) in leaves] == list(range(len(leaves)))
+    # a monomial has no trailing zero exponents, so its length bounds its leaves
+    for _, (index, spec) in leaves:
+        if isinstance(spec, tuple):
+            assert spec and all(len(m) <= index for p in spec for m in p)
+    assert all(len(m) <= len(leaves) for m in poly)
 
 
 def test_a_product_leaf_goes_through_the_quotient_series_method(monkeypatch):
