@@ -358,7 +358,8 @@ def test_composite_operands_use_only_earlier_leaves(node):
     # a monomial has no trailing zero exponents, so its length bounds its leaves
     for _, (index, spec) in leaves:
         if isinstance(spec, tuple):
-            assert spec and all(len(m) <= index for p in spec for m in p)
+            assert spec and all(isinstance(p, dict) for p in spec)
+            assert all(len(m) <= index for p in spec for m in p)
     assert all(len(m) <= len(leaves) for m in poly)
 
 
