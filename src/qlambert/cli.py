@@ -19,7 +19,7 @@ import sys
 
 from . import numeric
 from .catalog import IdentityRecord, load_catalog, verify
-from .constructors import EtaQuotient, GenEtaQuotient, _gen_eta_index
+from .constructors import EtaQuotient, GenEtaQuotient, _gen_eta_index, eta_statement
 from .dsl import _product_calls, _wrap, evaluate, parse, parse_identity
 from .errors import DSLError
 from .gamma0 import _orders, cusp_set
@@ -217,7 +217,8 @@ def _print_builtin_table(report, as_json: bool) -> int:
 def _quotient_orders(text: str, level: int) -> list:
     # one EtaQuotient of the eta calls, and one GenEtaQuotient per geta level,
     # whose indices fold into 1..M/2 by eta_{M,g} = eta_{M,M-g} = -eta_{M,g+M}
-    # (the sign leaves the orders alone); a g divisible by M fails as in expand
+    # (the sign leaves the orders alone); a nonpositive d or a g divisible by
+    # M fails as in expand
     calls = _product_calls(parse(text))
     if calls is None or any(call.name not in ("eta", "geta") for call in calls):
         raise ValueError("quotient spec must be a product of eta(d) and geta(M,g) powers")
@@ -225,6 +226,7 @@ def _quotient_orders(text: str, level: int) -> list:
     gen_exps: dict[int, dict[int, int]] = {}
     for call, r in calls.items():
         if call.name == "eta":
+            _wrap(call, eta_statement, *call.args)
             if r:
                 eta_exps[call.args[0]] = r
             continue

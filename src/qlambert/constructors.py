@@ -26,10 +26,14 @@ solves the product's logarithmic-derivative recurrence by halves
 What the kernel solves is the product's *exponent sequence* c(m), the
 power of (1 - q^m) for m below the window: theta(-1,1,-1,1) and
 eta(1)^2/eta(2) state one product and read one c.  The solved unit part is
-memoized on c (``_memo_unit_part``, an ``lru_cache`` whose ``cache_info()``
-shows hits and misses), process-wide and bounded to ``_MEMO_ENTRIES``
-windows of at most ``_MEMO_SLOTS`` slots; a hit costs forming and hashing
-c, O(w), and sign and prefactor are applied after the lookup.
+memoized on c (``_memo_unit_part``, whose ``cache_info()`` shows hits and
+misses as an ``lru_cache``'s does), process-wide and bounded to
+``_MEMO_ENTRIES`` sequences of at most ``_MEMO_SLOTS`` slots.  Since f_k
+depends only on c(1..k), an entry serves every window of its sequence: a
+narrower one reads a prefix, and a wider one extends the entry from the
+slots it holds, so one product at ascending windows is solved from slot 0
+once.  A hit that needs no new slots costs forming c and comparing a
+prefix, O(w), and sign and prefactor are applied after the lookup.
 
 The primitive products (``pochhammer``, ``eta``, ``gen_eta``, ``theta_f``,
 ``lambert_mod``, ``pi_q``) take an *absolute* exponent ceiling ``order``:
@@ -97,8 +101,9 @@ def _qproduct(statement: tuple, order) -> QSeries:
     (one slice-add), so every way of writing one product, as a theta
     function or as an eta quotient, say, reads the same c.  ``_unit_part``
     is memoized on c for windows of at most ``_MEMO_SLOTS`` slots (a wider
-    one is solved every time); sign and prefactor are applied after the
-    lookup, so a hit equals a cold build field for field.  With pref = n/d
+    one is solved every time), an entry serving each window of its
+    sequence; sign and prefactor are applied after the lookup, so a hit
+    equals a cold build field for field.  With pref = n/d
     in lowest terms the result lives on the grid 1/d, and f is handed over
     as is, one slot per power of q at stride d.
     """
@@ -118,34 +123,123 @@ def _qproduct(statement: tuple, order) -> QSeries:
 
 def _unit_part(c: tuple) -> tuple:
     """The coefficients f_0 .. f_(w-1) of  prod_{m=1..w-1} (1 - q^m)^c(m)
-    modulo q^w, for w = len(c) (c[0] is unused).
-
-    They come by integer arithmetic from the logarithmic derivative,
-    k f_k = sum_{j=1..k} s_j f_(k-j)  with  s_j = -sum_{m | j} m c(m)  (one
-    harmonic pass over the m with c(m) != 0); no series power, product or
-    inverse is formed.  ``_solve`` runs the recurrence by halves, so a long
-    window costs big-integer products rather than w^2 / 2 multiplications.
-    """
-    w = len(c)
-    s = [0] * w
-    for m in range(1, w):
-        if c[m]:
-            rm = c[m] * m
-            for j in range(m, w, m):
-                s[j] -= rm
-    f = [1] + [0] * (w - 1)
-    _solve(f, s, 0, w)
+    modulo q^w, for w = len(c) (c[0] is unused), solved from slot 0."""
+    s, f = [], []
+    _extend(c, s, f)
     return tuple(f)
 
 
+def _extend(c: tuple, s: list, f: list) -> None:
+    """Extend f, the unit part of c[:len(f)], and s, its harmonic sums, in
+    place to the window w = len(c).
+
+    The coefficients come by integer arithmetic from the logarithmic
+    derivative,  k f_k = sum_{j=1..k} s_j f_(k-j)  with
+    s_j = -sum_{m | j} m c(m)  (one harmonic pass over the m with
+    c(m) != 0, which adds only to the new slots j); no series power,
+    product or inverse is formed.  From l = len(f) > 0 slots, one packed
+    product (``_packed_product``) adds the part of that sum over f[:l] to
+    every new slot at once, and ``_solve`` fills f[l:w] by halves; from
+    l = 0, f starts at f_0 = 1 and is solved whole.
+    """
+    l, w = len(f), len(c)
+    s += [0] * (w - l)
+    for m in range(1, w):
+        if c[m]:
+            rm = c[m] * m
+            for j in range(m if m >= l else -(-l // m) * m, w, m):
+                s[j] -= rm
+    if l:
+        f += _packed_product(f, 1, s, 1, w)[l:]
+    else:
+        f += [1] + [0] * (w - 1)
+    _solve(f, s, l, w)
+
+
+class _Entry:
+    """A solved exponent sequence c, with its harmonic sums s and its unit
+    part f (lists, so that a wider request extends them in place)."""
+
+    __slots__ = ("c", "s", "f")
+
+    def __init__(self, c: tuple):
+        self.c, self.s, self.f = c, [], []
+        _extend(c, self.s, self.f)
+
+
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+class _UnitPartMemo:
+    """``_unit_part`` through a memo of solved exponent sequences.
+
+    An entry serves every request whose c agrees with the entry's on the
+    shorter of the two lengths: a narrower request reads a prefix of its
+    unit part, and a wider one extends the entry in place from the slots
+    it holds (``_extend``), so one product at ascending windows is solved
+    from slot 0 once.  Candidates are found by the first ``_MEMO_HEAD``
+    terms of c, a key that every window of one sequence shares (a window
+    narrower than that is its own key), whatever product states it.  The
+    memo holds at most ``maxsize`` entries and drops
+    the least recently used; one lock covers each lookup with its solve,
+    so two threads never insert one sequence twice.  ``cache_info`` and
+    ``cache_clear`` read and reset it as ``functools.lru_cache``'s do: a
+    request served by an entry, extended or not, is a hit, and one that
+    solves a new entry a miss.
+    """
+
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+        self._lock = threading.Lock()
+        self.cache_clear()
+
+    def __call__(self, c: tuple) -> tuple:
+        w = len(c)
+        head = c[:_MEMO_HEAD]
+        with self._lock:
+            for entry in self._heads.get(head, ()):
+                n = min(w, len(entry.c))
+                if entry.c[:n] == c[:n]:
+                    self.hits += 1
+                    del self._recent[entry]
+                    if w > n:
+                        _extend(c, entry.s, entry.f)
+                        entry.c = c
+                    break
+            else:
+                self.misses += 1
+                entry = _Entry(c)
+                self._heads.setdefault(head, []).append(entry)
+                if len(self._recent) == self.maxsize:
+                    oldest = next(iter(self._recent))
+                    old_head = self._recent.pop(oldest)
+                    self._heads[old_head].remove(oldest)
+                    if not self._heads[old_head]:
+                        del self._heads[old_head]
+            self._recent[entry] = head  # the most recently used last
+            return tuple(entry.f[:w])
+
+    def cache_info(self) -> tuple:
+        with self._lock:
+            return _CacheInfo(self.hits, self.misses, self.maxsize, len(self._recent))
+
+    def cache_clear(self) -> None:
+        with self._lock:
+            # head -> the entries whose c starts with it; entry -> its head,
+            # least recently used first
+            self._heads, self._recent = {}, {}
+            self.hits = self.misses = 0
+
+
 #: the memo of ``_unit_part``: process-wide, thread-safe, and bounded to
-#: _MEMO_ENTRIES windows of at most _MEMO_SLOTS slots each (a wider window,
-#: such as one ``expand`` at a huge order, is solved and not kept).  One
-#: ``verify --all`` states 45 distinct products of at most 67 slots; a hit
-#: costs building and hashing the key, O(w), instead of the solve
+#: _MEMO_ENTRIES sequences of at most _MEMO_SLOTS slots each (a wider
+#: window, such as one ``expand`` at a huge order, is solved and not kept).
+#: One ``verify --all`` builds 40 products and solves 28 sequences; a hit
+#: that needs no new slots costs building c and comparing a prefix, O(w)
 _MEMO_ENTRIES = 64
 _MEMO_SLOTS = 1024
-_memo_unit_part = functools.lru_cache(maxsize=_MEMO_ENTRIES)(_unit_part)
+_MEMO_HEAD = 16
+_memo_unit_part = _UnitPartMemo(_MEMO_ENTRIES)
 
 
 def _power_product(parts, pref=0) -> tuple:

@@ -24,10 +24,14 @@ parses prints to text that parses back to it.
 Evaluation converts a tree once, into one registry of its distinct leaves.
 Each subtree built from ``+``, ``-``, ``*``, unary minus, division by a
 nonzero constant and powers of monomials is a polynomial over leaves.
-Calls and powers of q are leaves of their own.  Every other node is a
-*composite leaf* over the polynomials of its operands, registered after
-their leaves: ``sqrt``, ``subq``, a division by a non-constant, a negative
-or rational power, a power of a sum, and a product of two factors that are
+Calls, powers of q and ``subq`` nodes are leaves of their own: at the
+window W, ``subq(e, k)`` evaluates e on its own at the window ceil(W/k)
+and substitutes q -> q^k, which takes a value known through q^ceil(W/k)
+to one known through at least q^W; a leaf inside it is not shared with
+one outside.  Every
+other node is a *composite leaf* over the polynomials of its operands,
+registered after their leaves: ``sqrt``, a division by a non-constant, a
+negative or rational power, a power of a sum, and a product of two factors that are
 not both single untouched monomials (nor one of them a constant), since
 expanding those could shrink the truncation or, for powers, blow up the
 size.  Each leaf is evaluated once per call of ``evaluate``, in order, a
@@ -538,7 +542,7 @@ def _nesting(root) -> int:
 # zero, and is dropped.  The arithmetic (_value, _multiplied) skips the 0
 # entries.  A tree's leaves are keyed by structure in one registry, each
 # after the leaves its spec uses.  A leaf's spec is None for a call, a q
-# power or a product leaf, evaluated on its own, _CHECK for an eta-type
+# power, a product leaf or a subq, evaluated on its own, _CHECK for an eta-type
 # call, which only enters product leaves and is only checked (its value is
 # None), and the tuple of its operands' polynomials for a composite leaf,
 # whose node tells _composite how to form its value from theirs.  A product
@@ -578,7 +582,8 @@ def evaluate(node, order: int) -> QSeries:
     symbols get it as their relative window.  The tree is converted once,
     into a polynomial over one registry of its distinct leaves, and each
     leaf is evaluated once, in order: calls, q powers and product leaves on
-    their own, composite leaves from the values of their operands'
+    their own, ``subq(e, k)`` as e evaluated at the window ceil(order/k)
+    with q -> q^k substituted, composite leaves from the values of their operands'
     polynomials, which ``relations.eval_poly`` forms, truncated where the
     node-by-node arithmetic would truncate them.  A product of integer
     powers of eta-type calls and q powers is one leaf, formed by a single
@@ -618,14 +623,15 @@ def _leaf(node, order: int) -> QSeries:
         # its calls were checked by their _CHECK leaves before it
         parts = [(_ETA_TYPE[call.name](*call.args), r) for call, r in node.calls]
         return eta_type_product(parts, order, node.qexp)
+    if isinstance(node, Subq):
+        # q -> q^k takes q^ceil(order/k) to at least q^order
+        return _eval(node.node, -(-order // node.power)).subs_qpow(node.power)
     raise TypeError(f"not an expression node: {node!r}")
 
 
 def _composite(node, operands: list, order: int) -> QSeries:
     """The value of a composite leaf from the values of its operands."""
     x = operands[0]
-    if isinstance(node, Subq):
-        return x.subs_qpow(node.power)
     if isinstance(node, Sqrt):
         return _wrap(node, _cut(x, order).sqrt)
     if isinstance(node, Pow):
@@ -731,7 +737,7 @@ def _convert(node, leaves: dict):
         if k > 0 and _monomial_only(x):
             return {tuple(e * k for e in m): c**k for m, c in x.items()}
         return _register(node, leaves, (x,))
-    if isinstance(node, (Pow, Sqrt, Subq)):
+    if isinstance(node, (Pow, Sqrt)):
         x = _convert(node.base if isinstance(node, Pow) else node.node, leaves)
         return _register(node, leaves, (_poly(x, leaves),))
     return _register(node, leaves, None)
@@ -853,19 +859,22 @@ def _multiplied(poly: dict, values: list, variables: tuple) -> MultiPoly:
 def _value(poly: dict, values: list) -> QSeries:
     """The series of a polynomial at the leaf values, cut at the truncation
     its monomials' own products give."""
-    # variables only up to the longest monomial: ``values`` holds every
-    # leaf registered so far, most of them unused here
-    width = max(map(len, poly), default=0)
-    values = values[:width]
-    names = tuple(f"x{i}" for i in range(width))
-    pad = (0,) * width
+    # variables only for the leaves the nonzero monomials use, in registry
+    # order: ``values`` holds every leaf registered so far, most of them
+    # unused here
+    terms = {m: c for m, c in poly.items() if c}
+    used = sorted({i for m in terms for i, e in enumerate(m) if e})
+    names = tuple(f"x{i}" for i in used)
     result = eval_poly(
-        MultiPoly._make(names, {m + pad[len(m) :]: c for m, c in poly.items() if c}),
-        dict(zip(names, values)),
+        MultiPoly._make(
+            names,
+            {tuple(m[i] if i < len(m) else 0 for i in used): c for m, c in terms.items()},
+        ),
+        {name: values[i] for name, i in zip(names, used)},
     )
     if not isinstance(result, QSeries):
         result = QSeries.constant(result)
-    T, D = _truncation(poly, values)
+    T, D = _truncation(poly, values[: max(map(len, poly), default=0)])
     if T is not None and (result.T is None or result.T * D > T * result.D):
         result = result + QSeries.zero(T, D)
     return result

@@ -80,7 +80,7 @@ def _eval(node, order: int) -> QSeries:
             base = _cut(base, order)
         return _wrap(node, lambda: base ** (int(e) if e.denominator == 1 else e))
     if isinstance(node, Subq):
-        return _eval(node.node, order).subs_qpow(node.power)
+        return _eval(node.node, -(-order // node.power)).subs_qpow(node.power)
     raise TypeError(f"not an expression node: {node!r}")
 
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import products_oracle as oracle
@@ -351,6 +351,155 @@ def test_concurrent_builds_of_one_product_agree():
         sys.setswitchinterval(interval)
     assert not wrong
     assert memo.cache_info().currsize == len(SAME_PRODUCT)
+
+
+#: (build, oracle) pairs of one order each.  The first four are two
+#: products stated two ways; (q^20; q^20), (q^20; q^21) and eta(41) agree
+#: on their first 40 slots and share their head with every sparse product,
+#: so a request can find an entry that agrees with it on a prefix only
+REQUESTS = [
+    (lambda n: theta_f(1, 1, 1, 1, n), lambda n: oracle.theta_product(1, 1, 1, 1, n)),
+    (
+        lambda n: EtaQuotient(4, {1: -2, 2: 5, 4: -2}).series(n),
+        lambda n: oracle.eta_quotient(4, {1: -2, 2: 5, 4: -2}, n),
+    ),
+    (lambda n: theta_f(-1, 1, -1, 1, n), lambda n: oracle.theta_product(-1, 1, -1, 1, n)),
+    (
+        lambda n: EtaQuotient(2, {1: 2, 2: -1}).series(n),
+        lambda n: oracle.eta_quotient(2, {1: 2, 2: -1}, n),
+    ),
+    (lambda n: pochhammer(1, 20, 20, n), lambda n: oracle.pochhammer(1, 20, 20, n)),
+    (lambda n: pochhammer(1, 20, 21, n), lambda n: oracle.pochhammer(1, 20, 21, n)),
+    (lambda n: eta(41, n), lambda n: oracle.eta(41, n)),
+    (lambda n: gen_eta(7, 8, n), lambda n: oracle.gen_eta(7, 8, n)),  # a negative sign
+    (lambda n: pi_q(3, n), lambda n: oracle.pi_q(3, n)),  # a prefactor on the grid 1/4
+]
+
+
+def exponent_sequence(series_call, order) -> tuple:
+    """The c that ``_qproduct`` reads for one request, caught on its way to
+    the memo."""
+    seen = []
+    memo_call = constructors._memo_unit_part
+
+    def spy(c):
+        seen.append(c)
+        return memo_call(c)
+
+    constructors._memo_unit_part = spy
+    try:
+        series_call(order)
+    finally:
+        constructors._memo_unit_part = memo_call
+    (c,) = seen
+    return c
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, len(REQUESTS) - 1),
+            # 40 and 41 sit on either side of where (q^20; q^20) and
+            # (q^20; q^21) part
+            st.one_of(st.integers(1, 240), st.sampled_from([40, 41, 42])),
+        ),
+        min_size=2,
+        max_size=6,
+    )
+)
+def test_requests_in_any_window_order_match_a_cold_solve(requests):
+    # narrower after wider, wider after narrower, two statements of one
+    # product, and products that agree on a prefix only, from an empty memo
+    memo.cache_clear()
+    for k, order in requests:
+        build, reference = REQUESTS[k]
+        assert exact(build(order)) == exact(reference(order)), (k, order)
+        c = exponent_sequence(build, order)
+        assert memo(c) == constructors._unit_part(c), (k, order)
+        assert memo.cache_info().currsize <= constructors._MEMO_ENTRIES
+
+
+def test_an_entry_serves_only_requests_that_agree_with_it(monkeypatch):
+    # (q^20; q^20) and (q^20; q^21) agree on c(0..39) and part at c(40)
+    memo.cache_clear()
+    windows = counted_solves(monkeypatch)
+    pochhammer(1, 20, 20, 60)
+    assert exact(pochhammer(1, 20, 21, 40)) == exact(oracle.pochhammer(1, 20, 21, 40))
+    assert windows == [60]
+    assert exact(pochhammer(1, 20, 21, 41)) == exact(oracle.pochhammer(1, 20, 21, 41))
+    assert windows == [60, 41]
+    assert memo.cache_info().currsize == 2
+
+
+def test_one_product_at_ascending_windows_is_solved_once(monkeypatch):
+    # the three theta(1,1,1,1)^4 windows of one ``deep`` benchmark run: each
+    # wider window extends the unit part from the slots the memo holds
+    memo.cache_clear()
+    windows = counted_solves(monkeypatch)
+    got = [theta_f(1, 1, 1, 1, order) for order in (194, 326, 482)]
+    assert windows == [194]
+    assert memo.cache_info()._asdict() == {
+        "hits": 2,
+        "misses": 1,
+        "maxsize": constructors._MEMO_ENTRIES,
+        "currsize": 1,
+    }
+    for series, order in zip(got, (194, 326, 482)):
+        assert exact(series) == exact(oracle.theta_product(1, 1, 1, 1, order))
+    # and a narrower window afterwards reads a prefix
+    assert exact(theta_f(1, 1, 1, 1, 100)) == exact(oracle.theta_product(1, 1, 1, 1, 100))
+    assert windows == [194]
+
+
+def test_a_cold_verify_of_elim_k_solves_each_sequence_once(monkeypatch):
+    # its first pass falls short and its second, wider one extends the five
+    # sequences of the first (g, g1, g2, g3 and 1/Pi_{q^7}^2)
+    from qlambert import catalog
+
+    memo.cache_clear()
+    windows = counted_solves(monkeypatch)
+    with fresh_symbols():
+        report = catalog.verify("elim-K")
+    assert report.status == "verified"
+    assert len(windows) == 5, windows
+    assert memo.cache_info().misses == 5
+
+
+def test_concurrent_widening_of_one_sequence_leaves_one_entry(monkeypatch):
+    # theta(1,1,1,1) stated two ways, at shuffled windows, by four threads
+    builds = SAME_PRODUCT[1]
+    orders = list(range(40, 401, 40))
+    want = {order: exact(oracle.theta_product(1, 1, 1, 1, order)) for order in orders}
+    jobs = [(build, order) for build in builds for order in orders]
+    wrong = []
+    start = threading.Barrier(4)
+
+    def worker(seed):
+        order = list(jobs)
+        random.Random(seed).shuffle(order)
+        start.wait(timeout=60)
+        for build, n in order:
+            if exact(build(n)) != want[n]:
+                wrong.append(n)
+
+    memo.cache_clear()
+    windows = counted_solves(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not wrong
+    assert len(windows) == 1
+    info = memo.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 4 * len(jobs) - 1)
 
 
 def test_importing_the_cli_leaves_the_memo_empty():

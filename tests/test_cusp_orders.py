@@ -201,6 +201,14 @@ def test_ord_table_rejects_a_geta_index_as_expand_does(capsys, text):
     assert "index g must not be divisible by the level in 'geta(7, " in err
 
 
+@pytest.mark.parametrize("text", ["eta(0)", "eta(-2)", "eta(2)*eta(0)^0"])
+def test_ord_table_rejects_a_nonpositive_eta_argument_as_expand_does(capsys, text):
+    code, out, err = run(capsys, "ord-table", text, "--level", "14")
+    assert (code, out) == (2, "")
+    assert err == run(capsys, "expand", text, "--order", "5")[2]
+    assert "eta argument must be a positive integer in 'eta(" in err
+
+
 @pytest.mark.parametrize(
     "text, want",
     [

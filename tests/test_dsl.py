@@ -335,6 +335,54 @@ def test_subq_rescales_the_grid():
     assert (got - want).is_zero()
 
 
+def _subq_reference(inner: str, k: int, order: int):
+    # the inner expression at the full window, substituted and cut there
+    return evaluate(parse(inner), order).subs_qpow(k).truncate(order)
+
+
+@pytest.mark.parametrize(
+    "inner",
+    [
+        "theta(1,1,1,1)^4",
+        "1 + 8*L(1) - 32*L(4)",
+        "eta(1)^2/eta(2)",
+        "geta(11,3) + L(2)*L(3)",
+        "sqrt(1 + q)",
+        "subq(eta(1), 2)",
+    ],
+)
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+@pytest.mark.parametrize("order", [7, 40, 61])
+def test_subq_evaluates_its_operand_at_its_own_window(inner, k, order):
+    got = evaluate(parse(f"subq({inner}, {k})"), order)
+    want = _subq_reference(inner, k, order)
+    assert got.truncation_exponent() >= order
+    assert want.truncation_exponent() == order
+    assert (got - want).is_zero()
+
+
+@pytest.mark.parametrize("order", range(2, 41, 2))
+def test_subq_of_l2_by_2_is_l4(order):
+    got, want = evaluate(parse("subq(L(2), 2)"), order), evaluate(parse("L(4)"), order)
+    assert (got.v, got.D, got.S, got.T, got.L, got.coeffs) == (
+        want.v,
+        want.D,
+        want.S,
+        want.T,
+        want.L,
+        want.coeffs,
+    )
+
+
+def test_square_root_under_subq_sees_the_window_l4_sees():
+    # subq(L(2), 2) is known through q^4 at order 4, as L(4) is, so the
+    # square of either is zero through its truncation
+    message = "series is zero through its truncation; square root undetermined"
+    for text in ("sqrt(subq(L(2),2)^2)", "sqrt(L(4)^2)"):
+        with pytest.raises(DSLError, match=re.escape(message)):
+            evaluate(parse(text), 4)
+
+
 def test_numeric_power_of_q():
     series = evaluate(parse("q^(-5/2)*q^(5/2)"), 6)
     assert series.coefficient(0) == 1

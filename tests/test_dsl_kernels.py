@@ -24,6 +24,7 @@ from qlambert import catalog, constructors, dsl
 from qlambert.constructors import gosper_symbols
 from qlambert.dsl import BinOp, Call, Lit, Neg, Pow, Q, Sqrt, Subq, evaluate, parse
 from qlambert.errors import DSLError
+from qlambert.relations import eval_poly
 from qlambert.series import QSeries
 
 _signs = st.sampled_from([1, -1])
@@ -361,6 +362,29 @@ def test_composite_operands_use_only_earlier_leaves(node):
             assert spec and all(isinstance(p, dict) for p in spec)
             assert all(len(m) <= index for p in spec for m in p)
     assert all(len(m) <= len(leaves) for m in poly)
+
+
+def test_each_polynomial_names_only_the_leaves_it_uses(monkeypatch):
+    # the square root's operand uses the third leaf alone: one variable, not
+    # one per leaf registered before it; the sum names all four of its own
+    handed = []
+
+    def spy(poly, assignment):
+        handed.append(poly)
+        return eval_poly(poly, assignment)
+
+    monkeypatch.setattr(dsl, "eval_poly", spy)
+    text = "L(1) + L(2) + L(3) + sqrt(L(3) + 1)"
+    got = evaluate(parse(text), 12)
+    assert [p.variables for p in handed] == [("x2",), ("x0", "x1", "x2", "x3")]
+    assert state(got) == state(oracle.evaluate(parse(text), 12))
+    # over the shipped catalog, every variable handed over is used
+    handed.clear()
+    for name in sorted(catalog.load_catalog()):
+        catalog.verify(name)
+    assert handed
+    for p in handed:
+        assert all(any(m[i] for m in p.coeffs) for i in range(len(p.variables)))
 
 
 def test_a_product_leaf_goes_through_the_quotient_series_method(monkeypatch):

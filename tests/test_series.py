@@ -109,7 +109,7 @@ def test_grid_rescaling_is_invisible(f, m):
         pytest.param(lambda: gosper_symbols("g", 100), 100, id="symbol(g)"),
         pytest.param(
             lambda: evaluate(parse("subq(theta(1,1,1,1)^4, 3)"), 450),
-            450,
+            150,
             id="subq(theta(1,1,1,1)^4,3)",
         ),
         # halves whose sum cancels the denominator
