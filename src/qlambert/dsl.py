@@ -28,15 +28,15 @@ Calls, powers of q and ``subq`` nodes are leaves of their own: at the
 window W, ``subq(e, k)`` evaluates e on its own at the window ceil(W/k)
 and substitutes q -> q^k, which takes a value known through q^ceil(W/k)
 to one known through at least q^W; a leaf inside it is not shared with
-one outside.  Every
-other node is a *composite leaf* over the polynomials of its operands,
-registered after their leaves: ``sqrt``, a division by a non-constant, a
-negative or rational power, a power of a sum, and a product of two factors that are
-not both single untouched monomials (nor one of them a constant), since
-expanding those could shrink the truncation or, for powers, blow up the
-size.  Each leaf is evaluated once per call of ``evaluate``, in order, a
-composite from its operands' values, and each polynomial goes to
-``relations.eval_poly``.  The value is truncated where the node-by-node
+one outside.  Every other node is a *composite leaf* over the polynomials
+of its operands, registered after their leaves: ``sqrt``, a division by a
+non-constant, a negative or rational power, a power of a sum, and a
+product of two factors that are not both single untouched monomials (nor
+one of them a constant), since expanding those could shrink the
+truncation or, for powers, blow up the size.  Each leaf is evaluated once
+per call of ``evaluate``, in order, a composite from its operands' values,
+and each polynomial goes to ``relations.eval_poly``, over variables for
+only the leaves it uses.  The value is truncated where the node-by-node
 arithmetic would truncate it, which a cancelled monomial still bounds, so
 both give the same series.
 
@@ -542,9 +542,9 @@ def _nesting(root) -> int:
 # zero, and is dropped.  The arithmetic (_value, _multiplied) skips the 0
 # entries.  A tree's leaves are keyed by structure in one registry, each
 # after the leaves its spec uses.  A leaf's spec is None for a call, a q
-# power, a product leaf or a subq, evaluated on its own, _CHECK for an eta-type
-# call, which only enters product leaves and is only checked (its value is
-# None), and the tuple of its operands' polynomials for a composite leaf,
+# power, a product leaf or a subq, evaluated on its own, _CHECK for an
+# eta-type call, which only enters product leaves and is only checked (its
+# value is None), and the tuple of its operands' polynomials for a composite leaf,
 # whose node tells _composite how to form its value from theirs.  A product
 # is expanded only where the node-by-node product gets the same truncation
 # as the expansion's monomials: one factor a constant, or both single
@@ -583,9 +583,9 @@ def evaluate(node, order: int) -> QSeries:
     into a polynomial over one registry of its distinct leaves, and each
     leaf is evaluated once, in order: calls, q powers and product leaves on
     their own, ``subq(e, k)`` as e evaluated at the window ceil(order/k)
-    with q -> q^k substituted, composite leaves from the values of their operands'
-    polynomials, which ``relations.eval_poly`` forms, truncated where the
-    node-by-node arithmetic would truncate them.  A product of integer
+    with q -> q^k substituted, composite leaves from the values of their
+    operands' polynomials, which ``relations.eval_poly`` forms, truncated
+    where the node-by-node arithmetic would truncate them.  A product of integer
     powers of eta-type calls and q powers is one leaf, formed by a single
     q-product over the merged factor dict, and equal to the node-by-node
     product of its factors.  An exact operand of more than one term is cut
@@ -862,19 +862,20 @@ def _value(poly: dict, values: list) -> QSeries:
     # variables only for the leaves the nonzero monomials use, in registry
     # order: ``values`` holds every leaf registered so far, most of them
     # unused here
-    terms = {m: c for m, c in poly.items() if c}
-    used = sorted({i for m in terms for i, e in enumerate(m) if e})
+    width = max(map(len, poly), default=0)
+    values = values[:width]
+    pad = (0,) * width
+    terms = {m + pad[len(m) :]: c for m, c in poly.items() if c}
+    used = [i for i, column in enumerate(zip(*terms)) if any(column)]
+    if len(used) < width:
+        terms = {tuple([m[i] for i in used]): c for m, c in terms.items()}
     names = tuple(f"x{i}" for i in used)
     result = eval_poly(
-        MultiPoly._make(
-            names,
-            {tuple(m[i] if i < len(m) else 0 for i in used): c for m, c in terms.items()},
-        ),
-        {name: values[i] for name, i in zip(names, used)},
+        MultiPoly._make(names, terms), {name: values[i] for name, i in zip(names, used)}
     )
     if not isinstance(result, QSeries):
         result = QSeries.constant(result)
-    T, D = _truncation(poly, values[: max(map(len, poly), default=0)])
+    T, D = _truncation(poly, values)
     if T is not None and (result.T is None or result.T * D > T * result.D):
         result = result + QSeries.zero(T, D)
     return result
