@@ -57,6 +57,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from operator import add, mul, sub, truediv
 from typing import NamedTuple
 
@@ -866,7 +867,7 @@ def _value(poly: dict, values: list) -> QSeries:
     values = values[:width]
     pad = (0,) * width
     terms = {m + pad[len(m) :]: c for m, c in poly.items() if c}
-    used = [i for i, column in enumerate(zip(*terms)) if any(column)]
+    used = list(compress(range(width), map(any, zip(*terms))))
     if len(used) < width:
         terms = {tuple([m[i] for i in used]): c for m, c in terms.items()}
     names = tuple(f"x{i}" for i in used)
