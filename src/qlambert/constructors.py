@@ -103,9 +103,9 @@ def _qproduct(statement: tuple, order) -> QSeries:
     is memoized on c for windows of at most ``_MEMO_SLOTS`` slots (a wider
     one is solved every time), an entry serving each window of its
     sequence; sign and prefactor are applied after the lookup, so a hit
-    equals a cold build field for field.  With pref = n/d
-    in lowest terms the result lives on the grid 1/d, and f is handed over
-    as is, one slot per power of q at stride d.
+    equals a cold build field for field.  With pref = n/d in lowest terms
+    the result lives on the grid 1/d, and f is handed over as is, one slot
+    per power of q at stride d.
     """
     factors, pref, sign = statement
     pref = Fraction(pref)
@@ -180,9 +180,9 @@ class _UnitPartMemo:
     from slot 0 once.  Candidates are found by the first ``_MEMO_HEAD``
     terms of c, a key that every window of one sequence shares (a window
     narrower than that is its own key), whatever product states it.  The
-    memo holds at most ``maxsize`` entries and drops
-    the least recently used; one lock covers each lookup with its solve,
-    so two threads never insert one sequence twice.  ``cache_info`` and
+    memo holds at most ``maxsize`` entries and drops the least recently
+    used; one lock covers each lookup with its solve, so two threads never
+    insert one sequence twice.  ``cache_info`` and
     ``cache_clear`` read and reset it as ``functools.lru_cache``'s do: a
     request served by an entry, extended or not, is a hit, and one that
     solves a new entry a miss.
