@@ -158,7 +158,7 @@ def _extend(c: tuple, s: list, f: list) -> None:
 
 class _Entry:
     """A solved exponent sequence c, with its harmonic sums s and its unit
-    part f (lists, so that a wider request extends them in place)."""
+    part f (lists, which a wider request extends)."""
 
     __slots__ = ("c", "s", "f")
 
@@ -175,17 +175,16 @@ class _UnitPartMemo:
 
     An entry serves every request whose c agrees with the entry's on the
     shorter of the two lengths: a narrower request reads a prefix of its
-    unit part, and a wider one extends the entry in place from the slots
-    it holds (``_extend``), so one product at ascending windows is solved
-    from slot 0 once.  Candidates are found by the first ``_MEMO_HEAD``
+    unit part, and a wider one extends the entry from the slots it holds
+    (``_extend``), so one product at ascending windows is solved from
+    slot 0 once.  Candidates are found by the first ``_MEMO_HEAD``
     terms of c, a key that every window of one sequence shares (a window
     narrower than that is its own key), whatever product states it.  The
     memo holds at most ``maxsize`` entries and drops the least recently
     used; one lock covers each lookup with its solve, so two threads never
-    insert one sequence twice.  ``cache_info`` and
-    ``cache_clear`` read and reset it as ``functools.lru_cache``'s do: a
-    request served by an entry, extended or not, is a hit, and one that
-    solves a new entry a miss.
+    insert one sequence twice.  ``cache_info`` and ``cache_clear`` read and
+    reset it as ``functools.lru_cache``'s do: a request served by an entry,
+    extended or not, is a hit, and one that solves a new entry a miss.
     """
 
     def __init__(self, maxsize: int):
@@ -200,15 +199,18 @@ class _UnitPartMemo:
             for entry in self._heads.get(head, ()):
                 n = min(w, len(entry.c))
                 if entry.c[:n] == c[:n]:
+                    if w > n:
+                        # extend copies, so that a solve cut short by an
+                        # exception leaves the entry as it was
+                        s, f = entry.s[:], entry.f[:]
+                        _extend(c, s, f)
+                        entry.c, entry.s, entry.f = c, s, f
                     self.hits += 1
                     del self._recent[entry]
-                    if w > n:
-                        _extend(c, entry.s, entry.f)
-                        entry.c = c
                     break
             else:
-                self.misses += 1
                 entry = _Entry(c)
+                self.misses += 1
                 self._heads.setdefault(head, []).append(entry)
                 if len(self._recent) == self.maxsize:
                     oldest = next(iter(self._recent))

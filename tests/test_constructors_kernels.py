@@ -452,6 +452,25 @@ def test_one_product_at_ascending_windows_is_solved_once(monkeypatch):
     assert windows == [194]
 
 
+def test_an_extension_cut_short_leaves_its_entry_as_it_was(monkeypatch):
+    memo.cache_clear()
+    theta_f(1, 1, 1, 1, 100)
+    solve = constructors._solve
+
+    def interrupted(f, s, l, r):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(constructors, "_solve", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        theta_f(1, 1, 1, 1, 300)
+    monkeypatch.setattr(constructors, "_solve", solve)
+    for order in (300, 100, 50):
+        assert exact(theta_f(1, 1, 1, 1, order)) == exact(
+            oracle.theta_product(1, 1, 1, 1, order)
+        )
+    assert memo.cache_info().currsize == 1
+
+
 def test_a_cold_verify_of_elim_k_solves_each_sequence_once(monkeypatch):
     # its first pass falls short and its second, wider one extends the five
     # sequences of the first (g, g1, g2, g3 and 1/Pi_{q^7}^2)
