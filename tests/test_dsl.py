@@ -355,6 +355,8 @@ def _subq_reference(inner: str, k: int, order: int):
 @pytest.mark.parametrize("order", [7, 40, 61])
 def test_subq_evaluates_its_operand_at_its_own_window(inner, k, order):
     got = evaluate(parse(f"subq({inner}, {k})"), order)
+    own = evaluate(parse(inner), -(-order // k)).subs_qpow(k)
+    assert (got.v, got.D, got.T, got.L, got.coeffs) == (own.v, own.D, own.T, own.L, own.coeffs)
     want = _subq_reference(inner, k, order)
     assert got.truncation_exponent() >= order
     assert want.truncation_exponent() == order
