@@ -4,7 +4,8 @@ Subcommands: ``verify`` (catalog or inline identities), ``cusps``,
 ``ord-table`` (built-in tables or an eta/geta quotient), ``find-relation``,
 ``eliminate``, ``numeric-check`` and ``expand``.  Exit codes: 0 on
 success/verified, 1 when a verification or numeric check fails, 2 on
-usage errors.
+usage errors, and 2 when a request runs out of memory (an order too large
+to expand, say).
 
 ``ord-table`` reads a quotient spec as the DSL reads it: a tree that
 converts to one product leaf of eta and geta calls (``dsl._product_calls``),
@@ -48,6 +49,9 @@ def main(argv=None) -> int:
     except ArithmeticError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory; try a smaller --order", file=sys.stderr)
+        return 2
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -35,6 +35,16 @@ slots it holds, so one product at ascending windows is solved from slot 0
 once.  A hit that needs no new slots costs forming c and comparing a
 prefix, O(w), and sign and prefactor are applied after the lookup.
 
+The one product whose unit part skips the kernel is a ``ThetaPower``,
+f(x, y)^r for the DSL's leaf ``theta(...)^r``: by the Jacobi triple
+product f(x, y) = sum_n x^(n(n+1)/2) y^(n(n-1)/2), which has O(sqrt(w))
+nonzero terms below q^w, and r packed squarings raise it
+(``_theta_sum``).  It goes through the same memo, keyed by the same c, so
+theta(-1,1,-1,1) leaves an entry that eta(1)^2/eta(2) reads at no cost:
+an entry that covers the window is read as a prefix, and otherwise the
+sum, formed at the window, becomes the sequence's entry.  ``theta_f``
+stays on the kernel.
+
 The primitive products (``pochhammer``, ``eta``, ``gen_eta``, ``theta_f``,
 ``lambert_mod``, ``pi_q``) take an *absolute* exponent ceiling ``order``:
 the result is known modulo ``q^order`` (often a little further).  The named
@@ -90,7 +100,7 @@ def _solve(f, s, l, r):
         f[k] = sum(map(mul, f[l:k], s[k - l : 0 : -1]), f[k]) // k
 
 
-def _qproduct(statement: tuple, order) -> QSeries:
+def _qproduct(statement: tuple, order, route=None) -> QSeries:
     """The product ``statement`` = (factors, pref, sign), that is
     sign * q^pref * prod over ``factors`` {(a, b): r} of (q^a; q^b)_inf^r,
     known modulo q^order.
@@ -103,9 +113,11 @@ def _qproduct(statement: tuple, order) -> QSeries:
     is memoized on c for windows of at most ``_MEMO_SLOTS`` slots (a wider
     one is solved every time), an entry serving each window of its
     sequence; sign and prefactor are applied after the lookup, so a hit
-    equals a cold build field for field.  With pref = n/d in lowest terms
-    the result lives on the grid 1/d, and f is handed over as is, one slot
-    per power of q at stride d.
+    equals a cold build field for field.  ``route(w)``, when given, forms
+    the unit part at w slots without the kernel (``ThetaPower``'s
+    triple-product sum), for the memo's misses and for a window too wide to
+    keep.  With pref = n/d in lowest terms the result lives on the grid
+    1/d, and f is handed over as is, one slot per power of q at stride d.
     """
     factors, pref, sign = statement
     pref = Fraction(pref)
@@ -114,7 +126,10 @@ def _qproduct(statement: tuple, order) -> QSeries:
     for (a, b), r in factors.items():
         c[a:w:b] = [x + r for x in c[a:w:b]]
     c = tuple(c)
-    f = _memo_unit_part(c) if w <= _MEMO_SLOTS else _unit_part(c)
+    if w > _MEMO_SLOTS:
+        f = route(w) if route else _unit_part(c)
+    else:
+        f = _memo_unit_part(c, route) if route else _memo_unit_part(c)
     if sign < 0:
         f = [-x for x in f]
     n, d = pref.numerator, pref.denominator
@@ -130,24 +145,25 @@ def _unit_part(c: tuple) -> tuple:
 
 
 def _extend(c: tuple, s: list, f: list) -> None:
-    """Extend f, the unit part of c[:len(f)], and s, its harmonic sums, in
-    place to the window w = len(c).
+    """Extend f, the unit part of c[:len(f)], and s, its harmonic sums for
+    the slots it holds (none, for an f formed by other means), in place to
+    the window w = len(c).
 
     The coefficients come by integer arithmetic from the logarithmic
     derivative,  k f_k = sum_{j=1..k} s_j f_(k-j)  with
     s_j = -sum_{m | j} m c(m)  (one harmonic pass over the m with
-    c(m) != 0, which adds only to the new slots j); no series power,
+    c(m) != 0, which adds only to the slots j past s); no series power,
     product or inverse is formed.  From l = len(f) > 0 slots, one packed
     product (``_packed_product``) adds the part of that sum over f[:l] to
     every new slot at once, and ``_solve`` fills f[l:w] by halves; from
     l = 0, f starts at f_0 = 1 and is solved whole.
     """
-    l, w = len(f), len(c)
-    s += [0] * (w - l)
+    l, w, ls = len(f), len(c), len(s)
+    s += [0] * (w - ls)
     for m in range(1, w):
         if c[m]:
             rm = c[m] * m
-            for j in range(m if m >= l else -(-l // m) * m, w, m):
+            for j in range(m if m >= ls else -(-ls // m) * m, w, m):
                 s[j] -= rm
     if l:
         f += _packed_product(f, 1, s, 1, w)[l:]
@@ -158,13 +174,10 @@ def _extend(c: tuple, s: list, f: list) -> None:
 
 class _Entry:
     """A solved exponent sequence c, with its harmonic sums s and its unit
-    part f (lists, which a wider request extends)."""
+    part f (lists, which a wider request extends); s is empty when f came
+    from a ``route``, and a kernel extension derives it from c."""
 
     __slots__ = ("c", "s", "f")
-
-    def __init__(self, c: tuple):
-        self.c, self.s, self.f = c, [], []
-        _extend(c, self.s, self.f)
 
 
 _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
@@ -177,14 +190,18 @@ class _UnitPartMemo:
     shorter of the two lengths: a narrower request reads a prefix of its
     unit part, and a wider one extends the entry from the slots it holds
     (``_extend``), so one product at ascending windows is solved from
-    slot 0 once.  Candidates are found by the first ``_MEMO_HEAD``
-    terms of c, a key that every window of one sequence shares (a window
-    narrower than that is its own key), whatever product states it.  The
-    memo holds at most ``maxsize`` entries and drops the least recently
-    used; one lock covers each lookup with its solve, so two threads never
-    insert one sequence twice.  ``cache_info`` and ``cache_clear`` read and
-    reset it as ``functools.lru_cache``'s do: a request served by an entry,
-    extended or not, is a hit, and one that solves a new entry a miss.
+    slot 0 once.  A request with a ``route`` (see ``_qproduct``) that no
+    entry serves at its window forms its unit part by that route, which
+    replaces a narrower entry of its sequence.  Candidates are found by
+    the first ``_MEMO_HEAD`` terms of c, a key that every window of one
+    sequence shares (a window narrower than that is its own key), whatever
+    product states it.  The memo holds at most ``maxsize`` entries and
+    drops the least recently used; one lock covers each lookup with its
+    solve, so two threads never insert one sequence twice.  ``cache_info``
+    and ``cache_clear`` read and reset it as ``functools.lru_cache``'s do:
+    a request served by an entry, extended or not, is a hit, and one that
+    forms a new unit part (a new entry, or one that replaces an entry) a
+    miss.
     """
 
     def __init__(self, maxsize: int):
@@ -192,32 +209,44 @@ class _UnitPartMemo:
         self._lock = threading.Lock()
         self.cache_clear()
 
-    def __call__(self, c: tuple) -> tuple:
+    def __call__(self, c: tuple, route=None) -> tuple:
         w = len(c)
         head = c[:_MEMO_HEAD]
         with self._lock:
             for entry in self._heads.get(head, ()):
                 n = min(w, len(entry.c))
                 if entry.c[:n] == c[:n]:
-                    if w > n:
-                        # extend copies, so that a solve cut short by an
-                        # exception leaves the entry as it was
-                        s, f = entry.s[:], entry.f[:]
-                        _extend(c, s, f)
-                        entry.c, entry.s, entry.f = c, s, f
-                    self.hits += 1
-                    del self._recent[entry]
                     break
             else:
-                entry = _Entry(c)
+                entry = None
+            if entry is not None and (w <= len(entry.c) or route is None):
+                if w > len(entry.c):
+                    # extend copies, so that a solve cut short by an
+                    # exception leaves the entry as it was
+                    s, f = entry.s[:], entry.f[:]
+                    _extend(c, s, f)
+                    entry.c, entry.s, entry.f = c, s, f
+                self.hits += 1
+                del self._recent[entry]
+            else:
+                s, f = [], []
+                if route is None:
+                    _extend(c, s, f)
+                else:
+                    f = route(w)
                 self.misses += 1
-                self._heads.setdefault(head, []).append(entry)
-                if len(self._recent) == self.maxsize:
-                    oldest = next(iter(self._recent))
-                    old_head = self._recent.pop(oldest)
-                    self._heads[old_head].remove(oldest)
-                    if not self._heads[old_head]:
-                        del self._heads[old_head]
+                if entry is None:
+                    entry = _Entry()
+                    self._heads.setdefault(head, []).append(entry)
+                    if len(self._recent) == self.maxsize:
+                        oldest = next(iter(self._recent))
+                        old_head = self._recent.pop(oldest)
+                        self._heads[old_head].remove(oldest)
+                        if not self._heads[old_head]:
+                            del self._heads[old_head]
+                else:
+                    del self._recent[entry]
+                entry.c, entry.s, entry.f = c, s, f
             self._recent[entry] = head  # the most recently used last
             return tuple(entry.f[:w])
 
@@ -384,6 +413,10 @@ class _Quotient:
 
     __slots__ = ()
 
+    #: ``_qproduct``'s route to the unit part: the kernel (None) for every
+    #: class but ``ThetaPower``
+    _route = None
+
     def statement(self) -> tuple:
         """(factors, pref, sign), the factor dict read-only."""
         return _memo_statement(type(self), self.level, tuple(self.exponents.items()))
@@ -393,7 +426,7 @@ class _Quotient:
 
     def series(self, order) -> QSeries:
         """The product modulo q^order."""
-        return _qproduct(self.statement(), order)
+        return _qproduct(self.statement(), order, self._route)
 
 
 class EtaQuotient(_Quotient, namedtuple("EtaQuotient", "level exponents")):
@@ -506,6 +539,50 @@ def theta_f(sa: int, a: int, sb: int, b: int, order) -> QSeries:
     if order < 1:
         raise ValueError("order must be a positive integer")
     return _qproduct(statement, order)
+
+
+def _theta_sum(sa: int, a: int, sb: int, b: int, power: int, w: int) -> list:
+    """The coefficients of f(x, y)^power modulo q^w at x = sa*q^a,
+    y = sb*q^b, from the Jacobi triple product's sum side
+
+        f(x, y) = sum_{n in Z} x^(n(n+1)/2) y^(n(n-1)/2),
+
+    which has O(sqrt(w)) nonzero terms below q^w, raised to ``power`` by
+    packed squarings (``_packed_product``)."""
+    f = [0] * w
+    # n >= 0 reads x^T(n) y^T(n-1), and n = -m < 0 reads x^T(m-1) y^T(m),
+    # for T(n) = n(n+1)/2: the same walk with x and y swapped, from m = 1
+    for sx, ex, sy, ey, n in ((sa, a, sb, b, 0), (sb, b, sa, a, 1)):
+        t = n * (n - 1) // 2  # T(n-1)
+        while (e := ex * (t + n) + ey * t) < w:
+            f[e] += sx ** ((t + n) & 1) * sy ** (t & 1)
+            t += n
+            n += 1
+    out = None
+    while True:
+        if power & 1:
+            out = f if out is None else _packed_product(out, 1, f, 1, w)
+        power >>= 1
+        if not power:
+            return out
+        f = _packed_product(f, 1, f, 1, w)
+
+
+class ThetaPower(_Quotient, namedtuple("ThetaPower", "sa a sb b power q_exponent")):
+    """q^q_exponent * f(sa*q^a, sb*q^b)^power for a positive power: the
+    product of ``theta_statement``, whose unit part comes from the
+    triple-product sum (``_theta_sum``), memoized as the kernel's is."""
+
+    __slots__ = ()
+
+    def statement(self) -> tuple:
+        theta = theta_statement(self.sa, self.a, self.sb, self.b)
+        return _power_product([(theta, self.power)], self.q_exponent)
+
+    def _route(self, w: int) -> list:
+        return _theta_sum(self.sa, self.a, self.sb, self.b, self.power, w)
+
+    series = _Quotient.series
 
 
 def lambert_mod(r: int, modulus: int, order) -> QSeries:

@@ -46,11 +46,13 @@ A product or quotient of integer powers of ``eta``, ``geta``, ``pi`` and
 q-product forms the leaf (``constructors.eta_type_product``), with the
 prefactors added, the sign law's signs multiplied and the window the
 node-by-node product reaches; a single bare call is a one-factor product
-leaf.  A zero power is the constant 1, and a product of q powers alone is
-a q power, or a constant where the powers cancel; symbols, sums, ``sqrt``
-and ``subq`` end a product leaf.  Every call of a product leaf is checked
-where it appears, so an invalid one fails with the same message, naming
-it, as in the node-by-node evaluation.
+leaf.  A leaf that is one ``theta`` call to a positive power, times a q
+power, is a ``constructors.ThetaPower``, formed from the triple-product
+sum at the same window.  A zero power is the constant 1, and a product of
+q powers alone is a q power, or a constant where the powers cancel;
+symbols, sums, ``sqrt`` and ``subq`` end a product leaf.  Every call of a
+product leaf is checked where it appears, so an invalid one fails with the
+same message, naming it, as in the node-by-node evaluation.
 """
 
 import math
@@ -62,6 +64,7 @@ from operator import add, mul, sub, truediv
 from typing import NamedTuple
 
 from .constructors import (
+    ThetaPower,
     bailey_specialization,
     eta_statement,
     eta_type_product,
@@ -622,6 +625,11 @@ def _leaf(node, order: int) -> QSeries:
         return _wrap(node, _CALLS[node.name][1], order, *node.args)
     if isinstance(node, _Product):
         # its calls were checked by their _CHECK leaves before it
+        (call, r), *rest = node.calls
+        if call.name == "theta" and r > 0 and not rest:
+            # theta's prefactor is 0, so its unit part is known modulo
+            # q^order, as eta_type_product would know it
+            return ThetaPower(*call.args, r, node.qexp).series(node.qexp + order)
         parts = [(_ETA_TYPE[call.name](*call.args), r) for call, r in node.calls]
         return eta_type_product(parts, order, node.qexp)
     if isinstance(node, Subq):

@@ -242,6 +242,31 @@ def test_expand_reports_evaluation_errors(capsys):
     assert "sqrt((2 + q))" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("expand", "theta(1,1,1,1)", "--order", "100000000000"),
+        ("verify", "--expr", "eta(1) == eta(1)", "--order", "100000000000"),
+    ],
+)
+def test_running_out_of_memory_exits_2(capsys, monkeypatch, argv):
+    # every product leaf, on either route, goes through _qproduct, which here
+    # raises at once: nothing is allocated at the order asked for
+    from qlambert import constructors
+
+    calls = []
+
+    def out_of_memory(statement, order, route=None):
+        calls.append(order)
+        raise MemoryError
+
+    monkeypatch.setattr(constructors, "_qproduct", out_of_memory)
+    code, out, err = run(capsys, *argv)
+    assert calls
+    assert (code, out) == (2, "")
+    assert err == "error: out of memory; try a smaller --order\n"
+
+
 # ---------------------------------------------------------- find-relation
 
 

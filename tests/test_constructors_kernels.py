@@ -29,13 +29,16 @@ from qlambert.constructors import (
     EtaQuotient,
     GenEtaQuotient,
     eta,
+    eta_type_product,
     gen_eta,
     gosper_symbols,
     lambert_mod,
     pi_q,
     pochhammer,
     theta_f,
+    theta_statement,
 )
+from qlambert.dsl import evaluate, parse
 from qlambert.series import QSeries
 
 signs = st.sampled_from([1, -1])
@@ -433,8 +436,9 @@ def test_an_entry_serves_only_requests_that_agree_with_it(monkeypatch):
 
 
 def test_one_product_at_ascending_windows_is_solved_once(monkeypatch):
-    # the three theta(1,1,1,1)^4 windows of one ``deep`` benchmark run: each
-    # wider window extends the unit part from the slots the memo holds
+    # one kernel product (``theta_f``; a DSL theta leaf takes the sum
+    # instead) at three ascending windows: each wider window extends the
+    # unit part from the slots the memo holds
     memo.cache_clear()
     windows = counted_solves(monkeypatch)
     got = [theta_f(1, 1, 1, 1, order) for order in (194, 326, 482)]
@@ -519,6 +523,152 @@ def test_concurrent_widening_of_one_sequence_leaves_one_entry(monkeypatch):
     assert len(windows) == 1
     info = memo.cache_info()
     assert (info.currsize, info.misses, info.hits) == (1, 1, 4 * len(jobs) - 1)
+
+
+# -- theta leaves from the triple-product sum --------------------------------
+
+
+def theta_leaf(sa, a, sb, b, r, order):
+    """The DSL's value of theta(sa,a,sb,b)^r, a leaf that the sum forms."""
+    return evaluate(parse(f"theta({sa},{a},{sb},{b})^{r}"), order)
+
+
+#: (sa, a, sb, b, r): both signs, a != b, a and b past each other, r = 1..4
+THETA_POWERS = [
+    (1, 1, 1, 1, 4),
+    (1, 1, 1, 1, 1),
+    (-1, 1, -1, 1, 1),
+    (-1, 2, 1, 3, 3),
+    (1, 5, -1, 13, 2),
+    (-1, 3, -1, 4, 4),
+    (1, 2, -1, 1, 3),
+]
+
+
+@pytest.mark.parametrize("order", [1, 2, 1024, 1025])
+@pytest.mark.parametrize("sa, a, sb, b, r", THETA_POWERS)
+def test_a_theta_leaf_equals_the_kernel_and_the_sum_oracle(sa, a, sb, b, r, order):
+    # 1024 slots are kept by the memo and 1025 are not
+    memo.cache_clear()
+    got = theta_leaf(sa, a, sb, b, r, order)
+    memo.cache_clear()
+    fused = eta_type_product([(theta_statement(sa, a, sb, b), r)], order)
+    assert memo.cache_info().misses == (order <= constructors._MEMO_SLOTS)
+    assert exact(got) == exact(fused)
+    assert exact(got) == exact(theta_f(sa, a, sb, b, order) ** r)
+    assert exact(got) == exact(oracle.theta_sum(sa, a, sb, b, order) ** r)
+
+
+def test_a_theta_leaf_serves_its_eta_quotient_twin(monkeypatch):
+    # theta(-1,1,-1,1) = eta(1)^2/eta(2): the sum's entry serves the kernel
+    memo.cache_clear()
+    windows = counted_solves(monkeypatch)
+    got = theta_leaf(-1, 1, -1, 1, 1, 300)
+    assert memo.cache_info()[:2] == (0, 1)
+    twin = EtaQuotient(2, {1: 2, 2: -1}).series(300)
+    assert windows == []
+    assert memo.cache_info()[:2] == (1, 1)
+    assert exact(got) == exact(twin) == exact(oracle.eta_quotient(2, {1: 2, 2: -1}, 300))
+    # and the other way round: a theta leaf reads a kernel entry that covers
+    # its window as a prefix
+    memo.cache_clear()
+    EtaQuotient(2, {1: 2, 2: -1}).series(300)
+    got = theta_leaf(-1, 1, -1, 1, 1, 200)
+    assert memo.cache_info()[:2] == (1, 1)
+    assert exact(got) == exact(oracle.theta_sum(-1, 1, -1, 1, 200))
+
+
+@pytest.mark.parametrize("narrow, wide", [(16, 17), (100, 300), (300, 1000)])
+def test_a_wider_kernel_request_extends_a_sum_entry(narrow, wide):
+    # the entry holds no harmonic sums, so the extension derives them from c;
+    # windows from _MEMO_HEAD = 16 slots on share one key
+    twin = EtaQuotient(4, {1: -2, 2: 5, 4: -2})
+    memo.cache_clear()
+    theta_leaf(1, 1, 1, 1, 1, narrow)
+    got = twin.series(wide)
+    assert memo.cache_info()[:2] == (1, 1)
+    memo.cache_clear()
+    assert exact(got) == exact(twin.series(wide))
+    # and a wider theta leaf replaces the extended entry
+    memo.cache_clear()
+    theta_leaf(1, 1, 1, 1, 1, narrow)
+    twin.series(wide)
+    assert exact(theta_leaf(1, 1, 1, 1, 1, wide + 24)) == exact(
+        oracle.theta_product(1, 1, 1, 1, wide + 24)
+    )
+    assert memo.cache_info()[:2] == (1, 2)
+    assert memo.cache_info().currsize == 1
+
+
+def test_an_extension_of_a_sum_entry_cut_short_leaves_it_as_it_was(monkeypatch):
+    memo.cache_clear()
+    theta_leaf(1, 1, 1, 1, 1, 100)
+    (entry,) = memo._recent
+    before = entry.c, entry.s[:], entry.f[:]
+    assert before[1] == [] and len(before[2]) == 100
+    solve = constructors._solve
+
+    def interrupted(f, s, l, r):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(constructors, "_solve", interrupted)
+    twin = EtaQuotient(4, {1: -2, 2: 5, 4: -2})
+    with pytest.raises(KeyboardInterrupt):
+        twin.series(300)
+    assert (entry.c, entry.s, entry.f) == before
+    monkeypatch.setattr(constructors, "_solve", solve)
+    for order in (300, 100, 50):
+        want = oracle.theta_product(1, 1, 1, 1, order)
+        assert exact(twin.series(order)) == exact(want)
+        assert exact(theta_leaf(1, 1, 1, 1, 1, order)) == exact(want)
+    assert memo.cache_info().currsize == 1
+
+
+def test_concurrent_theta_leaves_and_their_twins_leave_one_entry_each():
+    # three sequences, each as a theta leaf and as an eta quotient
+    builds = [
+        (lambda n: theta_leaf(-1, 1, -1, 1, 1, n), 0),
+        (lambda n: EtaQuotient(2, {1: 2, 2: -1}).series(n), 0),
+        (lambda n: theta_leaf(1, 1, 1, 1, 1, n), 1),
+        (lambda n: EtaQuotient(4, {1: -2, 2: 5, 4: -2}).series(n), 1),
+        (lambda n: theta_leaf(1, 1, 1, 1, 4, n), 2),
+        (lambda n: EtaQuotient(4, {1: -8, 2: 20, 4: -8}).series(n), 2),
+    ]
+    orders = [20, 90, 160, 230, 300]
+    thetas = [((-1, 1, -1, 1), 1), ((1, 1, 1, 1), 1), ((1, 1, 1, 1), 4)]
+    want = {
+        (k, n): exact(oracle.theta_sum(*args, n) ** r)
+        for k, (args, r) in enumerate(thetas)
+        for n in orders
+    }
+    jobs = [(build, k, n) for build, k in builds for n in orders]
+    wrong = []
+    start = threading.Barrier(4)
+
+    def worker(seed):
+        order = list(jobs)
+        random.Random(seed).shuffle(order)
+        start.wait(timeout=60)
+        for build, k, n in order:
+            if exact(build(n)) != want[k, n]:
+                wrong.append((k, n))
+
+    memo.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not wrong
+    info = memo.cache_info()
+    assert info.currsize == 3
+    assert info.hits + info.misses == 4 * len(jobs)
 
 
 def test_importing_the_cli_leaves_the_memo_empty():

@@ -397,11 +397,17 @@ def test_a_product_leaf_goes_through_the_quotient_series_method(monkeypatch):
         seen.append(type(self).__name__)
         return original(self, order)
 
-    for cls in (constructors.EtaQuotient, constructors.GenEtaQuotient, constructors.EtaTypeProduct):
+    for cls in (
+        constructors.EtaQuotient,
+        constructors.GenEtaQuotient,
+        constructors.EtaTypeProduct,
+        constructors.ThetaPower,
+    ):
         assert vars(cls)["series"] is original
         monkeypatch.setattr(cls, "series", wrapped)
-    evaluate(parse("pi(1)^2/pi(2) + geta(11,1)*geta(11,2) + eta(1)"), 20)
-    assert seen == ["EtaTypeProduct", "EtaTypeProduct", "EtaTypeProduct"]
+    text = "pi(1)^2/pi(2) + geta(11,1)*geta(11,2) + eta(1) + theta(1,1,1,2)^2"
+    evaluate(parse(text), 20)
+    assert seen == ["EtaTypeProduct", "EtaTypeProduct", "EtaTypeProduct", "ThetaPower"]
 
 
 def test_bare_calls_and_zero_powers_stay_as_they_are():

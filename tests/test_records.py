@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from qlambert import dsl, level14
 from qlambert.catalog import IdentityRecord, VerifyReport, verify
-from qlambert.constructors import EtaQuotient, EtaTypeProduct, GenEtaQuotient
+from qlambert.constructors import EtaQuotient, EtaTypeProduct, GenEtaQuotient, ThetaPower
 from qlambert.gamma0 import Cusp, CuspTable, cusp_set
 from qlambert.level14 import TableReport, order_table
 from qlambert.relations import BivarPoly
@@ -134,7 +134,7 @@ def test_quotients_clean_their_exponents():
 
 def test_the_quotient_series_method_is_bound_in_each_class():
     # a tracer wraps the product layer where each class binds it
-    for cls in (EtaQuotient, GenEtaQuotient, EtaTypeProduct):
+    for cls in (EtaQuotient, GenEtaQuotient, EtaTypeProduct, ThetaPower):
         assert "series" in vars(cls)
 
 
@@ -173,6 +173,7 @@ def test_fields_cannot_be_assigned(record, field):
         EtaQuotient(14, {1: 1}),
         GenEtaQuotient(14, {1: -2, 6: 2}),
         EtaTypeProduct([], F(1, 3)),
+        ThetaPower(-1, 1, -1, 1, 2, F(1, 3)),
     ],
 )
 def test_records_copy_and_pickle(record):
