@@ -1,14 +1,14 @@
 """Command-line driver.
 
 Subcommands: ``verify`` (catalog or inline identities), ``cusps``,
-``ord-table`` (built-in tables or an eta/geta quotient), ``find-relation``,
+``ord-table`` (built-in tables or an eta/pi/geta quotient), ``find-relation``,
 ``eliminate``, ``numeric-check`` and ``expand``.  Exit codes: 0 on
 success/verified, 1 when a verification or numeric check fails, 2 on
 usage errors, and 2 when a request runs out of memory (an order too large
 to expand, say).
 
 ``ord-table`` reads a quotient spec as the DSL reads it: a tree that
-converts to one product leaf of eta and geta calls (``dsl._product_calls``),
+converts to one product leaf of eta, pi and geta calls (``dsl._product_calls``),
 whose orders ``gamma0._orders`` sums as the order tables' rows are summed.
 """
 
@@ -20,8 +20,8 @@ import sys
 
 from . import numeric
 from .catalog import IdentityRecord, load_catalog, verify
-from .constructors import EtaQuotient, GenEtaQuotient, _gen_eta_index, eta_statement
-from .dsl import _product_calls, _wrap, evaluate, parse, parse_identity
+from .constructors import EtaQuotient, GenEtaQuotient
+from .dsl import _ETA_TYPE, _product_calls, _wrap, evaluate, parse, parse_identity
 from .errors import DSLError
 from .gamma0 import _orders, cusp_set
 from .level14 import TABLE_IDS, eliminate, order_table
@@ -76,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_cusps)
 
     p = sub.add_parser("ord-table", help="cusp order table, built-in or for a quotient")
-    p.add_argument("table", help="table id (e.g. 3.1) or a product of eta/geta powers")
+    p.add_argument("table", help="table id (e.g. 3.1) or a product of eta/pi/geta powers")
     p.add_argument("--level", type=int, help="group level for a quotient spec")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_ord_table)
@@ -219,26 +219,27 @@ def _print_builtin_table(report, as_json: bool) -> int:
 
 
 def _quotient_orders(text: str, level: int) -> list:
-    # one EtaQuotient of the eta calls, and one GenEtaQuotient per geta level,
-    # whose indices fold into 1..M/2 by eta_{M,g} = eta_{M,M-g} = -eta_{M,g+M}
-    # (the sign leaves the orders alone); a nonpositive d or a g divisible by
-    # M fails as in expand
+    # one EtaQuotient of the eta and pi calls, pi(k) stated as
+    # eta(2k)^4/eta(k)^2, and one GenEtaQuotient per geta level, whose
+    # indices fold into 1..M/2 by eta_{M,g} = eta_{M,M-g} = -eta_{M,g+M}
+    # (the sign leaves the orders alone); each call is read from its
+    # statement, so a nonpositive argument or a g divisible by M fails as
+    # in expand
     calls = _product_calls(parse(text))
-    if calls is None or any(call.name not in ("eta", "geta") for call in calls):
-        raise ValueError("quotient spec must be a product of eta(d) and geta(M,g) powers")
+    if calls is None or any(call.name not in ("eta", "pi", "geta") for call in calls):
+        raise ValueError("quotient spec must be a product of eta(d), pi(k) and geta(M,g) powers")
     eta_exps: dict[int, int] = {}
     gen_exps: dict[int, dict[int, int]] = {}
     for call, r in calls.items():
-        if call.name == "eta":
-            _wrap(call, eta_statement, *call.args)
-            if r:
-                eta_exps[call.args[0]] = r
-            continue
-        m, g = call.args
-        g, _ = _wrap(call, _gen_eta_index, m, g)
-        g = min(g, m - g)
-        exps = gen_exps.setdefault(m, {})
-        exps[g] = exps.get(g, 0) + r
+        factors, _, _ = _wrap(call, _ETA_TYPE[call.name], *call.args)
+        if call.name == "geta":
+            # its factors are (g, M) and (M - g, M), g its index reduced into 1..M-1
+            exps = gen_exps.setdefault(call.args[0], {})
+            g = min(a for a, _ in factors)
+            exps[g] = exps.get(g, 0) + r
+        else:
+            for (delta, _), x in factors.items():
+                eta_exps[delta] = eta_exps.get(delta, 0) + r * x
     factors = [(EtaQuotient(level, eta_exps), 1)] if eta_exps else []
     factors += [(GenEtaQuotient(m, exps), 1) for m, exps in sorted(gen_exps.items())]
     cusps = cusp_set(level).cusps

@@ -53,8 +53,9 @@ at infinity, so there ``order`` is the *relative* window R: a function with
 leading exponent ``lead`` is known exactly through ``lead + R``.
 
 The named functions are one table, ``_SYMBOLS``: a product symbol is its
-quotient object, which ``level14`` reads too, and no leading exponent is
-stated, since a build is cut at its own valuation plus R.
+quotient object, which ``level14`` reads too, and any other is DSL text,
+parsed on first use, so that importing this module loads no DSL.  No
+leading exponent is stated, since a build is cut at its own valuation plus R.
 """
 
 from __future__ import annotations
@@ -319,22 +320,26 @@ def _signed(sign: int, a: int, b: int) -> tuple:
     return ((2 * a, 2 * b, 1), (a, b, -1))
 
 
+def _positive(n: int, what: str) -> int:
+    """n, checked to be a positive integer; ``what`` names it in the error."""
+    if n < 1:
+        raise ValueError(f"{what} must be a positive integer")
+    return n
+
+
 def pochhammer(sign: int, a: int, b: int, order: int) -> QSeries:
     """The product  prod_{n>=0} (1 - sign * q^(a + n b)),  modulo q^order."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if a < 1 or b < 1:
         raise ValueError("pochhammer exponents must satisfy a >= 1, b >= 1")
-    order = int(order)
-    if order < 1:
-        raise ValueError("order must be a positive integer")
+    order = _positive(int(order), "order")
     return _qproduct((_factor_dict(_signed(sign, a, b)), 0, 1), order)
 
 
 def eta_statement(delta: int) -> tuple:
     """Dedekind eta at delta*tau:  q^(delta/24) * prod_{n>=1} (1 - q^(delta n))."""
-    if delta < 1:
-        raise ValueError("eta argument must be a positive integer")
+    _positive(delta, "eta argument")
     return {(delta, delta): 1}, Fraction(delta, 24), 1
 
 
@@ -354,8 +359,7 @@ def gen_eta_prefactor(level: int, g: int) -> Fraction:
 def _gen_eta_index(level: int, g: int) -> tuple:
     """(g0, sign) with eta_{level,g} = sign * eta_{level,g0} and 0 < g0 < level,
     through the laws eta_{N,g+N} = eta_{N,-g} = -eta_{N,g}."""
-    if level < 1:
-        raise ValueError("level must be a positive integer")
+    _positive(level, "level")
     g0 = g % (2 * level)
     if g0 % level == 0:
         raise ValueError("index g must not be divisible by the level")
@@ -439,8 +443,7 @@ class EtaQuotient(_Quotient, namedtuple("EtaQuotient", "level exponents")):
     __slots__ = ()
 
     def __new__(cls, level: int, exponents: dict):
-        if level < 1:
-            raise ValueError("level must be a positive integer")
+        _positive(level, "level")
         clean = {}
         for d in sorted(exponents):
             r = exponents[d]
@@ -468,8 +471,7 @@ class GenEtaQuotient(_Quotient, namedtuple("GenEtaQuotient", "level exponents"))
     __slots__ = ()
 
     def __new__(cls, level: int, exponents: dict):
-        if level < 1:
-            raise ValueError("level must be a positive integer")
+        _positive(level, "level")
         clean = {}
         for g in sorted(exponents):
             r = exponents[g]
@@ -535,10 +537,7 @@ def theta_f(sa: int, a: int, sb: int, b: int, order) -> QSeries:
     """Ramanujan's theta function f(x, y) at x = sa*q^a, y = sb*q^b, modulo
     q^order (see ``theta_statement``)."""
     statement = theta_statement(sa, a, sb, b)
-    order = int(order)
-    if order < 1:
-        raise ValueError("order must be a positive integer")
-    return _qproduct(statement, order)
+    return _qproduct(statement, _positive(int(order), "order"))
 
 
 def _theta_sum(sa: int, a: int, sb: int, b: int, power: int, w: int) -> list:
@@ -591,11 +590,8 @@ def lambert_mod(r: int, modulus: int, order) -> QSeries:
     The coefficient of q^M is  sum of M/d over divisors d | M with
     d ≡ r (mod modulus).
     """
-    if modulus < 1:
-        raise ValueError("modulus must be a positive integer")
-    order = int(order)
-    if order < 1:
-        raise ValueError("order must be a positive integer")
+    _positive(modulus, "modulus")
+    order = _positive(int(order), "order")
     r = r % modulus
     c = [0] * order
     n = r if r else modulus
@@ -608,12 +604,12 @@ def lambert_mod(r: int, modulus: int, order) -> QSeries:
 
 def lambert_L(k: int, order) -> QSeries:
     """L_k = sum_{n>=1} q^(kn)/(1-q^(kn))^2."""
-    return lambert_mod(0, k, order)
+    return lambert_mod(0, _positive(k, "argument"), order)
 
 
 def lambert_L_odd(k: int, order) -> QSeries:
     """L'_k = sum over odd multiples:  sum_{n>=1, n odd} q^(kn)/(1-q^(kn))^2."""
-    return lambert_mod(k, 2 * k, order)
+    return lambert_mod(k, 2 * _positive(k, "argument"), order)
 
 
 def bailey_specialization(i: int, modulus: int, order) -> QSeries:
@@ -646,8 +642,7 @@ def pi_statement(k: int) -> tuple:
 
     Equal to the eta quotient eta(2k tau)^4 / eta(k tau)^2.
     """
-    if k < 1:
-        raise ValueError("argument must be a positive integer")
+    _positive(k, "argument")
     return {(2 * k, 2 * k): 4, (k, k): -2}, Fraction(k, 4), 1
 
 
@@ -658,76 +653,60 @@ def pi_q(k: int, order) -> QSeries:
 
 # -- named level-14 functions ------------------------------------------------
 
-#: 1/Pi_{q^7}^2 = eta(7)^4 / eta(14)^8, the factor that z and f share
-_PI7_INV2 = EtaQuotient(14, {7: 4, 14: -8})
-
 #: name -> definition, in the notation of the table in :func:`gosper_symbols`.
 #: A product symbol is its quotient object (``level14`` takes g1-g3, h1 and
-#: h2 from here).  Any other is written once over a backend ``b`` that offers
-#: the value of a quotient ``b.quot(q)``, the Lambert sums ``b.L(k)`` and
-#: ``b.Lodd(k)``, and the other named functions ``b.sym(name)``; ``_Exact``
-#: reads it here and ``numeric._Float`` in floats.
+#: h2 from here).  Any other is DSL text over ``L``, ``Lodd``, ``eta`` and
+#: the other named functions ``symbol(name)``, parsed on first use
+#: (``_symbol_tree``); ``_build`` evaluates it exactly and
+#: ``numeric.eval_symbol`` in floats.  The eta factors of z and f,
+#: 1/Pi_{q^7}^2, share one pair of parentheses, so that they form one
+#: product leaf.
 _SYMBOLS = {
-    "z": lambda b: (b.Lodd(1) - 7 * b.Lodd(7)) * b.quot(_PI7_INV2),
-    "w": lambda b: 4 * (b.L(1) - 7 * b.L(7)) + 1,
+    "z": "(Lodd(1) - 7*Lodd(7))*(eta(7)^4/eta(14)^8)",
+    "w": "4*(L(1) - 7*L(7)) + 1",
     "g": EtaQuotient(14, {1: -2, 2: 4, 7: 2, 14: -4}),
     "g1": GenEtaQuotient(14, {1: -2, 6: 2}),
     "g2": GenEtaQuotient(14, {3: -2, 4: 2}),
     "g3": GenEtaQuotient(14, {2: 2, 5: -2}),
-    "f0": lambda b: b.sym("g1") ** 2 + b.sym("g2") ** 2 + b.sym("g3") ** 2,
-    "f1": lambda b: b.sym("g1") * b.sym("g2")
-    + b.sym("g1") * b.sym("g3")
-    + b.sym("g2") * b.sym("g3"),
-    "f": lambda b: b.sym("w") * b.quot(_PI7_INV2) / b.sym("z"),
+    "f0": "symbol(g1)^2 + symbol(g2)^2 + symbol(g3)^2",
+    "f1": "symbol(g1)*symbol(g2) + symbol(g1)*symbol(g3) + symbol(g2)*symbol(g3)",
+    "f": "symbol(w)*(eta(7)^4/eta(14)^8)/symbol(z)",
     "h1": EtaQuotient(28, {1: -2, 2: 4, 7: -2, 14: 8, 28: -8}),
     "h2": EtaQuotient(28, {1: 2, 2: -4, 7: -6, 14: 16, 28: -8}),
-    "H": lambda b: b.sym("h1") + 16 / b.sym("h2"),
-    "t": lambda b: b.sym("H") + 4 * b.sym("f1"),
+    "H": "symbol(h1) + 16/symbol(h2)",
+    "t": "symbol(H) + 4*symbol(f1)",
 }
 
 SYMBOL_NAMES = tuple(_SYMBOLS)
 
 
-def _define(name: str, b):
-    """The named function over the backend ``b``."""
-    entry = _SYMBOLS[name]
-    return entry(b) if callable(entry) else b.quot(entry)
+@functools.lru_cache(maxsize=None)
+def _symbol_tree(name: str):
+    """The parsed text of a named function that is no product."""
+    from .dsl import parse  # dsl imports this module
 
-
-class _Exact:
-    """The exact backend at relative window R: each quotient is expanded R
-    orders past its own leading exponent, each named function at window R."""
-
-    def __init__(self, window: int):
-        self.R = window
-
-    def quot(self, quot):
-        return quot.series(quot.prefactor_exponent() + self.R)
-
-    def L(self, k):
-        return lambert_L(k, k + self.R)
-
-    def Lodd(self, k):
-        return lambert_L_odd(k, k + self.R)
-
-    def sym(self, name):
-        return gosper_symbols(name, self.R)
+    return parse(_SYMBOLS[name])
 
 
 def _build(name: str, window: int) -> QSeries:
-    got = _define(name, _Exact(window))
+    """The named function through its valuation plus ``window``; a text
+    short of that (z, by one order) is evaluated once more, that much wider."""
+    entry = _SYMBOLS[name]
+    if isinstance(entry, _Quotient):
+        got = entry.series(entry.prefactor_exponent() + window)
+    else:
+        from . import dsl
+
+        got = dsl.evaluate(_symbol_tree(name), window)
+        # with no term known, v = T is the least the valuation can be
+        short = Fraction(got.v - got.T, got.D) + window
+        if short > 0:
+            got = dsl.evaluate(_symbol_tree(name), window + math.ceil(short))
     got = got.truncate(got.valuation() + window)
-    if name == "z":
-        alt = (
-            gosper_symbols("g1", window)
-            + gosper_symbols("g2", window)
-            + gosper_symbols("g3", window)
+    if name == "z" and got != sum(gosper_symbols(g, window) for g in ("g1", "g2", "g3")):
+        raise ArithmeticError(
+            "cross-check failed: the Lambert-series and eta-quotient builds of z disagree"
         )
-        if got != alt:
-            raise ArithmeticError(
-                "cross-check failed: the Lambert-series and eta-quotient builds "
-                "of z disagree"
-            )
     return got
 
 

@@ -65,6 +65,7 @@ from typing import NamedTuple
 
 from .constructors import (
     ThetaPower,
+    _positive,
     bailey_specialization,
     eta_statement,
     eta_type_product,
@@ -597,10 +598,7 @@ def evaluate(node, order: int) -> QSeries:
     under a square root, as a primitive leaf is cut.  Arithmetic failures
     are re-raised as DSLError tagged with the offending subexpression.
     """
-    order = int(order)
-    if order < 1:
-        raise ValueError("order must be a positive integer")
-    return _eval(node, order)
+    return _eval(node, _positive(int(order), "order"))
 
 
 def _eval(node, order: int) -> QSeries:

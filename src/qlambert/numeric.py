@@ -7,7 +7,7 @@ precision with geometric tail bounds on the truncated products.  Every
 product, ``eta_value`` and ``gen_eta_value`` included, is evaluated from the
 statement of its ``EtaQuotient`` or ``GenEtaQuotient``, the one memoized
 statement its series is built from, and the named level-14 functions from
-the same symbol table as :func:`~qlambert.constructors.gosper_symbols`.
+the symbol table and parsed texts of :func:`~qlambert.constructors.gosper_symbols`.
 Unit phases e^(pi i n/d) are formed from the integers n and d.  A value
 that leaves double precision far up the half-plane is a ValueError naming
 the point.
@@ -22,10 +22,11 @@ from .constructors import (
     EtaQuotient,
     GenEtaQuotient,
     _SYMBOLS,
-    _define,
     _gen_eta_index,
+    _symbol_tree,
     gosper_symbols,
 )
+from .dsl import _FOLD, BinOp, Lit, Pow
 from .level14 import ALPHA, GAMMA_CYCLE, H1_ETA, H2_ETA
 from .series import QSeries
 
@@ -160,26 +161,40 @@ def _lambert_value(r: int, modulus: int, q: complex) -> complex:
     return out
 
 
-class _Float:
-    """The float backend of the symbol table: every leaf evaluated at tau."""
+def _symbol_value(name: str, tau: complex) -> complex:
+    """The named function at tau: a product from its quotient, a text by a
+    float walk in which a product of eta powers stays one quotient
+    {delta: r}, as in the DSL, so that its prefactor is one power of q."""
+    if name not in _SYMBOLS:
+        raise KeyError("unknown symbol %r" % name)
+    entry = _SYMBOLS[name]
+    if not isinstance(entry, str):
+        return _eval_any(entry, tau)
+    q = cmath.exp(_TWO_PI_I * tau)
 
-    def __init__(self, tau: complex):
-        self.tau = tau
-        self.q = cmath.exp(_TWO_PI_I * tau)
+    def value(x):
+        return _eval_any(EtaQuotient(math.lcm(*x), x), tau) if isinstance(x, dict) else x
 
-    def quot(self, quot):
-        return _eval_any(quot, self.tau)
+    def walk(node):
+        if isinstance(node, Lit):
+            return float(node.value)
+        if isinstance(node, Pow):
+            x, k = walk(node.base), int(node.exponent)
+            return {d: k * r for d, r in x.items()} if isinstance(x, dict) else x**k
+        if isinstance(node, BinOp):
+            x, y = walk(node.left), walk(node.right)
+            if isinstance(x, dict) and isinstance(y, dict) and node.op in "*/":
+                s = 1 if node.op == "*" else -1
+                return {d: x.get(d, 0) + s * y.get(d, 0) for d in x.keys() | y.keys()}
+            return _FOLD[node.op](value(x), value(y))
+        (arg,) = node.args
+        if node.name == "L":
+            return _lambert_value(0, arg, q)
+        if node.name == "Lodd":
+            return _lambert_value(arg, 2 * arg, q)
+        return {arg: 1} if node.name == "eta" else _symbol_value(arg, tau)
 
-    def L(self, k):
-        return _lambert_value(0, k, self.q)
-
-    def Lodd(self, k):
-        return _lambert_value(k, 2 * k, self.q)
-
-    def sym(self, name):
-        if name not in _SYMBOLS:
-            raise KeyError("unknown symbol %r" % name)
-        return _define(name, self)
+    return value(walk(_symbol_tree(name)))
 
 
 def eval_symbol(name: str, tau) -> complex:
@@ -187,7 +202,7 @@ def eval_symbol(name: str, tau) -> complex:
     as its series counterpart in :func:`~qlambert.constructors.gosper_symbols`.
     A value that leaves double precision is a ValueError, as in
     :func:`eval_product`."""
-    return _finite(lambda t: _Float(t).sym(name), tau)
+    return _finite(lambda t: _symbol_value(name, t), tau)
 
 
 # -- transformation checks ----------------------------------------------------
@@ -263,8 +278,8 @@ def check_index_cycle(samples=_SAMPLES) -> float:
         tau = _domain(tau)
         image = _apply(GAMMA_CYCLE, tau)
         for src, dst in (("g1", "g2"), ("g2", "g3"), ("g3", "g1")):
-            got = _Float(image).sym(src)
-            want = -_Float(tau).sym(dst)
+            got = _symbol_value(src, image)
+            want = -_symbol_value(dst, tau)
             dev = max(dev, abs(got / want - 1))
     return dev
 
@@ -332,7 +347,7 @@ def check_symbol_consistency(tau=2j, order: int = 12) -> float:
     dev = 0.0
     for name in ("z", "g", "h1", "h2", "t", "f"):
         series = _eval_any(gosper_symbols(name, order), tau)
-        direct = _Float(tau).sym(name)
+        direct = _symbol_value(name, tau)
         dev = max(dev, abs(series / direct - 1))
     return dev
 

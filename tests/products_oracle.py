@@ -13,7 +13,9 @@ product, an independent reference for the triple product.
 
 ``eta_value`` and ``gen_eta_value`` are the direct float products that
 ``qlambert.numeric`` ran before it evaluated every quotient from its factor
-dict.
+dict.  ``symbol_value`` is the float value of a named level-14 function,
+written from the table in the ``gosper_symbols`` docstring over those
+products and a Lambert sum of its own.
 """
 
 import cmath
@@ -287,3 +289,56 @@ def gen_eta_value(level: int, g: int, tau) -> complex:
         * _product_over(tau, level - g0, level)
     )
     return -val if sign < 0 else val
+
+
+def _lambert_value(r: int, m: int, tau) -> complex:
+    """sum over n >= 1, n = r (mod m), of q^n / (1 - q^n)^2, until a term
+    falls below 1e-17 of the sum."""
+    q = cmath.exp(2j * math.pi * complex(tau))
+    out = 0j
+    n = r % m or m
+    while True:
+        term = q**n / (1 - q**n) ** 2
+        out += term
+        if abs(term) < 1e-17 * abs(out):
+            return out
+        n += m
+
+
+def _pi_value(k: int, tau) -> complex:
+    """Pi_{q^k} = eta(2k tau)^4 / eta(k tau)^2."""
+    return eta_value(2 * k * complex(tau)) ** 4 / eta_value(k * complex(tau)) ** 2
+
+
+def symbol_value(name: str, tau) -> complex:
+    """The named function at tau, by the table of ``gosper_symbols``."""
+    tau = complex(tau)
+
+    def sym(n):
+        return symbol_value(n, tau)
+
+    if name == "z":
+        lodd = _lambert_value(1, 2, tau) - 7 * _lambert_value(7, 14, tau)
+        return lodd / _pi_value(7, tau) ** 2
+    if name == "w":
+        return 4 * (_lambert_value(0, 1, tau) - 7 * _lambert_value(0, 7, tau)) + 1
+    if name == "g":
+        return _pi_value(1, tau) / _pi_value(7, tau)
+    if name in ("g1", "g2", "g3"):
+        top, bottom = {"g1": (6, 1), "g2": (4, 3), "g3": (2, 5)}[name]
+        return (gen_eta_value(14, top, tau) / gen_eta_value(14, bottom, tau)) ** 2
+    if name == "f0":
+        return sym("g1") ** 2 + sym("g2") ** 2 + sym("g3") ** 2
+    if name == "f1":
+        return sym("g1") * sym("g2") + sym("g1") * sym("g3") + sym("g2") * sym("g3")
+    if name == "f":
+        return sym("w") / (_pi_value(7, tau) ** 2 * sym("z"))
+    if name == "h1":
+        return sym("g") * _pi_value(7, tau) ** 2 / _pi_value(14, tau) ** 2
+    if name == "h2":
+        return _pi_value(7, tau) ** 2 / (sym("g") * _pi_value(14, tau) ** 2)
+    if name == "H":
+        return sym("h1") + 16 / sym("h2")
+    if name == "t":
+        return sym("H") + 4 * sym("f1")
+    raise KeyError(name)

@@ -97,12 +97,15 @@ def test_sqrt_failure_reports_the_subexpression():
 
 
 def _passes(monkeypatch, record, truncation=None):
-    """(report, windows of the passes): each pass evaluates both sides once."""
+    """(report, windows of the passes): each pass evaluates both sides once
+    (the symbol texts that a side's symbols are built from are not counted)."""
     orders = []
     real = dsl.evaluate
+    sides = get_identity(record) if isinstance(record, str) else record
 
     def recording(node, order):
-        orders.append(order)
+        if node is sides.left or node is sides.right:
+            orders.append(order)
         return real(node, order)
 
     monkeypatch.setattr(dsl, "evaluate", recording)
@@ -131,12 +134,15 @@ def test_entries_that_eat_little_keep_the_default_window(monkeypatch):
 
 
 def _windows(monkeypatch, name):
-    """The orders of every node evaluation."""
+    """The orders of every evaluation of the identity's own trees (not of
+    the symbol texts its symbols are built from)."""
     orders = set()
     real = dsl._eval
+    record = get_identity(name)
 
     def recording(node, order):
-        orders.add(order)
+        if node is record.left or node is record.right:
+            orders.add(order)
         return real(node, order)
 
     monkeypatch.setattr(dsl, "_eval", recording)

@@ -11,13 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dsl_oracle as oracle
-from qlambert import cli, gamma0, level14, numeric
+from qlambert import cli, constructors, gamma0, level14, numeric
 from qlambert.cli import main
 from qlambert.constructors import EtaQuotient, GenEtaQuotient
 from qlambert.dsl import Call, _product_calls, parse, to_text
 from qlambert.gamma0 import _orders, cusp_set, eta_cusp_order, gen_eta_cusp_ord
 
-SPEC_ERROR = "quotient spec must be a product of eta(d) and geta(M,g) powers"
+SPEC_ERROR = "quotient spec must be a product of eta(d), pi(k) and geta(M,g) powers"
 
 
 def run(capsys, *argv):
@@ -253,12 +253,41 @@ def test_product_calls_rejects_other_shapes(text):
     assert _product_calls(parse(text)) is None
 
 
+def test_ord_table_of_pi_quotient_is_the_table_g(capsys):
+    # g = Pi_q / Pi_{q^7}, the symbol table's eta quotient
+    g = constructors._SYMBOLS["g"]
+    cusps = cusp_set(14).cusps
+    want = "".join(f"{str(r):<3}  {v}\n" for r, v in zip(cusps, _orders([(g, 1)], 14, cusps)))
+    assert run(capsys, "ord-table", "pi(1)/pi(7)", "--level", "14") == (0, want, "")
+
+
+@pytest.mark.parametrize(
+    "text, eta_form",
+    [
+        ("pi(1)", "eta(2)^4/eta(1)^2"),
+        ("eta(1)*pi(1)", "eta(2)^4/eta(1)"),
+        ("pi(7)^2*eta(14)^-8", "eta(7)^-4"),
+        ("pi(1)/pi(1)", "1"),
+    ],
+)
+def test_ord_table_reads_pi_as_its_eta_quotient(capsys, text, eta_form):
+    got = run(capsys, "ord-table", text, "--level", "14", "--json")
+    want = run(capsys, "ord-table", eta_form, "--level", "14", "--json")
+    assert got[0] == 0 and json.loads(got[1])["orders"] == json.loads(want[1])["orders"]
+
+
+def test_ord_table_rejects_a_nonpositive_pi_argument_as_expand_does(capsys):
+    code, out, err = run(capsys, "ord-table", "pi(0)", "--level", "14")
+    assert (code, out) == (2, "")
+    assert err == run(capsys, "expand", "pi(0)", "--order", "5")[2]
+    assert err == "error: argument must be a positive integer in 'pi(0)'\n"
+
+
 @pytest.mark.parametrize(
     "text",
     [
-        "pi(1)",
         "theta(1,1,1,1)",
-        "eta(1)*pi(1)",
+        "symbol(g)",
         "eta(1)+eta(2)",
         "2*eta(1)",
         "eta(1)/2",

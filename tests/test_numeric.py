@@ -220,6 +220,15 @@ def test_eval_symbol_lambert_route():
     assert abs(partial / direct - 1) < 1e-10
 
 
+@pytest.mark.parametrize("name", SYMBOL_NAMES)
+def test_eval_symbol_matches_the_float_oracle(name):
+    # the oracle writes each function from the gosper_symbols table with its
+    # own products and Lambert sums, sharing no code with the float walk
+    for tau in nm._SAMPLES:
+        got, want = nm.eval_symbol(name, tau), oracle.symbol_value(name, tau)
+        assert abs(got / want - 1) < 1e-12, (name, tau)
+
+
 def test_eval_symbol_validation():
     with pytest.raises(KeyError):
         nm.eval_symbol("nope", 1j)

@@ -77,3 +77,23 @@ def test_a_polynomial_name_reads_the_catalog_once():
     )
     assert report["catalog_loaded"] == 1
     assert report["polynomials_built"] == 1
+
+
+def test_the_symbol_texts_are_parsed_on_first_use():
+    # constructors imports no DSL at start-up: the first build of a text
+    # symbol imports it and parses the texts that build needs
+    tests = Path(__file__).resolve().parent
+    _fresh(
+        "import sys\n"
+        "import qlambert.constructors as constructors\n"
+        "assert 'qlambert.dsl' not in sys.modules\n"
+        "assert constructors._symbol_tree.cache_info().currsize == 0\n"
+        f"sys.path.insert(0, {str(tests)!r})\n"
+        "import products_oracle\n"
+        "got = constructors.gosper_symbols('f', 10)\n"
+        "want = products_oracle.symbol('f', 10)\n"
+        "fields = lambda s: (s.v, s.D, s.T, s.L, s.coeffs)\n"
+        "assert fields(got) == fields(want), (got, want)\n"
+        "assert 'qlambert.dsl' in sys.modules\n"
+        "assert constructors._symbol_tree.cache_info().currsize == 3\n"
+    )
