@@ -1,15 +1,16 @@
 """Command-line driver.
 
 Subcommands: ``verify`` (catalog or inline identities), ``cusps``,
-``ord-table`` (built-in tables or an eta/pi/geta quotient), ``find-relation``,
+``ord-table`` (built-in tables or an eta-type quotient), ``find-relation``,
 ``eliminate``, ``numeric-check`` and ``expand``.  Exit codes: 0 on
 success/verified, 1 when a verification or numeric check fails, 2 on
 usage errors, and 2 when a request runs out of memory (an order too large
 to expand, say).
 
-``ord-table`` reads a quotient spec as the DSL reads it: a tree that
-converts to one product leaf of eta, pi and geta calls (``dsl._product_calls``),
-whose orders ``gamma0._orders`` sums as the order tables' rows are summed.
+``ord-table`` reads a quotient spec as one product leaf of eta, pi, geta and
+theta calls (``dsl._product_calls``), whose merged statement gives the rows by
+the order tables' formula (``gamma0._factor_orders``) if its q power is that
+formula's order at infinity.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ import sys
 
 from . import numeric
 from .catalog import IdentityRecord, load_catalog, verify
-from .constructors import EtaQuotient, GenEtaQuotient
-from .dsl import _ETA_TYPE, _product_calls, _wrap, evaluate, parse, parse_identity
+from .constructors import _positive, _power_product
+from .dsl import _ETA_TYPE, _product_calls, _wrap, evaluate, parse, parse_identity, to_text
 from .errors import DSLError
-from .gamma0 import _orders, cusp_set
+from .gamma0 import _factor_orders, cusp_set
 from .level14 import TABLE_IDS, eliminate, order_table
 from .relations import find_relation
 
@@ -76,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_cusps)
 
     p = sub.add_parser("ord-table", help="cusp order table, built-in or for a quotient")
-    p.add_argument("table", help="table id (e.g. 3.1) or a product of eta/pi/geta powers")
+    p.add_argument("table", help="table id (e.g. 3.1) or a product of eta/pi/geta/theta powers")
     p.add_argument("--level", type=int, help="group level for a quotient spec")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_ord_table)
@@ -218,32 +219,36 @@ def _print_builtin_table(report, as_json: bool) -> int:
     return 0
 
 
+#: a spec that is no product of eta-type calls, or whose q power is not the
+#: order its factors give at infinity (theta(1,1,1,2), say, is q^(-1/24)
+#: times a quotient, so the rows would not be its own)
+_SPEC_ERROR = (
+    "quotient spec must be a product of eta(d), pi(k), geta(M,g) and theta powers"
+    " whose q power is its order at infinity"
+)
+
+
 def _quotient_orders(text: str, level: int) -> list:
-    # one EtaQuotient of the eta and pi calls, pi(k) stated as
-    # eta(2k)^4/eta(k)^2, and one GenEtaQuotient per geta level, whose
-    # indices fold into 1..M/2 by eta_{M,g} = eta_{M,M-g} = -eta_{M,g+M}
-    # (the sign leaves the orders alone); each call is read from its
-    # statement, so a nonpositive argument or a g divisible by M fails as
-    # in expand
+    # the calls' statements merge into one factor dict, read from each
+    # statement as expand reads it, so a nonpositive argument or a g
+    # divisible by M fails as in expand; the order at infinity, the same
+    # at every level, must be the q power; then each eta factor (q^M; q^M),
+    # in ascending M, must have M | level, else the first call that holds
+    # it is named
     calls = _product_calls(parse(text))
-    if calls is None or any(call.name not in ("eta", "pi", "geta") for call in calls):
-        raise ValueError("quotient spec must be a product of eta(d), pi(k) and geta(M,g) powers")
-    eta_exps: dict[int, int] = {}
-    gen_exps: dict[int, dict[int, int]] = {}
-    for call, r in calls.items():
-        factors, _, _ = _wrap(call, _ETA_TYPE[call.name], *call.args)
-        if call.name == "geta":
-            # its factors are (g, M) and (M - g, M), g its index reduced into 1..M-1
-            exps = gen_exps.setdefault(call.args[0], {})
-            g = min(a for a, _ in factors)
-            exps[g] = exps.get(g, 0) + r
-        else:
-            for (delta, _), x in factors.items():
-                eta_exps[delta] = eta_exps.get(delta, 0) + r * x
-    factors = [(EtaQuotient(level, eta_exps), 1)] if eta_exps else []
-    factors += [(GenEtaQuotient(m, exps), 1) for m, exps in sorted(gen_exps.items())]
+    if calls is None:
+        raise ValueError(_SPEC_ERROR)
+    stated = {call: _wrap(call, _ETA_TYPE[call.name], *call.args) for call in calls}
+    factors, pref, _ = _power_product((stated[call], r) for call, r in calls.items())
+    if _factor_orders(factors, 1, ((1, 0),)) != (pref,):
+        raise ValueError(_SPEC_ERROR)
+    _positive(level, "level")
+    for m in sorted(m for g, m in factors if g == m):
+        if level % m:
+            name = to_text(next(c for c, r in calls.items() if r and stated[c][0].get((m, m))))
+            raise ValueError(f"eta argument {m} does not divide the level {level} in '{name}'")
     cusps = cusp_set(level).cusps
-    return list(zip(cusps, _orders(factors, level, cusps)))
+    return list(zip(cusps, _factor_orders(factors, level, cusps)))
 
 
 # ---------------------------------------------------------- find-relation

@@ -5,17 +5,19 @@ Conventions used throughout:
 * a cusp a/c is stored reduced with c >= 0; infinity is (1, 0),
 * ``cusp_set(N)`` returns one representative per Gamma_0(N)-class, ordered
   by increasing denominator, with 0 = (0, 1) first and infinity last,
-* orders reported by :func:`eta_cusp_order` and :func:`gen_eta_cusp_ord`
-  are invariant orders (local order times cusp width), so a weight-0
-  invariant quotient has integer orders summing to zero over a full set
-  of representatives.
+* orders are invariant orders (local order times cusp width), so a
+  weight-0 invariant quotient has integer orders summing to zero over a
+  full set of representatives.
 
-All arithmetic is exact: the orders are summed in integers, and each is one
-Fraction.  A cusp order is linear in the exponents; ``_orders`` sums the
-orders of a product of quotient powers over a list of cusps, the one path by
-which the order tables and ``ord-table`` read them.  No class search
-(``cusp_equivalent``, ``class_representative``) is on it: an eta quotient's
-order reads only gcd(c, n) and the width, which a cusp class shares.
+One formula reads every order (``_factor_orders``), from a statement's factor
+dict {(g, M): r}, the product of (q^g; q^M)^r: at a/c, with d = gcd(c, M) and
+k = a g mod d, a factor adds r (6 k^2 - 6 k d + d^2) / (24 M), that is
+r d^2 P2(a g / d) / (4 M) for P2 the periodic second Bernoulli polynomial, and
+the sum times the width is the order.  (q^M; q^M) gives eta(M tau)'s order and
+the two factors of eta_{M,g} give Robins'.  Both public orders, the tables'
+rows (``_orders``) and ``ord-table`` read it, in integers, one Fraction per
+cusp.  No class search (``cusp_equivalent``, ``class_representative``) is on
+it: an eta factor reads only gcd(c, n) and the width, which a class shares.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import Sequence
 
-from .constructors import EtaQuotient, GenEtaQuotient
+from .constructors import _positive, _power_product
 
 __all__ = [
     "Cusp",
@@ -258,28 +260,45 @@ def apply_gamma(mat: Sequence[Sequence[int]], r) -> Cusp:
     return Cusp(p * cusp.a + q * cusp.c, u * cusp.a + v * cusp.c)
 
 
-def eta_cusp_order(quot: EtaQuotient, n: int, r) -> Fraction:
+def _factor_orders(factors, n: int, cusps) -> tuple:
+    """The invariant orders on Gamma_0(n), at each cusp of ``cusps``, of the
+    product of (q^g; q^M)^r over the factor dict {(g, M): r}, by the module's
+    formula.  An eta factor (M, M) reads the cusp's class, c -> gcd(c, n)
+    mod n; any other reads a/c as passed.  The sum is taken in integers over
+    24 lcm(M), one Fraction per cusp."""
+    _positive(n, "level")
+    big = math.lcm(*(m for _, m in factors))
+    terms = [(g, m, r * (big // m)) for (g, m), r in factors.items()]
+    row = []
+    for cusp in map(_as_cusp, cusps):
+        a, c = cusp
+        ce = math.gcd(c, n) % n
+        total = 0
+        for g, m, w in terms:
+            if g == m:
+                d = math.gcd(ce, m)
+                total += w * d * d
+            else:
+                d = math.gcd(c, m)
+                k = a * g % d
+                total += w * (6 * k * (k - d) + d * d)
+        row.append(Fraction(cusp_width(n, cusp) * total, 24 * big))
+    return tuple(row)
+
+
+def eta_cusp_order(quot, n: int, r) -> Fraction:
     """Invariant order of an eta quotient at a cusp of Gamma_0(n).
 
     With c the denominator of the cusp's representative in ``cusp_set(n)``,
     gcd(c0, n) for a cusp a0/c0 (0, infinity, when n | c0), the order is
     (n / (24 gcd(c^2, n))) * sum gcd(c, delta)^2 r_delta / delta.  At
-    infinity this is the q-valuation.  With N the quotient's level, the sum
-    is taken in integers as sum gcd(c, delta)^2 r_delta (N / delta), and the
-    order is one Fraction of it over 24 N.
+    infinity this is the q-valuation.  It is read from the quotient's
+    statement by ``_factor_orders``.
     """
-    cusp = _as_cusp(r)
-    if n < 1:
-        raise ValueError("level must be a positive integer")
-    c = math.gcd(cusp.c, n) % n
-    level = quot.level
-    total = sum(
-        math.gcd(c, d) ** 2 * rd * (level // d) for d, rd in quot.exponents.items()
-    )
-    return Fraction(cusp_width(n, cusp) * total, 24 * level)
+    return _factor_orders(quot.statement()[0], n, (r,))[0]
 
 
-def gen_eta_cusp_ord(quot: GenEtaQuotient, n: int, r) -> Fraction:
+def gen_eta_cusp_ord(quot, n: int, r) -> Fraction:
     """Invariant order of a generalized eta quotient at a cusp of Gamma_0(n).
 
     The cusp a/c is used exactly as passed (no class reduction); callers
@@ -289,37 +308,17 @@ def gen_eta_cusp_ord(quot: GenEtaQuotient, n: int, r) -> Fraction:
         m0 = (d^2 / 2M) * sum_g r_g P2(a g / d),
         Ord = (n / gcd(c^2, n)) * m0,
 
-    where P2 is the periodic second Bernoulli polynomial.  With k = a g mod d,
-    d^2 P2(a g / d) = k^2 - k d + d^2 / 6, so the sum is taken in integers as
-    m0 = sum_g r_g (6 k^2 - 6 k d + d^2) / (12 M), and the order is one
-    Fraction.  At infinity (1, 0) this is the q-valuation; M need not divide
-    n, which is what the mixed-level tables use.
+    where P2 is the periodic second Bernoulli polynomial: each eta_{M,g} is
+    the two factors (q^g; q^M) (q^(M-g); q^M) of its statement, which
+    ``_factor_orders`` reads.  At infinity (1, 0) this is the q-valuation;
+    M need not divide n, which is what the mixed-level tables use.
     """
-    cusp = _as_cusp(r)
-    a, c = cusp.a, cusp.c
-    m = quot.level
-    d = math.gcd(c, m)
-    total, dd = 0, d * d
-    for g, rg in quot.exponents.items():
-        k = a * g % d
-        total += rg * (6 * k * (k - d) + dd)
-    return Fraction(cusp_width(n, cusp) * total, 12 * m)
+    return _factor_orders(quot.statement()[0], n, (r,))[0]
 
 
 def _orders(factors, n: int, cusps) -> tuple:
     """The invariant orders of the product of the powers quot^r over the pairs
-    (quot, r) of ``factors``, at each cusp of ``cusps`` on Gamma_0(n): the sum
-    of r times ``eta_cusp_order`` for an EtaQuotient and ``gen_eta_cusp_ord``
-    for a GenEtaQuotient."""
-    terms = [
-        (eta_cusp_order if isinstance(quot, EtaQuotient) else gen_eta_cusp_ord, quot, r)
-        for quot, r in factors
-    ]
-    row = []
-    for cusp in cusps:
-        num, den = 0, 1  # the sum in integers, made one Fraction
-        for order, quot, r in terms:
-            x = order(quot, n, cusp)
-            num, den = num * x.denominator + r * x.numerator * den, den * x.denominator
-        row.append(Fraction(num, den))
-    return tuple(row)
+    (quot, r) of ``factors``, at each cusp of ``cusps`` on Gamma_0(n): the
+    orders of their merged statement."""
+    merged, _, _ = _power_product((quot.statement(), r) for quot, r in factors)
+    return _factor_orders(merged, n, cusps)

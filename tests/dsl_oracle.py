@@ -19,18 +19,20 @@ carrying its kind, text, line and column.
 ``quotient_orders`` is how ``qlambert ord-table`` read a quotient spec before
 it went through the DSL's product leaves: its own walk of the parsed tree,
 which takes products, quotients and integer powers of ``eta`` and ``geta``
-calls and the constant 1, and sums each cusp order in a loop of its own.
-The walk folds each ``geta`` index into 1..M/2 by its own arithmetic.
+calls and the constant 1, and sums each cusp order in a loop of its own,
+one formula per family (``orders_oracle``).  The walk folds each ``geta``
+index into 1..M/2 by its own arithmetic.
 """
 
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+import orders_oracle
 from qlambert.constructors import EtaQuotient, GenEtaQuotient, eta, gen_eta, pi_q, theta_f
 from qlambert.dsl import _CALLS, BinOp, Call, Lit, Neg, Pow, Q, Sqrt, Subq, parse, to_text
 from qlambert.errors import DSLError
-from qlambert.gamma0 import cusp_set, eta_cusp_order, gen_eta_cusp_ord
+from qlambert.gamma0 import cusp_set
 from qlambert.series import QSeries, qpow
 
 #: the builders of the eta-type calls, which take the order first
@@ -146,13 +148,18 @@ def tokenize(text: str) -> list:
 
 def quotient_orders(text: str, level: int) -> list:
     """[(cusp, order)] over ``cusp_set(level)`` of a product of eta/geta
-    powers; anything else is a ValueError."""
+    powers, each order summed from ``orders_oracle``; anything else is a
+    ValueError, and so is an eta(d) with d not dividing the level, which
+    names the call."""
     node = parse(text)
     eta_exps: dict[int, int] = {}
     gen_exps: dict[int, dict[int, int]] = {}
     collect_factors(node, 1, eta_exps, gen_exps)
     pieces: list = []
     eta_exps = {d: r for d, r in eta_exps.items() if r}
+    for d in sorted(eta_exps):
+        if level % d:
+            raise ValueError(f"eta argument {d} does not divide the level {level} in 'eta({d})'")
     if eta_exps:
         pieces.append(EtaQuotient(level, eta_exps))
     for m, bucket in sorted(gen_exps.items()):
@@ -161,12 +168,7 @@ def quotient_orders(text: str, level: int) -> list:
             pieces.append(GenEtaQuotient(m, bucket))
     rows = []
     for cusp, _width in cusp_set(level):
-        total = Fraction(0)
-        for piece in pieces:
-            if isinstance(piece, EtaQuotient):
-                total += eta_cusp_order(piece, level, cusp)
-            else:
-                total += gen_eta_cusp_ord(piece, level, cusp)
+        total = sum((orders_oracle.order(piece, level, cusp) for piece in pieces), Fraction(0))
         rows.append((cusp, total))
     return rows
 

@@ -109,7 +109,7 @@ def test_ord_table_quotient_needs_level(capsys):
 def test_ord_table_rejects_non_quotients(capsys):
     code, _, err = run(capsys, "ord-table", "symbol(z)", "--level", "14")
     assert code == 2
-    assert "product of eta(d), pi(k) and geta(M,g) powers" in err
+    assert "product of eta(d), pi(k), geta(M,g) and theta powers" in err
 
 
 # ----------------------------------------------------------------- verify

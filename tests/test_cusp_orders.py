@@ -2,6 +2,7 @@
 ord-table command's reading of a quotient spec through the DSL's product
 leaves, against the tree walk it replaced (dsl_oracle.quotient_orders)."""
 
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -11,13 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dsl_oracle as oracle
+import orders_oracle
 from qlambert import cli, constructors, gamma0, level14, numeric
 from qlambert.cli import main
 from qlambert.constructors import EtaQuotient, GenEtaQuotient
-from qlambert.dsl import Call, _product_calls, parse, to_text
+from qlambert.dsl import Call, _product_calls, evaluate, parse, to_text
 from qlambert.gamma0 import _orders, cusp_set, eta_cusp_order, gen_eta_cusp_ord
 
-SPEC_ERROR = "quotient spec must be a product of eta(d), pi(k) and geta(M,g) powers"
+SPEC_ERROR = (
+    "quotient spec must be a product of eta(d), pi(k), geta(M,g) and theta powers"
+    " whose q power is its order at infinity"
+)
 
 
 def run(capsys, *argv):
@@ -27,12 +32,6 @@ def run(capsys, *argv):
 
 
 # ------------------------------------------------------------------ _orders
-
-
-def _by_type(quot, n, r):
-    if isinstance(quot, EtaQuotient):
-        return eta_cusp_order(quot, n, r)
-    return gen_eta_cusp_ord(quot, n, r)
 
 
 @st.composite
@@ -49,6 +48,11 @@ def _factors_level_cusps(draw):
             exps = draw(st.dictionaries(indices, st.integers(-6, 6))) if m > 1 else {}
             quot = GenEtaQuotient(m, exps)
         factors.append((quot, draw(st.integers(-4, 4))))
+    return (factors, *_level_and_cusps(draw))
+
+
+def _level_and_cusps(draw):
+    # a level, its cusp representatives and up to three other cusps
     n = draw(st.integers(1, 60))
     cusps = list(cusp_set(n).cusps)
     cusps += draw(
@@ -59,7 +63,7 @@ def _factors_level_cusps(draw):
             max_size=3,
         )
     )
-    return factors, n, cusps
+    return n, cusps
 
 
 @settings(max_examples=200)
@@ -68,10 +72,47 @@ def test_orders_is_the_sum_of_the_per_type_orders(case):
     factors, n, cusps = case
     row = _orders(factors, n, cusps)
     want = tuple(
-        sum((r * _by_type(q, n, c) for q, r in factors), Fraction(0)) for c in cusps
+        sum((r * orders_oracle.order(q, n, c) for q, r in factors), Fraction(0))
+        for c in cusps
     )
     assert row == want
     assert all(type(v) is Fraction for v in row)
+
+
+@st.composite
+def _calls_level_cusps(draw):
+    # eta(d), geta(M,g) and pi(k) statements to powers, each next to its
+    # family's quotient: pi(k) as eta(2k)^4/eta(k)^2, a geta index folded
+    parts, quots = [], []
+    for _ in range(draw(st.integers(0, 5))):
+        kind, r = draw(st.sampled_from(("eta", "geta", "pi"))), draw(st.integers(-4, 4))
+        if kind == "eta":
+            d = draw(st.integers(1, 40))
+            parts.append((constructors.eta_statement(d), r))
+            quots.append((EtaQuotient(d, {d: 1}), r))
+        elif kind == "pi":
+            k = draw(st.integers(1, 20))
+            parts.append((constructors.pi_statement(k), r))
+            quots.append((EtaQuotient(2 * k, {2 * k: 4, k: -2}), r))
+        else:
+            m = draw(st.integers(2, 40))
+            g = draw(st.integers(-m, 2 * m).filter(lambda g: g % m))
+            parts.append((constructors.gen_eta_statement(m, g), r))
+            quots.append((GenEtaQuotient(m, {min(g % m, m - g % m): 1}), r))
+    return (parts, quots, *_level_and_cusps(draw))
+
+
+@settings(max_examples=200)
+@given(_calls_level_cusps())
+def test_merged_statements_are_the_sum_of_the_oracles(case):
+    # one statement of eta, geta and pi factors, read by the one formula
+    parts, quots, n, cusps = case
+    factors, _, _ = constructors._power_product(parts)
+    want = tuple(
+        sum((r * orders_oracle.order(q, n, c) for q, r in quots), Fraction(0))
+        for c in cusps
+    )
+    assert gamma0._factor_orders(factors, n, cusps) == want
 
 
 def test_orders_at_mixed_level_is_table_4_2():
@@ -119,10 +160,10 @@ _ATOMS = st.one_of(
 
 
 @st.composite
-def _spec(draw):
+def _spec(draw, atoms=_ATOMS, levels=st.integers(1, 42)):
     # products, quotients and integer powers over a few atoms, so that calls
     # repeat and their exponents can cancel
-    atoms = draw(st.lists(_ATOMS, min_size=1, max_size=4))
+    atoms = draw(st.lists(atoms, min_size=1, max_size=4))
 
     def build(depth):
         op = draw(st.sampled_from("a*/^")) if depth else "a"
@@ -132,7 +173,7 @@ def _spec(draw):
             return f"({build(depth - 1)})^{draw(st.integers(-3, 3))}"
         return f"({build(depth - 1)}){op}({build(depth - 1)})"
 
-    return build(3), draw(st.integers(1, 42))
+    return build(3), draw(levels)
 
 
 def _outcome(func, *args):
@@ -286,7 +327,7 @@ def test_ord_table_rejects_a_nonpositive_pi_argument_as_expand_does(capsys):
 @pytest.mark.parametrize(
     "text",
     [
-        "theta(1,1,1,1)",
+        "theta(1,1,1,2)",
         "symbol(g)",
         "eta(1)+eta(2)",
         "2*eta(1)",
@@ -301,6 +342,95 @@ def test_ord_table_rejects_what_is_no_quotient(capsys, text):
     code, out, err = run(capsys, "ord-table", text, "--level", "14")
     assert (code, out) == (2, "")
     assert err == f"error: {SPEC_ERROR}\n"
+
+
+@pytest.mark.parametrize(
+    "text, m, call",
+    [
+        ("pi(3)", 3, "pi(3)"),
+        ("eta(1)*pi(3)", 3, "pi(3)"),
+        ("eta(3)*pi(3)", 3, "eta(3)"),
+        ("eta(3)/eta(3)*pi(3)", 3, "pi(3)"),
+        ("eta(3)^2*pi(3)*eta(9)", 6, "pi(3)"),
+        ("theta(1,3,1,3)^2", 6, "theta(1, 3, 1, 3)"),
+    ],
+)
+def test_ord_table_names_the_call_of_an_eta_factor_off_the_level(capsys, text, m, call):
+    # the least offending (q^M; q^M) of the merged statement, named by the
+    # first call that holds it with a nonzero exponent
+    code, out, err = run(capsys, "ord-table", text, "--level", "14")
+    assert (code, out) == (2, "")
+    assert err == f"error: eta argument {m} does not divide the level 14 in '{call}'\n"
+
+
+@pytest.mark.parametrize(
+    "text, same",
+    [
+        ("eta(3)/eta(3)", "1"),
+        ("pi(3)/pi(3)*eta(2)", "eta(2)"),
+        ("eta(3)^2*pi(3)/eta(6)^4*eta(7)", "eta(7)"),
+    ],
+)
+def test_ord_table_accepts_a_cancelled_factor_off_the_level(capsys, text, same):
+    got = run(capsys, "ord-table", text, "--level", "14")
+    assert got[0] == 0 and got == run(capsys, "ord-table", same, "--level", "14")
+
+
+@pytest.mark.parametrize(
+    "text, eta_form, level",
+    [
+        ("theta(-1,1,-1,1)", "eta(1)^2/eta(2)", "14"),
+        ("theta(1,1,1,1)", "eta(2)^5/(eta(1)^2*eta(4)^2)", "4"),
+        ("theta(1,1,1,1)^-3*eta(4)", "eta(1)^6*eta(4)^7/eta(2)^15", "4"),
+    ],
+)
+def test_ord_table_reads_theta_as_its_quotient(capsys, text, eta_form, level):
+    got = run(capsys, "ord-table", text, "--level", level)
+    assert got[0] == 0 and got == run(capsys, "ord-table", eta_form, "--level", level)
+
+
+def test_ord_table_rows_of_theta_at_level_14(capsys):
+    got = run(capsys, "ord-table", "theta(-1,1,-1,1)", "--level", "14")
+    assert got == (0, "0    7/8\n1/2  0\n1/7  1/8\ninf  0\n", "")
+
+
+def test_theta_is_a_quotient_exactly_when_its_exponents_are_equal():
+    # theta(sa,a,sb,b) with a != b is q^(-x) times a quotient for some x != 0
+    accepted = []
+    for sa, sb, a, b in itertools.product((1, -1), (1, -1), range(1, 7), range(1, 7)):
+        text = f"theta({sa},{a},{sb},{b})"
+        outcome = _outcome(cli._quotient_orders, text, 4 * (a + b))
+        assert outcome[0] == "value" or outcome == ("error", SPEC_ERROR)
+        if outcome[0] == "value":
+            accepted.append((a, b))
+    assert len(accepted) == 24 and all(a == b for a, b in accepted)
+
+
+_ATOMS_ALL = st.one_of(
+    st.integers(1, 8).map(lambda d: f"eta({d})"),
+    st.integers(1, 4).map(lambda k: f"pi({k})"),
+    st.integers(2, 12).flatmap(
+        lambda m: st.integers(1, m - 1).map(lambda g: f"geta({m},{g})")
+    ),
+    st.tuples(*[st.sampled_from((1, -1)), st.integers(1, 3)] * 2).map(
+        lambda t: "theta(%d,%d,%d,%d)" % t
+    ),
+)
+
+
+@settings(max_examples=100)
+@given(_spec(_ATOMS_ALL, st.sampled_from((840, 1680))))
+def test_the_infinity_row_of_an_accepted_spec_is_its_valuation(case):
+    # every eta factor here divides the level, so a spec is refused only
+    # when its q power is not its order at infinity
+    text, level = case
+    outcome = _outcome(cli._quotient_orders, text, level)
+    if outcome == ("error", SPEC_ERROR):
+        assert "theta" in text
+        return
+    (cusp, order) = outcome[1][-1]
+    assert str(cusp) == "inf"
+    assert order == evaluate(parse(text), 2).valuation()
 
 
 # --------------------------------------------------------- usage errors

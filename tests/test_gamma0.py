@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import orders_oracle as oracle
 from qlambert import gamma0
 from qlambert.constructors import EtaQuotient, GenEtaQuotient
 from qlambert.gamma0 import (
@@ -40,35 +41,6 @@ _h2exp.update({g: 2 for g in (1, 3, 5, 9, 11, 13)})
 H2_GEN = GenEtaQuotient(28, _h2exp)
 
 ALPHA = ((1, 0), (14, 1))
-
-
-def _p2(x: Fraction) -> Fraction:
-    # the periodic second Bernoulli polynomial
-    t = x % 1
-    return t * t - t + Fraction(1, 6)
-
-
-def _gen_eta_order_oracle(quot: GenEtaQuotient, n: int, r: Cusp) -> Fraction:
-    # (n / gcd(c^2, n)) (d^2 / 2M) sum_g r_g P2(a g / d), d = gcd(c, M), in
-    # Fractions term by term
-    m = quot.level
-    d = math.gcd(r.c, m)
-    m0 = Fraction(d * d, 2 * m) * sum(
-        (rg * _p2(Fraction(r.a * g, d)) for g, rg in quot.exponents.items()),
-        Fraction(0),
-    )
-    return Fraction(n, math.gcd(r.c * r.c, n)) * m0
-
-
-def _eta_order_oracle(quot: EtaQuotient, n: int, r: Cusp) -> Fraction:
-    # (n / (24 gcd(c0^2, n))) sum gcd(c, delta)^2 r_delta / delta with
-    # c = gcd(c0, n) mod n, in Fractions term by term
-    c = math.gcd(r.c, n) % n
-    total = sum(
-        (Fraction(math.gcd(c, d) ** 2, d) * rd for d, rd in quot.exponents.items()),
-        Fraction(0),
-    )
-    return Fraction(n, 24 * math.gcd(r.c * r.c, n)) * total
 
 
 def _square(quot: GenEtaQuotient) -> GenEtaQuotient:
@@ -255,6 +227,18 @@ def test_eta_cusp_order_runs_no_class_search(monkeypatch):
         eta_cusp_order(quot, 0, Cusp(1, 0))
 
 
+@pytest.mark.parametrize(
+    "order, quot",
+    [(eta_cusp_order, EtaQuotient(14, {2: 1})), (gen_eta_cusp_ord, GenEtaQuotient(14, {1: 2}))],
+)
+@pytest.mark.parametrize("n", [0, -14])
+def test_cusp_orders_refuse_a_level_below_one(order, quot, n):
+    # both families go through one body, which checks the level first
+    for r in (Cusp(1, 0), Cusp(0, 1), Cusp(1, 7)):
+        with pytest.raises(ValueError, match="^level must be a positive integer$"):
+            order(quot, n, r)
+
+
 def test_eta_order_at_infinity_is_valuation():
     for quot, n in ((H1_ETA, 28), (H2_ETA, 28)):
         assert eta_cusp_order(quot, n, Cusp(1, 0)) == quot.prefactor_exponent()
@@ -321,7 +305,9 @@ def test_gen_eta_order_at_infinity_is_valuation():
     # the valuation sum_g r_g (M/2) P2(g/M), from the oracle's P2
     for quot in (G1, G2, G3, _square(G1), _product(G1, G3), H1_GEN, H2_GEN):
         m = quot.level
-        val = sum(r * Fraction(m, 2) * _p2(Fraction(g, m)) for g, r in quot.exponents.items())
+        val = sum(
+            r * Fraction(m, 2) * oracle.p2(Fraction(g, m)) for g, r in quot.exponents.items()
+        )
         assert gen_eta_cusp_ord(quot, m, Cusp(1, 0)) == val
 
 
@@ -373,7 +359,7 @@ def test_gen_eta_cusp_ord_matches_the_bernoulli_oracle(case):
     quot, n, r = case
     got = gen_eta_cusp_ord(quot, n, r)
     assert type(got) is Fraction
-    assert got == _gen_eta_order_oracle(quot, n, r)
+    assert got == oracle.gen_eta_order(quot, n, r)
 
 
 @settings(max_examples=400)
@@ -382,14 +368,14 @@ def test_eta_cusp_order_matches_the_gcd_sum_oracle(case):
     quot, n, r = case
     got = eta_cusp_order(quot, n, r)
     assert type(got) is Fraction
-    assert got == _eta_order_oracle(quot, n, r)
+    assert got == oracle.eta_order(quot, n, r)
 
 
 def test_the_order_tables_match_the_oracles():
     # table 4.2's shape: level-28 quotients at the 1/c cusps of level 14
     for r in (Cusp(1, 1), Cusp(1, 2), Cusp(1, 7), Cusp(1, 14), Cusp(1, 0)):
         for quot in (G1, G2, G3, H1_GEN, H2_GEN):
-            assert gen_eta_cusp_ord(quot, 14, r) == _gen_eta_order_oracle(quot, 14, r)
+            assert gen_eta_cusp_ord(quot, 14, r) == oracle.gen_eta_order(quot, 14, r)
     for r in cusp_set(28).cusps:
         for quot in (H1_ETA, H2_ETA):
-            assert eta_cusp_order(quot, 28, r) == _eta_order_oracle(quot, 28, r)
+            assert eta_cusp_order(quot, 28, r) == oracle.eta_order(quot, 28, r)
