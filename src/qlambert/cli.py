@@ -263,7 +263,8 @@ def _cmd_find_relation(args) -> int:
             "x": args.x,
             "y": args.y,
             "order": args.order,
-            "pole_orders": {"x": relation.m, "y": relation.n},
+            # the relation is X^n - Y^m + ..., for x's pole order m and y's n
+            "pole_orders": {"x": relation.degree("Y"), "y": relation.degree("X")},
             "relation": str(relation),
             "coefficients": [
                 {"x_power": a, "y_power": b, "value": str(c)}

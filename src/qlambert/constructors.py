@@ -710,10 +710,8 @@ def _build(name: str, window: int) -> QSeries:
     return got
 
 
-#: name -> (window, series) of its largest build, and name -> (window, series)
-#: of the last smaller window served by truncating that build
+#: name -> (window, series) of its largest build
 _SYMBOL_CACHE: dict = {}
-_SYMBOL_SERVED: dict = {}
 _SYMBOL_LOCK = threading.RLock()
 
 
@@ -757,8 +755,4 @@ def gosper_symbols(name: str, order: int) -> QSeries:
             window, built = _SYMBOL_CACHE[name] = order, _build(name, order)
         if window == order:
             return built
-        served = _SYMBOL_SERVED.get(name)
-        if served is None or served[0] != order:
-            cut = built.truncate(built.valuation() + order)
-            served = _SYMBOL_SERVED[name] = order, cut
-        return served[1]
+        return built.truncate(built.valuation() + order)

@@ -143,6 +143,7 @@ def psi(n: int) -> int:
 
 def cusp_width(n: int, r) -> int:
     """Width of the cusp r on Gamma_0(n): n / gcd(c^2, n)."""
+    _positive(n, "level")
     c = _as_cusp(r).c
     return n // math.gcd(c * c, n)
 

@@ -23,7 +23,7 @@ from . import dsl
 from .catalog import get_identity
 from .constructors import _SYMBOLS, GenEtaQuotient
 from .gamma0 import Cusp, _orders, apply_gamma, cusp_set
-from .relations import BivarPoly, eval_poly, exact_divide, resultant_eliminate, variables
+from .relations import MultiPoly, eval_poly, exact_divide, resultant_eliminate, variables
 
 __all__ = [
     "ALPHA",
@@ -82,13 +82,13 @@ def _left_side(name: str, names: dict) -> tuple:
     return dsl._polynomial(get_identity(name).left, names)
 
 
-def _relation(name: str, x: str, x_power: int) -> BivarPoly:
+def _relation(name: str, x: str, x_power: int) -> MultiPoly:
     # the entry's left side read as a polynomial in x^x_power and g^2
     (poly,) = _left_side(name, {"X": x, "Y": "g"})
     if any(a % x_power or b % 2 for a, b in poly.coeffs):
         raise ValueError(f"{name} is not a polynomial in {x}^{x_power} and g^2")
     coeffs = {(a // x_power, b // 2): c for (a, b), c in poly.coeffs.items()}
-    return BivarPoly(coeffs, m=max(b for _, b in coeffs), n=max(a for a, _ in coeffs))
+    return MultiPoly._make(poly.variables, coeffs)
 
 
 #: the names of the polynomials, which ``_polynomials`` forms

@@ -1,14 +1,13 @@
 """Exact multivariate polynomials, relation discovery, and resultants.
 
-Two polynomial types:
-
-* :class:`MultiPoly` — polynomials with rational coefficients in a fixed
-  tuple of named variables, enough arithmetic for verification work
-  (ring operations, exact division, Sylvester resultants),
-* :class:`BivarPoly` — the output of :func:`find_relation`: a monic
-  bivariate relation X^n - Y^m + sum C_{a,b} X^a Y^b between two series
-  with poles of coprime orders m and n at infinity, all monomials
-  satisfying a*m + b*n <= m*n.
+One polynomial type, :class:`MultiPoly`: polynomials with rational
+coefficients in a fixed tuple of named variables, with enough arithmetic
+for verification work (ring operations, exact division, Sylvester
+resultants).  A relation that :func:`find_relation` recovers is a
+``MultiPoly`` over ("X", "Y"): the monic X^n - Y^m + sum C_{a,b} X^a Y^b
+between two series with poles of coprime orders m and n at infinity, all
+monomials satisfying a*m + b*n <= m*n, so its degrees in Y and X are m
+and n.
 
 The arithmetic runs on private dict kernels (multiply, subtract a scaled
 shifted multiple, exact divide) over plain ``dict[monomial, int]``:
@@ -25,14 +24,13 @@ determinant's signed s-bit digits are the coefficients.  Relation fitting
 runs no general linear solve: each unknown monomial starts with a 1 at its
 own pole order, so one sweep up the leading rows fixes every coefficient,
 and the residual that sweep leaves certifies the rest.  ``Fraction`` is the
-public boundary: the coefficients of ``MultiPoly`` and ``BivarPoly`` are
-always ``Fraction`` values.
+public boundary: the coefficients of a ``MultiPoly`` are always
+``Fraction`` values.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from fractions import Fraction
 from operator import add, sub
 from typing import Mapping, Sequence
@@ -41,7 +39,6 @@ from .errors import ExactDivisionError, PrecisionError
 from .series import ONE, QSeries, _sum
 
 __all__ = [
-    "BivarPoly",
     "MultiPoly",
     "eval_poly",
     "find_relation",
@@ -377,32 +374,6 @@ def variables(*names: str) -> tuple[MultiPoly, ...]:
     return tuple(out)
 
 
-class BivarPoly(namedtuple("BivarPoly", "coeffs m n")):
-    """A monic relation X^n - Y^m + sum C_{a,b} X^a Y^b with am + bn <= mn.
-
-    ``m`` and ``n`` are the pole orders at infinity of the two series the
-    relation was fitted to; ``coeffs`` maps (a, b) to the coefficient of
-    X^a Y^b and includes the fixed monomials (n, 0) -> 1 and (0, m) -> -1.
-    Two relations are equal when their fields are.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, coeffs: Mapping[tuple[int, int], Fraction], m: int, n: int):
-        clean = {k: _rat(c) for k, c in dict(coeffs).items() if c}
-        return tuple.__new__(cls, (clean, m, n))
-
-    def as_multipoly(self, names: tuple[str, str] = ("X", "Y")) -> MultiPoly:
-        return MultiPoly(names, dict(self.coeffs))
-
-    def __str__(self):
-        return str(self.as_multipoly())
-
-    def __hash__(self):
-        # coeffs holds canonical nonzero values, so equal relations hash equal
-        return hash((frozenset(self.coeffs.items()), self.m, self.n))
-
-
 # ---------------------------------------------------------------- evaluation
 
 
@@ -421,8 +392,6 @@ def eval_poly(poly, assignment: Mapping[str, object]):
     value is multiplied by 1.  The DSL evaluates its polynomial subtrees
     through this function.
     """
-    if isinstance(poly, BivarPoly):
-        poly = poly.as_multipoly()
     used = []
     for i, name in enumerate(poly.variables):
         exponents = {m[i] for m in poly.coeffs} - {0}
@@ -647,14 +616,15 @@ def _head(s: QSeries, lo: int, count: int) -> list:
     return out
 
 
-def find_relation(x: QSeries, y: QSeries) -> BivarPoly:
+def find_relation(x: QSeries, y: QSeries) -> MultiPoly:
     """The monic bivariate relation between two series with poles at infinity.
 
     With m, n the (coprime) pole orders of x and y, fits the coefficients
     of F(X, Y) = X^n - Y^m + sum_{am+bn <= mn} C_{a,b} X^a Y^b such that
     F(x, y) = 0: the residual, starting at x^n - y^m, is cleared from q^(-mn)
     up to q^0, each C_{a,b} at the row q^-(am+bn) where x^a y^b starts, and
-    what is left must vanish through the full common truncation.
+    what is left must vanish through the full common truncation.  The
+    relation is a MultiPoly over ("X", "Y"), of degree m in Y and n in X.
     """
     for s, label in ((x, "x"), (y, "y")):
         if s.D != 1:
@@ -736,4 +706,4 @@ def find_relation(x: QSeries, y: QSeries) -> BivarPoly:
         )
     if not _sum((c, monos[ab]) for ab, c in coeffs.items()).is_zero():
         raise ValueError("no relation at this degree bound")
-    return BivarPoly(coeffs, m=m, n=n)
+    return MultiPoly._make(("X", "Y"), coeffs)

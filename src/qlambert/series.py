@@ -430,33 +430,26 @@ class QSeries:
         return QSeries._make(self.coeffs, 0, self.D, T, self.S, self.L)
 
     @staticmethod
-    def _window(u, terms, what):
+    def _window(u, what):
         # (R, S, n) for an inverse or square root of the unit part u: the
-        # window of R grid slots, and the stride S and first n slots of it
-        # that the result, a series in q^(S/D) like u, takes.  A lone
+        # window of R = u.T grid slots, and the stride S and first n slots
+        # of it that the result, a series in q^(S/D) like u, takes.  A lone
         # truncated term takes one slot.
-        if terms is not None and int(terms) < 1:
-            raise ValueError(f"{what} a series needs terms >= 1, got {terms}")
         if u.T is None:
-            if terms is None:
-                raise PrecisionError(
-                    f"{what} an exact series gives an infinite expansion; "
-                    "pass terms=<orders past the leading exponent>"
-                )
-            R = int(terms) * u.D
-        else:
-            R = u.T if terms is None else min(u.T, int(terms) * u.D)
-        S = u.S or R
-        return R, S, _ceil_div(R, S)
+            raise PrecisionError(
+                f"{what} an exact series gives an infinite expansion; "
+                "truncate it first"
+            )
+        S = u.S or u.T
+        return u.T, S, _ceil_div(u.T, S)
 
-    def invert(self, terms=None) -> "QSeries":
+    def invert(self) -> "QSeries":
         """Multiplicative inverse.
 
-        For a truncated series the inverse keeps the same relative window
-        (number of known orders past the leading exponent).  Inverting an
-        exact series with more than one term produces an infinite expansion,
-        so an explicit window must be given: ``terms`` is the number of
-        integer q-orders to compute past the leading exponent.
+        The inverse keeps the operand's relative window (the known orders
+        past the leading exponent).  An exact series of one term inverts
+        exactly; one of more terms has an infinite inverse, and raises
+        PrecisionError: truncate it first.
         """
         if not self.coeffs:
             if self.T is None:
@@ -469,7 +462,7 @@ class QSeries:
         if u.T is None and len(u.coeffs) == 1:
             return QSeries._make((u.L if c > 0 else -u.L,), -self.v, self.D, None, 1, abs(c))
         mono = QSeries._make((1,), -self.v, self.D, None)
-        R, S, n = self._window(u, terms, "inverting")
+        R, S, n = self._window(u, "inverting")
         # u = A/L with integer A, so 1/u = L * B with B = 1/A; writing
         # B_k = P_k / c^(k+1) for c = A_0 keeps P integral:
         #   P_k = -sum_{i=1..k} A_i c^(i-1) P_(k-i)
@@ -498,26 +491,23 @@ class QSeries:
             scale *= c
         return QSeries._make(P, 0, u.D, R, S, abs(den)) * mono
 
-    def div(self, other, terms=None) -> "QSeries":
+    def div(self, other) -> "QSeries":
         """self / other.
 
-        When the divisor is exact but the dividend is truncated, the
-        divisor's expansion window defaults to the dividend's relative
-        window, which is all the quotient can honestly use.
+        When the divisor is exact with more than one term but the dividend
+        is truncated, the divisor is cut at the dividend's relative window
+        (at least one order) before it is inverted: that is all the quotient
+        can honestly use.
         """
         g = _coerce(other)
         if g is None:
             raise TypeError(f"cannot divide a QSeries by {type(other).__name__}")
-        if (
-            terms is None
-            and g.T is None
-            and len(g.coeffs) > 1
-            and self.T is not None
-        ):
-            # at least one order: a dividend that is zero through its
-            # truncation has no relative window of its own
-            terms = max(1, _ceil_div(self.T - self.v, self.D))
-        return self * g.invert(terms)
+        if g.T is None and len(g.coeffs) > 1 and self.T is not None:
+            # a dividend that is zero through its truncation has no relative
+            # window of its own
+            orders = max(1, _ceil_div(self.T - self.v, self.D))
+            g = g.truncate(Fraction(g.v, g.D) + orders)
+        return self * g.invert()
 
     def __truediv__(self, other):
         o = _coerce(other)
@@ -531,13 +521,14 @@ class QSeries:
             return NotImplemented
         return o.div(self)
 
-    def sqrt(self, terms=None) -> "QSeries":
+    def sqrt(self) -> "QSeries":
         """Square root with positive leading coefficient.
 
         The leading coefficient must be the square of a rational, otherwise
         ValueError("no rational square root ...") is raised.  An odd leading
         index moves the result onto the doubled grid.  As with ``invert``,
-        exact inputs need an explicit ``terms`` window.
+        the root keeps the operand's relative window, and an exact operand
+        of more than one term must be truncated first.
         """
         if not self.coeffs:
             if self.T is None:
@@ -562,7 +553,7 @@ class QSeries:
         mono = QSeries._make((rn,), e.numerator, e.denominator, None, 1, rd)
         if u.T is None and len(u.coeffs) == 1:
             return mono
-        R, S, n = self._window(u, terms, "square root of")
+        R, S, n = self._window(u, "square root of")
         # u/c0 = A/L with integer A and A_0 = L.  Its square root b has
         # b_k = G_k / (4L)^k with integer G: G_0 = 1 and
         #   G_k = 2^(2k-1) L^(k-1) A_k - (1/2) sum_{i=1..k-1} G_i G_(k-i),

@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 
 from qlambert import ExactDivisionError, PrecisionError, QSeries
-from qlambert.relations import BivarPoly, MultiPoly
+from qlambert.relations import MultiPoly
 
 
 def exact_divide(p: MultiPoly, q: MultiPoly) -> MultiPoly:
@@ -156,7 +156,7 @@ def solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]):
     return sol, None
 
 
-def find_relation(x: QSeries, y: QSeries) -> BivarPoly:
+def find_relation(x: QSeries, y: QSeries) -> MultiPoly:
     """The monic relation X^n - Y^m + sum_{am+bn <= mn} C_{a,b} X^a Y^b
     between x and y, with m, n their coprime pole orders: the coefficients
     solve F(x, y) = 0 on every row from q^(-mn) up to the common truncation,
@@ -211,7 +211,7 @@ def find_relation(x: QSeries, y: QSeries) -> BivarPoly:
             residual = residual + c * monos[ab]
     if not residual.is_zero():
         raise ValueError("no relation at this degree bound")
-    return BivarPoly(coeffs, m=m, n=n)
+    return MultiPoly(("X", "Y"), coeffs)
 
 
 def mul(p: MultiPoly, q: MultiPoly) -> dict:

@@ -173,7 +173,6 @@ def test_verify_all_builds_each_symbol_once(monkeypatch, capsys):
         return real(name, window)
 
     monkeypatch.setattr(constructors, "_SYMBOL_CACHE", {})
-    monkeypatch.setattr(constructors, "_SYMBOL_SERVED", {})
     monkeypatch.setattr(constructors, "_build", recording)
     assert main(["verify", "--all"]) == 0
     names = [name for name, _ in builds]

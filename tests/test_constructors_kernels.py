@@ -146,13 +146,13 @@ def test_negative_sign_matches_oracle(order):
 
 @contextmanager
 def fresh_symbols():
-    """Empty symbol caches inside the block, so every request builds."""
-    saved = constructors._SYMBOL_CACHE, constructors._SYMBOL_SERVED
-    constructors._SYMBOL_CACHE, constructors._SYMBOL_SERVED = {}, {}
+    """An empty symbol cache inside the block, so every request builds."""
+    saved = constructors._SYMBOL_CACHE
+    constructors._SYMBOL_CACHE = {}
     try:
         yield
     finally:
-        constructors._SYMBOL_CACHE, constructors._SYMBOL_SERVED = saved
+        constructors._SYMBOL_CACHE = saved
 
 
 @given(st.sampled_from(SYMBOL_NAMES), st.integers(1, 120))
@@ -172,9 +172,7 @@ def test_smaller_window_is_served_from_the_largest_build(monkeypatch):
 
         monkeypatch.setattr(constructors, "_build", no_build)
         served = {name: gosper_symbols(name, 50) for name in SYMBOL_NAMES}
-        assert all(gosper_symbols(n, 50) is s for n, s in served.items())
         assert len(constructors._SYMBOL_CACHE) == len(SYMBOL_NAMES)
-        assert len(constructors._SYMBOL_SERVED) == len(SYMBOL_NAMES)
         monkeypatch.undo()
     with fresh_symbols():
         fresh = {name: gosper_symbols(name, 50) for name in SYMBOL_NAMES}

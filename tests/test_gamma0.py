@@ -113,6 +113,14 @@ def test_levels_past_the_bound_are_refused_before_any_divisor_walk(monkeypatch):
     assert psi(gamma0._MAX_LEVEL) == 180_000_000
 
 
+@pytest.mark.parametrize("n", [0, -14])
+def test_cusp_width_refuses_a_level_below_one(n):
+    # at -14 the formula gave -7 at 1/2 and -1 at infinity, at 0 a division by zero
+    for r in ("1/2", "inf", Cusp(1, 7)):
+        with pytest.raises(ValueError, match="^level must be a positive integer$"):
+            cusp_width(n, r)
+
+
 def test_divisors_are_every_divisor_in_order():
     for n in range(1, 400):
         assert gamma0._divisors(n) == [d for d in range(1, n + 1) if n % d == 0]

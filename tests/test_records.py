@@ -15,7 +15,6 @@ from qlambert.catalog import IdentityRecord, VerifyReport, verify
 from qlambert.constructors import EtaQuotient, EtaTypeProduct, GenEtaQuotient, ThetaPower
 from qlambert.gamma0 import Cusp, CuspTable, cusp_set
 from qlambert.level14 import TableReport, order_table
-from qlambert.relations import BivarPoly
 
 # ------------------------------------------------------------------ Cusp
 
@@ -75,34 +74,6 @@ def test_cusp_table_reads_as_before():
     )
 
 
-# ------------------------------------------------------------- BivarPoly
-
-_coeffs = st.dictionaries(
-    st.tuples(st.integers(0, 3), st.integers(0, 3)),
-    st.sampled_from([0, 1, -2, F(1, 2), F(4, 2)]),
-    max_size=6,
-)
-
-
-@given(_coeffs, _coeffs, st.integers(1, 2), st.integers(1, 2))
-def test_bivar_poly_hash_agrees_with_equality(a, b, m, n):
-    x, y = BivarPoly(a, m, n), BivarPoly(dict(reversed(b.items())), m=m, n=n)
-    if x == y:
-        assert hash(x) == hash(y)
-    assert (x == y) == ({k: F(c) for k, c in a.items() if c} == {
-        k: F(c) for k, c in b.items() if c
-    })
-    assert (x != y) == (not x == y)
-    assert BivarPoly(a, m, n + 1) != x
-
-
-def test_bivar_poly_drops_zeros_and_reads_as_text():
-    rel = BivarPoly({(3, 0): 1, (1, 1): 0, (0, 2): -1}, m=2, n=3)
-    assert rel.coeffs == {(3, 0): 1, (0, 2): -1}
-    assert str(rel) == "X^3 - Y^2"
-    assert len({rel, BivarPoly({(0, 2): F(-1), (3, 0): F(1)}, 2, 3)}) == 1
-
-
 # -------------------------------------------------------------- quotients
 
 
@@ -148,7 +119,7 @@ def test_the_quotient_series_method_is_bound_in_each_class():
         (cusp_set(14), "level"),
         (IdentityRecord("x", dsl.parse("q"), dsl.parse("q"), 5), "truncation"),
         (verify(IdentityRecord("x", dsl.parse("q"), dsl.parse("q"), 5)), "status"),
-        (BivarPoly({(1, 0): 1, (0, 1): -1}, 1, 1), "m"),
+        (GenEtaQuotient(14, {1: -2, 6: 2}), "level"),
         (order_table("3.1"), "rows"),
         (dsl._Product(frozenset(), F(0)), "qexp"),
         (EtaQuotient(14, {1: 1}), "exponents"),
@@ -167,7 +138,7 @@ def test_fields_cannot_be_assigned(record, field):
         Cusp(2, -4),
         cusp_set(14),
         IdentityRecord("x", dsl.parse("q"), dsl.parse("q"), 5),
-        BivarPoly({(1, 0): 1, (0, 1): -1}, 1, 1),
+        verify(IdentityRecord("x", dsl.parse("q"), dsl.parse("q"), 5)),
         order_table("4.1"),
         dsl._Product(frozenset({(dsl.Call("eta", (1,)), 2)}), F(1, 2)),
         EtaQuotient(14, {1: 1}),

@@ -7,7 +7,6 @@ from hypothesis import assume, given, strategies as st
 
 from qlambert import ExactDivisionError, PrecisionError
 from qlambert.relations import (
-    BivarPoly,
     MultiPoly,
     eval_poly,
     exact_divide,
@@ -164,7 +163,8 @@ def test_vanishing_factor_basics():
 def test_find_relation_identical_inputs():
     x = qpow(-1) + ONE
     rel = find_relation(x, x)
-    assert rel.m == rel.n == 1
+    assert rel.variables == ("X", "Y")
+    assert rel.degree("X") == rel.degree("Y") == 1
     assert rel.coeffs == {(1, 0): Fraction(1), (0, 1): Fraction(-1)}
     assert str(rel) == "X - Y"
 
@@ -258,7 +258,8 @@ def test_find_relation_residual_rejects_a_later_mismatch():
 
 
 def test_bivar_poly_display_matches_paper_shape():
-    rel = BivarPoly({(3, 0): 1, (2, 1): -22, (0, 5): -1}, m=5, n=3)
+    # a relation X^n - Y^m + ... prints as the paper writes it, with its pole
+    # orders m and n as its degrees in Y and X
+    rel = MultiPoly(("X", "Y"), {(3, 0): 1, (2, 1): -22, (0, 5): -1})
     assert str(rel) == "X^3 - 22*X^2*Y - Y^5"
-    mp = rel.as_multipoly(("Z", "G"))
-    assert mp.variables == ("Z", "G")
+    assert (rel.degree("Y"), rel.degree("X")) == (5, 3)

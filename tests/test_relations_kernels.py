@@ -20,7 +20,6 @@ import relations_oracle as oracle
 from qlambert import ExactDivisionError, QSeries
 from qlambert.level14 import F3_RELATION
 from qlambert.relations import (
-    BivarPoly,
     MultiPoly,
     eval_poly,
     exact_divide,
@@ -356,7 +355,7 @@ def relation_outcome(fn, x, y):
     except (ArithmeticError, ValueError) as err:
         return type(err), str(err)
     assert all(type(c) is F for c in rel.coeffs.values())
-    return rel.coeffs, rel.m, rel.n
+    return rel.variables, rel.coeffs
 
 
 @settings(max_examples=120)
@@ -429,14 +428,14 @@ def test_equal_relations_hash_equal(a, b, restate):
     if restate:
         # the same relation with Fraction coefficients and a zero term
         b = {k: F(c) for k, c in a.items()} | {(4, 4): 0}
-    x, y = BivarPoly(a, m=3, n=2), BivarPoly(b, m=3, n=2)
+    x, y = MultiPoly(("X", "Y"), a), MultiPoly(("X", "Y"), b)
     if x == y:
         assert hash(x) == hash(y)
         assert len({x, y}) == 1
 
 
 def test_shipped_relation_is_hashable():
-    again = BivarPoly(dict(F3_RELATION.coeffs), F3_RELATION.m, F3_RELATION.n)
+    again = MultiPoly(("X", "Y"), dict(F3_RELATION.coeffs))
     assert again == F3_RELATION and len({again, F3_RELATION}) == 1
 
 

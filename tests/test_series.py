@@ -185,8 +185,10 @@ def test_invert_roundtrip(f):
 @given(series(min_len=1, nonzero=True), st.integers(1, 6))
 def test_invert_exact_with_window(f, k):
     g = QSeries(f.coeffs, f.v, f.D)  # exact version
-    inv = g.invert(terms=k)
+    # an exact operand's window is the one it is cut at
+    inv = g.truncate(g.valuation() + k).invert()
     assert g * inv == 1
+    assert inv.truncation_exponent() - inv.valuation() == k
 
 
 @given(truncated_nonzero, truncated_nonzero)
@@ -199,13 +201,14 @@ def test_invert_errors():
         QSeries().invert()
     with pytest.raises(PrecisionError):
         QSeries.zero(T=5).invert()
-    with pytest.raises(PrecisionError, match="pass terms="):
+    with pytest.raises(PrecisionError, match="truncate it first"):
         QSeries([1, 1]).invert()
     # single exact terms invert exactly
     assert qpow(F(-3, 2)).invert() == qpow(F(3, 2))
     assert QSeries.constant(F(2, 3)).invert() == QSeries.constant(F(3, 2))
-    with pytest.raises(ValueError, match="terms >= 1"):
-        QSeries([1, 1]).invert(0)
+    # cut at its leading exponent, nothing of an exact series is known
+    with pytest.raises(PrecisionError, match="zero through its truncation"):
+        QSeries([1, 1]).truncate(0).invert()
 
 
 def test_zero_through_its_truncation_divides_by_an_exact_series():
@@ -240,7 +243,7 @@ def test_sqrt_errors():
         QSeries([F(4, 3), 1], T=4).sqrt()
     with pytest.raises(PrecisionError):
         QSeries.zero(T=4).sqrt()
-    with pytest.raises(PrecisionError, match="pass terms="):
+    with pytest.raises(PrecisionError, match="truncate it first"):
         QSeries([1, 1]).sqrt()
     assert QSeries().sqrt() == 0
 
