@@ -5,7 +5,10 @@ Subcommands: ``verify`` (catalog or inline identities), ``cusps``,
 ``eliminate``, ``numeric-check`` and ``expand``.  Exit codes: 0 on
 success/verified, 1 when a verification or numeric check fails, 2 on
 usage errors, and 2 when a request runs out of memory (an order too large
-to expand, say).
+to expand, say).  A call builds only the parser of the subcommand its first
+argument names; ``--help``, no arguments or any other first argument gets
+the parser of all seven, so every help, usage and error text is the same
+either way.
 
 ``ord-table`` reads a quotient spec as one product leaf of eta, pi, geta and
 theta calls (``dsl._product_calls``), whose merged statement gives the rows by
@@ -29,8 +32,23 @@ from .level14 import TABLE_IDS, eliminate, order_table
 from .relations import find_relation
 
 
+#: the subcommands, each of which ``_build_parser`` can register alone
+_COMMANDS = (
+    "verify",
+    "cusps",
+    "ord-table",
+    "find-relation",
+    "eliminate",
+    "numeric-check",
+    "expand",
+)
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # only the named subcommand's parser; any other first argument (--help,
+    # none, an unknown command) gets all seven
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -55,56 +73,68 @@ def main(argv=None) -> int:
         return 2
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with only ``command``'s subparser, or with all of them
+    when ``command`` is None."""
     parser = argparse.ArgumentParser(
         prog="qlambert",
         description="exact q-series toolkit: eta quotients, cusp orders, "
         "polynomial relations, and an identity catalog",
     )
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
+    wanted = _COMMANDS if command is None else (command,)
 
-    p = sub.add_parser("verify", help="check identities coefficient by coefficient")
-    p.add_argument("name", nargs="?", help="catalog identity name")
-    p.add_argument("--all", action="store_true", help="check every catalog entry")
-    p.add_argument("--expr", metavar='"LHS == RHS"', help="check an inline identity")
-    p.add_argument("--order", type=int, help="truncation override (integer orders)")
-    p.add_argument("--json", action="store_true", help="machine-readable report")
-    p.set_defaults(handler=_cmd_verify)
+    if "verify" in wanted:
+        p = sub.add_parser("verify", help="check identities coefficient by coefficient")
+        p.add_argument("name", nargs="?", help="catalog identity name")
+        p.add_argument("--all", action="store_true", help="check every catalog entry")
+        p.add_argument("--expr", metavar='"LHS == RHS"', help="check an inline identity")
+        p.add_argument("--order", type=int, help="truncation override (integer orders)")
+        p.add_argument("--json", action="store_true", help="machine-readable report")
+        p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("cusps", help="cusp representatives and widths of Gamma_0(N)")
-    p.add_argument("level", type=int, help="group level N")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_cusps)
+    if "cusps" in wanted:
+        p = sub.add_parser("cusps", help="cusp representatives and widths of Gamma_0(N)")
+        p.add_argument("level", type=int, help="group level N")
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(handler=_cmd_cusps)
 
-    p = sub.add_parser("ord-table", help="cusp order table, built-in or for a quotient")
-    p.add_argument("table", help="table id (e.g. 3.1) or a product of eta/pi/geta/theta powers")
-    p.add_argument("--level", type=int, help="group level for a quotient spec")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_ord_table)
+    if "ord-table" in wanted:
+        p = sub.add_parser("ord-table", help="cusp order table, built-in or for a quotient")
+        p.add_argument(
+            "table", help="table id (e.g. 3.1) or a product of eta/pi/geta/theta powers"
+        )
+        p.add_argument("--level", type=int, help="group level for a quotient spec")
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(handler=_cmd_ord_table)
 
-    p = sub.add_parser(
-        "find-relation", help="monic polynomial relation between two expressions"
-    )
-    p.add_argument("--x", required=True, metavar="EXPR")
-    p.add_argument("--y", required=True, metavar="EXPR")
-    p.add_argument("--order", type=int, default=60, help="expansion order (default 60)")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_find_relation)
+    if "find-relation" in wanted:
+        p = sub.add_parser(
+            "find-relation", help="monic polynomial relation between two expressions"
+        )
+        p.add_argument("--x", required=True, metavar="EXPR")
+        p.add_argument("--y", required=True, metavar="EXPR")
+        p.add_argument("--order", type=int, default=60, help="expansion order (default 60)")
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(handler=_cmd_find_relation)
 
-    p = sub.add_parser("eliminate", help="resultant elimination and factor split")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_eliminate)
+    if "eliminate" in wanted:
+        p = sub.add_parser("eliminate", help="resultant elimination and factor split")
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(handler=_cmd_eliminate)
 
-    p = sub.add_parser("numeric-check", help="floating-point transformation checks")
-    p.add_argument("--tol", type=float, help="uniform tolerance override")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_numeric)
+    if "numeric-check" in wanted:
+        p = sub.add_parser("numeric-check", help="floating-point transformation checks")
+        p.add_argument("--tol", type=float, help="uniform tolerance override")
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(handler=_cmd_numeric)
 
-    p = sub.add_parser("expand", help="print the q-expansion of an expression")
-    p.add_argument("expr", metavar="EXPR")
-    p.add_argument("--order", type=int, required=True, help="truncation order")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_expand)
+    if "expand" in wanted:
+        p = sub.add_parser("expand", help="print the q-expansion of an expression")
+        p.add_argument("expr", metavar="EXPR")
+        p.add_argument("--order", type=int, required=True, help="truncation order")
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(handler=_cmd_expand)
 
     return parser
 

@@ -34,11 +34,12 @@ non-constant, a negative or rational power, a power of a sum, and a
 product of two factors that are not both single untouched monomials (nor
 one of them a constant), since expanding those could shrink the
 truncation or, for powers, blow up the size.  Each leaf is evaluated once
-per call of ``evaluate``, in order, a composite from its operands' values,
-and each polynomial goes to ``relations.eval_poly``, over variables for
-only the leaves it uses.  The value is truncated where the node-by-node
-arithmetic would truncate it, which a cancelled monomial still bounds, so
-both give the same series.
+per call of ``evaluate``, in order, a composite from its operands' values.
+A linear polynomial is one linear combination of its leaves' values
+(``series._sum``); any other goes to ``relations.eval_poly``, over
+variables for only the leaves it uses.  The value is truncated where the
+node-by-node arithmetic would truncate it, which a cancelled monomial
+still bounds, so both give the same series.
 
 A product or quotient of integer powers of ``eta``, ``geta``, ``pi`` and
 ``theta`` calls, times q powers and constants, is one *product leaf*
@@ -79,7 +80,7 @@ from .constructors import (
 )
 from .errors import DSLError
 from .relations import MultiPoly, eval_poly
-from .series import QSeries, qpow
+from .series import ONE, QSeries, _sum, qpow
 
 __all__ = [
     "Lit",
@@ -589,11 +590,12 @@ def evaluate(node, order: int) -> QSeries:
     leaf is evaluated once, in order: calls, q powers and product leaves on
     their own, ``subq(e, k)`` as e evaluated at the window ceil(order/k)
     with q -> q^k substituted, composite leaves from the values of their
-    operands' polynomials, which ``relations.eval_poly`` forms, truncated
-    where the node-by-node arithmetic would truncate them.  A product of integer
-    powers of eta-type calls and q powers is one leaf, formed by a single
-    q-product over the merged factor dict, and equal to the node-by-node
-    product of its factors.  An exact operand of more than one term is cut
+    operands' polynomials, truncated where the node-by-node arithmetic
+    would truncate them: a linear polynomial is one ``series._sum`` over
+    its leaves' values, any other is formed by ``relations.eval_poly``.  A
+    product of integer powers of eta-type calls and q powers is one leaf,
+    formed by a single q-product over the merged factor dict, and equal to
+    the node-by-node product of its factors.  An exact operand of more than one term is cut
     at q^order before it is inverted, raised to a negative power or put
     under a square root, as a primitive leaf is cut.  Arithmetic failures
     are re-raised as DSLError tagged with the offending subexpression.
@@ -865,23 +867,34 @@ def _multiplied(poly: dict, values: list, variables: tuple) -> MultiPoly:
 
 def _value(poly: dict, values: list) -> QSeries:
     """The series of a polynomial at the leaf values, cut at the truncation
-    its monomials' own products give."""
-    # variables only for the leaves the nonzero monomials use, in registry
-    # order: ``values`` holds every leaf registered so far, most of them
-    # unused here
+    its monomials' own products give.  A linear polynomial is one linear
+    combination of its leaves' values (``series._sum``), and a lone leaf
+    with coefficient 1 is that leaf's value; any other goes to
+    ``eval_poly``."""
     width = max(map(len, poly), default=0)
     values = values[:width]
-    pad = (0,) * width
-    terms = {m + pad[len(m) :]: c for m, c in poly.items() if c}
-    used = list(compress(range(width), map(any, zip(*terms))))
-    if len(used) < width:
-        terms = {tuple([m[i] for i in used]): c for m, c in terms.items()}
-    names = tuple(f"x{i}" for i in used)
-    result = eval_poly(
-        MultiPoly._make(names, terms), {name: values[i] for name, i in zip(names, used)}
-    )
-    if not isinstance(result, QSeries):
-        result = QSeries.constant(result)
+    if all(sum(m) <= 1 for m in poly):
+        # a monomial of degree 1 is (0, ..., 0, 1), the last leaf it names
+        pairs = [(c, values[len(m) - 1] if m else ONE) for m, c in poly.items() if c]
+        if len(pairs) == 1 and pairs[0][0] == 1:
+            result = pairs[0][1]
+        else:
+            result = _sum(pairs)
+    else:
+        # variables only for the leaves the nonzero monomials use, in
+        # registry order: ``values`` holds every leaf registered so far,
+        # most of them unused here
+        pad = (0,) * width
+        terms = {m + pad[len(m) :]: c for m, c in poly.items() if c}
+        used = list(compress(range(width), map(any, zip(*terms))))
+        if len(used) < width:
+            terms = {tuple([m[i] for i in used]): c for m, c in terms.items()}
+        names = tuple(f"x{i}" for i in used)
+        result = eval_poly(
+            MultiPoly._make(names, terms), {name: values[i] for name, i in zip(names, used)}
+        )
+        if not isinstance(result, QSeries):
+            result = QSeries.constant(result)
     T, D = _truncation(poly, values)
     if T is not None and (result.T is None or result.T * D > T * result.D):
         result = result + QSeries.zero(T, D)

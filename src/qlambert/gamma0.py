@@ -27,7 +27,7 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import Sequence
 
-from .constructors import _positive, _power_product
+from .constructors import _positive
 
 __all__ = [
     "Cusp",
@@ -320,6 +320,9 @@ def gen_eta_cusp_ord(quot, n: int, r) -> Fraction:
 def _orders(factors, n: int, cusps) -> tuple:
     """The invariant orders of the product of the powers quot^r over the pairs
     (quot, r) of ``factors``, at each cusp of ``cusps`` on Gamma_0(n): the
-    orders of their merged statement."""
-    merged, _, _ = _power_product((quot.statement(), r) for quot, r in factors)
+    orders of their merged factor dicts, which need no prefactor or sign."""
+    merged: dict = {}
+    for quot, r in factors:
+        for key, x in quot.statement()[0].items():
+            merged[key] = merged.get(key, 0) + r * x
     return _factor_orders(merged, n, cusps)

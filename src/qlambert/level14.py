@@ -7,8 +7,9 @@ cofactor K_POLY from ``elim-K``, F3_RELATION and F4_RELATION from ``rel-F3``
 (in z^2, g^2) and ``rel-F4`` (in t, g^2).  They are read on first use, not
 at import, and then kept (``_polynomials``).  The quotients g1-g3, h1 and h2
 are the symbol table's objects, and the cusp lists of the four order tables
-(ids "3.1", "3.2", "4.1", "4.2") come from ``gamma0.cusp_set``, and their
-rows from ``gamma0._orders``, with no cusp-class search; only the level-28
+(ids "3.1", "3.2", "4.1", "4.2") come from ``gamma0.cusp_set``, read on the
+first table request and then kept (``_table_cusps``), and their rows from
+``gamma0._orders``, with no cusp-class search; only the level-28
 generalized-eta forms of h1 and h2 are stated here.
 """
 
@@ -184,6 +185,14 @@ _G_ROWS = {
 }
 
 
+@cache
+def _table_cusps() -> tuple:
+    """(level-14 cusps, level-28 cusps, their images under ALPHA), read on
+    the first table request and then kept."""
+    cusps_28 = cusp_set(28).cusps
+    return cusp_set(14).cusps, cusps_28, tuple(apply_gamma(ALPHA, r) for r in cusps_28)
+
+
 def order_table(table_id: str) -> TableReport:
     """One of the bundled invariant-order tables ("tables/" prefix optional).
 
@@ -197,12 +206,12 @@ def order_table(table_id: str) -> TableReport:
     """
     tid = table_id.removeprefix("tables/")
     if tid in _G_ROWS:
-        cusps = cusp_set(14).cusps
+        cusps = _table_cusps()[0]
         rows = tuple((label, _orders(f, 14, cusps)) for label, f in _G_ROWS[tid])
         return TableReport(tid, 14, tuple(map(str, cusps)), rows)
     if tid == "4.1":
-        cusps = cusp_set(28).cusps
-        twisted = _orders(((H1_ETA, 1),), 28, [apply_gamma(ALPHA, r) for r in cusps])
+        _, cusps, images = _table_cusps()
+        twisted = _orders(((H1_ETA, 1),), 28, images)
         direct = _orders(((H2_ETA, 1),), 28, cusps)
         rows = (
             ("h1(alpha tau)", twisted),

@@ -129,7 +129,8 @@ class MultiPoly:
 
     ``coeffs`` maps exponent tuples (aligned with ``variables``) to nonzero
     Fractions.  Monomial order for leading terms and display is descending
-    lexicographic on the exponent tuple.
+    lexicographic on the exponent tuple.  Its fields cannot be assigned, so
+    a shared polynomial keeps its text and hash.
     """
 
     __slots__ = ("variables", "coeffs")
@@ -152,6 +153,16 @@ class MultiPoly:
                     del clean[key]
         object.__setattr__(self, "variables", vs)
         object.__setattr__(self, "coeffs", clean)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copies and pickles go through the constructor, not __setattr__
+        return MultiPoly, (self.variables, self.coeffs)
 
     @staticmethod
     def _make(variables: tuple, coeffs: dict) -> "MultiPoly":

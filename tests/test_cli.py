@@ -1,9 +1,11 @@
 """Command-line driver: output shapes and exit codes."""
 
 import json
+import sys
 
 import pytest
 
+from qlambert import cli
 from qlambert.cli import main
 
 
@@ -370,3 +372,34 @@ def test_help_exits_0(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0
     assert "verify" in out
+
+
+_TEXTS = [
+    *((command, "--help") for command in cli._COMMANDS),
+    ("--help",),
+    (),
+    ("bogus",),
+    ("verify", "--bogus"),
+    ("expand", "q"),
+]
+
+
+@pytest.mark.parametrize("argv", _TEXTS, ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_texts_match_the_parser_of_every_command(capsys, monkeypatch, argv):
+    # a call builds only its command's parser, yet prints the bytes and
+    # exits with the code of the parser with all seven commands registered,
+    # whether argv is passed or read from sys.argv as the console script does
+    built = []
+    real = cli._build_parser
+
+    def recording(command=None):
+        built.append(command)
+        return real(command)
+
+    monkeypatch.setattr(cli, "_build_parser", recording)
+    got = run(capsys, *argv)
+    assert built == [argv[0] if argv and argv[0] in cli._COMMANDS else None]
+    monkeypatch.setattr(sys, "argv", ["qlambert", *argv])
+    assert (main(), *capsys.readouterr()) == got
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: real())
+    assert run(capsys, *argv) == got

@@ -16,7 +16,7 @@ from collections import Counter
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dsl_oracle as oracle
@@ -189,6 +189,82 @@ def test_catalog_sides_match_the_oracle_exactly(name, monkeypatch):
     for window in sorted(windows):
         for side in (record.left, record.right):
             assert state(real(side, window)) == state(oracle.evaluate(side, window))
+
+
+# linear trees: sums of rational multiples of leaves and a constant, which
+# the evaluator forms as one linear combination, with a cancelled monomial
+# or constant, the zero polynomial, q^(1/3) grids, product and subq leaves
+_fine_qpowers = st.builds(Q, st.sampled_from([F(1, 3), F(2, 3), F(-1, 3), F(1)]))
+_lamberts = st.builds(
+    lambda name, k: Call(name, (k,)), st.sampled_from(["L", "Lodd"]), st.integers(1, 3)
+)
+_linear_leaves = st.one_of(
+    _lamberts,
+    st.builds(lambda n: Call("symbol", (n,)), st.sampled_from(["z", "g"])),
+    _fine_qpowers,
+    products,
+    st.builds(lambda x, p: BinOp("*", x, p), _fine_qpowers, products),
+    st.builds(
+        Subq,
+        st.one_of(products, _lamberts, _lamberts.map(lambda x: BinOp("-", x, Lit(F(2))))),
+        st.integers(2, 3),
+    ),
+)
+_rationals = st.sampled_from([F(1), F(-1), F(2), F(1, 2), F(-5, 3)])
+
+
+def _linear(constant, terms, cancelled):
+    node = Lit(constant)
+    for op, c, form, leaf in terms:
+        term = leaf if c == 1 else BinOp(form, leaf, Lit(c))
+        node = BinOp(op, node, term)
+    if cancelled is not None:
+        node = BinOp("-", BinOp("+", node, cancelled), cancelled)
+    return node
+
+
+_linear_trees = st.builds(
+    _linear,
+    st.sampled_from([F(0), F(1), F(-3, 4)]),
+    st.lists(
+        st.tuples(st.sampled_from("+-"), _rationals, st.sampled_from("*/"), _linear_leaves),
+        max_size=4,
+    ),
+    st.none() | _linear_leaves | st.builds(Lit, _rationals),
+)
+
+
+@example(parse("L(1) + L(2) - L(2)"), 10)
+@example(parse("(3/2)*L(1) + 2 - 2"), 10)
+@example(parse("0"), 5)
+@example(parse("L(1) - L(1)"), 5)
+@example(parse("q^(1/3) - (2/5)*q^(2/3)*eta(1) + 7/3"), 12)
+@example(parse("subq(L(1) - 2, 3) + eta(1)^2/eta(2) - subq(eta(2)*eta(7), 2)/4"), 15)
+@settings(max_examples=150)
+@given(_linear_trees, st.integers(1, 20))
+def test_linear_polynomials_agree_with_the_oracle(node, order):
+    poly, _ = dsl._converted(node)
+    assert all(sum(m) <= 1 for m in poly)
+    handed = []
+
+    def spy(poly, assignment):
+        handed.append(poly)
+        return eval_poly(poly, assignment)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dsl, "eval_poly", spy)
+        new = outcome(evaluate, node, order)
+    # a symbol's own build may form nonlinear polynomials; no linear one goes
+    assert all(p.total_degree() > 1 for p in handed)
+    old = outcome(oracle.evaluate, node, order)
+    if isinstance(new, tuple) or isinstance(old, tuple):
+        assert new == old
+        return
+    # field for field, the truncation and the stride included
+    assert state(new) + (new.S,) == state(old) + (old.S,)
+    wide = outcome(oracle.evaluate, node, order + 10)
+    if not isinstance(wide, tuple):
+        assert (new - wide).is_zero()
 
 
 def test_a_power_of_a_sum_is_a_leaf_not_an_expansion():
@@ -377,9 +453,15 @@ def test_each_polynomial_names_only_the_leaves_it_uses(monkeypatch):
         return eval_poly(poly, assignment)
 
     monkeypatch.setattr(dsl, "eval_poly", spy)
-    text = "L(1) + L(2) + L(3) + sqrt(L(3) + 1)"
+    text = "L(1)*L(2) + L(3) + sqrt(L(3)^2 + 1)"
     got = evaluate(parse(text), 12)
     assert [p.variables for p in handed] == [("x2",), ("x0", "x1", "x2", "x3")]
+    assert state(got) == state(oracle.evaluate(parse(text), 12))
+    # the same shape with linear polynomials hands nothing over
+    handed.clear()
+    text = "L(1) + L(2) + L(3) + sqrt(L(3) + 1)"
+    got = evaluate(parse(text), 12)
+    assert handed == []
     assert state(got) == state(oracle.evaluate(parse(text), 12))
     # over the shipped catalog, every variable handed over is used
     handed.clear()

@@ -123,11 +123,14 @@ def test_the_quotient_series_method_is_bound_in_each_class():
         (order_table("3.1"), "rows"),
         (dsl._Product(frozenset(), F(0)), "qexp"),
         (EtaQuotient(14, {1: 1}), "exponents"),
+        (level14.F3_RELATION, "variables"),
     ],
 )
 def test_fields_cannot_be_assigned(record, field):
     with pytest.raises(AttributeError):
         setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        delattr(record, field)
     with pytest.raises(AttributeError):
         record.extra = None
 
@@ -145,6 +148,7 @@ def test_fields_cannot_be_assigned(record, field):
         GenEtaQuotient(14, {1: -2, 6: 2}),
         EtaTypeProduct([], F(1, 3)),
         ThetaPower(-1, 1, -1, 1, 2, F(1, 3)),
+        level14.F3_RELATION,
     ],
 )
 def test_records_copy_and_pickle(record):
