@@ -595,10 +595,11 @@ def evaluate(node, order: int) -> QSeries:
     its leaves' values, any other is formed by ``relations.eval_poly``.  A
     product of integer powers of eta-type calls and q powers is one leaf,
     formed by a single q-product over the merged factor dict, and equal to
-    the node-by-node product of its factors.  An exact operand of more than one term is cut
-    at q^order before it is inverted, raised to a negative power or put
-    under a square root, as a primitive leaf is cut.  Arithmetic failures
-    are re-raised as DSLError tagged with the offending subexpression.
+    the node-by-node product of its factors.  An exact operand of more than
+    one term is cut at q^order before it is inverted, raised to a negative
+    power or put under a square root, as a primitive leaf is cut.
+    Arithmetic failures are re-raised as DSLError tagged with the offending
+    subexpression.
     """
     return _eval(node, _positive(int(order), "order"))
 
