@@ -24,9 +24,8 @@ import sys
 
 from . import numeric
 from .catalog import IdentityRecord, load_catalog, verify
-from .constructors import _positive, _power_product
-from .dsl import _ETA_TYPE, _product_calls, _wrap, evaluate, parse, parse_identity, to_text
-from .errors import DSLError
+from .constructors import _ETA_TYPE, _positive, _power_product
+from .dsl import _product_calls, _wrap, evaluate, parse, parse_identity, to_text
 from .gamma0 import _factor_orders, cusp_set
 from .level14 import TABLE_IDS, eliminate, order_table
 from .relations import find_relation
@@ -59,10 +58,8 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.handler(args)
-    except DSLError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except (KeyError, ValueError) as err:
+        # a DSLError too: its args[0] is its text
         print(f"error: {err.args[0] if err.args else err}", file=sys.stderr)
         return 2
     except ArithmeticError as err:

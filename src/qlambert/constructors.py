@@ -16,9 +16,9 @@ integers: eta_{N,g}'s is (6 g^2 - 6 g N + N^2) / (12 N).  A product of
 integer powers of statements is a statement too (``_power_product``): the
 quotient classes are built that way, each distinct quotient stated once
 (``_memo_statement``, keyed by class, level and exponents, with a read-only
-factor dict), and the DSL forms a product of eta-type calls as one
-``_qproduct`` call, an ``EtaTypeProduct`` at the window of
-``eta_type_product``.  The kernel
+factor dict).  The DSL's product leaf is an ``EtaTypeProduct`` of its
+calls, each stated by its name (``_ETA_TYPE``) and formed by one
+``_qproduct`` call at the window of ``eta_type_product``.  The kernel
 solves the product's logarithmic-derivative recurrence by halves
 (``_solve``), so past a short block its work is big-integer products
 (``series._packed_product``), not one multiplication per pair of terms.
@@ -35,10 +35,10 @@ slots it holds, so one product at ascending windows is solved from slot 0
 once.  A hit that needs no new slots costs forming c and comparing a
 prefix, O(w), and sign and prefactor are applied after the lookup.
 
-The one product whose unit part skips the kernel is a ``ThetaPower``,
-f(x, y)^r for the DSL's leaf ``theta(...)^r``: by the Jacobi triple
-product f(x, y) = sum_n x^(n(n+1)/2) y^(n(n-1)/2), which has O(sqrt(w))
-nonzero terms below q^w, and r packed squarings raise it
+The one product whose unit part skips the kernel is f(x, y)^r, an
+``EtaTypeProduct`` of one theta call to a positive power: by the Jacobi
+triple product f(x, y) = sum_n x^(n(n+1)/2) y^(n(n-1)/2), which has
+O(sqrt(w)) nonzero terms below q^w, and r packed squarings raise it
 (``_theta_sum``).  It goes through the same memo, keyed by the same c, so
 theta(-1,1,-1,1) leaves an entry that eta(1)^2/eta(2) reads at no cost:
 an entry that covers the window is read as a prefix, and otherwise the
@@ -115,8 +115,8 @@ def _qproduct(statement: tuple, order, route=None) -> QSeries:
     one is solved every time), an entry serving each window of its
     sequence; sign and prefactor are applied after the lookup, so a hit
     equals a cold build field for field.  ``route(w)``, when given, forms
-    the unit part at w slots without the kernel (``ThetaPower``'s
-    triple-product sum), for the memo's misses and for a window too wide to
+    the unit part at w slots without the kernel (the triple-product sum of
+    a theta power), for the memo's misses and for a window too wide to
     keep.  With pref = n/d in lowest terms the result lives on the grid
     1/d, and f is handed over as is, one slot per power of q at stride d.
     """
@@ -288,20 +288,20 @@ def _power_product(parts, pref=0) -> tuple:
     return {key: r for key, r in factors.items() if r}, pref, sign
 
 
-def eta_type_product(parts: list, order, q_exponent=0) -> QSeries:
-    """q^q_exponent * prod over ``parts`` (statement, r) of statement^r, known
-    as far as the factor-by-factor product of the parts, each expanded
-    modulo q^order, knows it.
+def eta_type_product(product: EtaTypeProduct, order) -> QSeries:
+    """``product`` known as far as the factor-by-factor product of its
+    calls, each expanded modulo q^order, knows it.
 
     That product keeps the least relative window of its factors, an inverse
     or power keeps its base's, and q powers are exact: so the unit part is
     known modulo q^w for the least w = max(1, ceil(order - pref)) over the
-    parts, zero exponents included.  One ``EtaTypeProduct.series`` call,
+    calls, zero exponents included.  One ``EtaTypeProduct.series`` call,
     that is one ``_qproduct`` call, forms it.
     """
+    parts = product.parts()
     w = min(max(1, math.ceil(Fraction(order) - p)) for (_, p, _), _ in parts)
-    product = EtaTypeProduct(parts, q_exponent)
-    return product.series(product.prefactor_exponent() + w)
+    pref = Fraction(product.q_exponent) + sum(r * p for (_, p, _), r in parts)
+    return product.series(pref + w)
 
 
 def _factor_dict(triples) -> dict:
@@ -403,12 +403,12 @@ _memo_statement = functools.lru_cache(maxsize=_STATEMENT_ENTRIES)(_state)
 
 
 class _Quotient:
-    """A product of integer powers of eta-type functions.  For one family,
-    ``exponents`` maps an index to its exponent and ``_part(level, index)``
-    states the function of an index.  Each class is an immutable named
-    tuple of its fields, and its statement is formed once per distinct
-    value (``_memo_statement``), for its series, its prefactor exponent and
-    its float value (``numeric``) alike.
+    """A product of integer powers of eta-type functions, an immutable named
+    tuple of its fields.  In a quotient of one family, ``exponents`` maps an
+    index to its exponent and ``_part(level, index)`` states the function of
+    an index, and its statement is formed once per distinct value
+    (``_memo_statement``), for its series, its prefactor exponent and its
+    float value (``numeric``) alike; an ``EtaTypeProduct`` states its calls.
 
     ``series`` is the product layer's one method: each class binds it in its
     own namespace, where a tracer that looks a class's ``series`` up there
@@ -418,7 +418,7 @@ class _Quotient:
     __slots__ = ()
 
     #: ``_qproduct``'s route to the unit part: the kernel (None) for every
-    #: class but ``ThetaPower``
+    #: product but an ``EtaTypeProduct`` of one theta power
     _route = None
 
     def statement(self) -> tuple:
@@ -433,6 +433,20 @@ class _Quotient:
         return _qproduct(self.statement(), order, self._route)
 
 
+def _cleaned(cls, level: int, exponents: dict) -> _Quotient:
+    """The ``cls`` quotient of ``level``: ``exponents`` by ascending index,
+    zero ones dropped, as ints, each index checked by ``cls._check``."""
+    _positive(level, "level")
+    clean = {}
+    for i in sorted(exponents):
+        r = exponents[i]
+        if r:
+            i = int(i)
+            cls._check(level, i)
+            clean[i] = int(r)
+    return tuple.__new__(cls, (level, clean))
+
+
 class EtaQuotient(_Quotient, namedtuple("EtaQuotient", "level exponents")):
     """A product  prod_{delta | level} eta(delta tau)^(r_delta).
 
@@ -442,18 +456,12 @@ class EtaQuotient(_Quotient, namedtuple("EtaQuotient", "level exponents")):
 
     __slots__ = ()
 
-    def __new__(cls, level: int, exponents: dict):
-        _positive(level, "level")
-        clean = {}
-        for d in sorted(exponents):
-            r = exponents[d]
-            if not r:
-                continue
-            d = int(d)
-            if d < 1 or level % d:
-                raise ValueError(f"eta argument {d} does not divide the level {level}")
-            clean[d] = int(r)
-        return tuple.__new__(cls, (level, clean))
+    __new__ = _cleaned
+
+    @staticmethod
+    def _check(level: int, delta: int) -> None:
+        if delta < 1 or level % delta:
+            raise ValueError(f"eta argument {delta} does not divide the level {level}")
 
     def weight(self) -> Fraction:
         return Fraction(sum(self.exponents.values()), 2)
@@ -470,18 +478,12 @@ class GenEtaQuotient(_Quotient, namedtuple("GenEtaQuotient", "level exponents"))
 
     __slots__ = ()
 
-    def __new__(cls, level: int, exponents: dict):
-        _positive(level, "level")
-        clean = {}
-        for g in sorted(exponents):
-            r = exponents[g]
-            if not r:
-                continue
-            g = int(g)
-            if not 1 <= g <= level // 2:
-                raise ValueError(f"index {g} outside 1..{level // 2} for level {level}")
-            clean[g] = int(r)
-        return tuple.__new__(cls, (level, clean))
+    __new__ = _cleaned
+
+    @staticmethod
+    def _check(level: int, g: int) -> None:
+        if not 1 <= g <= level // 2:
+            raise ValueError(f"index {g} outside 1..{level // 2} for level {level}")
 
     _part = staticmethod(gen_eta_statement)
 
@@ -490,18 +492,31 @@ class GenEtaQuotient(_Quotient, namedtuple("GenEtaQuotient", "level exponents"))
 
 class EtaTypeProduct(
     _Quotient,
-    namedtuple("EtaTypeProduct", "parts q_exponent", defaults=(Fraction(0),)),
+    namedtuple("EtaTypeProduct", "calls q_exponent", defaults=(Fraction(0),)),
 ):
-    """q^q_exponent * prod over ``parts`` (statement, r) of statement^r: a
-    product of integer powers of eta-type functions of any families."""
+    """q^q_exponent * prod call^r over the pairs (call, r) of the frozenset
+    ``calls``, eta-type calls of any families read through their ``name``
+    (a key of ``_ETA_TYPE``) and ``args``; one whose exponent cancels stays
+    in, since it still bounds the window (``eta_type_product``).  The DSL's
+    product leaf: a tuple, so that its ``==`` and hash as a key run in C."""
 
     __slots__ = ()
 
-    def statement(self) -> tuple:
-        return _power_product(self.parts, self.q_exponent)
+    def parts(self) -> list:
+        """The (statement, r) pairs of the calls."""
+        return [(_ETA_TYPE[call.name](*call.args), r) for call, r in self.calls]
 
-    def prefactor_exponent(self) -> Fraction:
-        return Fraction(self.q_exponent) + sum(r * p for (_, p, _), r in self.parts)
+    def statement(self) -> tuple:
+        return _power_product(self.parts(), self.q_exponent)
+
+    @property
+    def _route(self):
+        # one theta call to a positive power: the triple-product sum
+        if len(self.calls) == 1:
+            ((call, r),) = self.calls
+            if call.name == "theta" and r > 0:
+                return functools.partial(_theta_sum, *call.args, r)
+        return None
 
     series = _Quotient.series
 
@@ -536,8 +551,7 @@ def theta_statement(sa: int, a: int, sb: int, b: int) -> tuple:
 def theta_f(sa: int, a: int, sb: int, b: int, order) -> QSeries:
     """Ramanujan's theta function f(x, y) at x = sa*q^a, y = sb*q^b, modulo
     q^order (see ``theta_statement``)."""
-    statement = theta_statement(sa, a, sb, b)
-    return _qproduct(statement, _positive(int(order), "order"))
+    return _qproduct(theta_statement(sa, a, sb, b), _positive(int(order), "order"))
 
 
 def _theta_sum(sa: int, a: int, sb: int, b: int, power: int, w: int) -> list:
@@ -565,23 +579,6 @@ def _theta_sum(sa: int, a: int, sb: int, b: int, power: int, w: int) -> list:
         if not power:
             return out
         f = _packed_product(f, 1, f, 1, w)
-
-
-class ThetaPower(_Quotient, namedtuple("ThetaPower", "sa a sb b power q_exponent")):
-    """q^q_exponent * f(sa*q^a, sb*q^b)^power for a positive power: the
-    product of ``theta_statement``, whose unit part comes from the
-    triple-product sum (``_theta_sum``), memoized as the kernel's is."""
-
-    __slots__ = ()
-
-    def statement(self) -> tuple:
-        theta = theta_statement(self.sa, self.a, self.sb, self.b)
-        return _power_product([(theta, self.power)], self.q_exponent)
-
-    def _route(self, w: int) -> list:
-        return _theta_sum(self.sa, self.a, self.sb, self.b, self.power, w)
-
-    series = _Quotient.series
 
 
 def lambert_mod(r: int, modulus: int, order) -> QSeries:
@@ -649,6 +646,16 @@ def pi_statement(k: int) -> tuple:
 def pi_q(k: int, order) -> QSeries:
     """Pi_{q^k} modulo q^order (see ``pi_statement``)."""
     return _qproduct(pi_statement(k), order)
+
+
+#: the DSL's eta-type calls by name, with their statements: a product of
+#: their integer powers, a single call included, is an ``EtaTypeProduct``
+_ETA_TYPE = {
+    "eta": eta_statement,
+    "geta": gen_eta_statement,
+    "pi": pi_statement,
+    "theta": theta_statement,
+}
 
 
 # -- named level-14 functions ------------------------------------------------

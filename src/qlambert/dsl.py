@@ -43,17 +43,18 @@ still bounds, so both give the same series.
 
 A product or quotient of integer powers of ``eta``, ``geta``, ``pi`` and
 ``theta`` calls, times q powers and constants, is one *product leaf*
-(times its constant): the calls' factor dicts merge into one, and a single
-q-product forms the leaf (``constructors.eta_type_product``), with the
-prefactors added, the sign law's signs multiplied and the window the
-node-by-node product reaches; a single bare call is a one-factor product
-leaf.  A leaf that is one ``theta`` call to a positive power, times a q
-power, is a ``constructors.ThetaPower``, formed from the triple-product
-sum at the same window.  A zero power is the constant 1, and a product of
-q powers alone is a q power, or a constant where the powers cancel;
-symbols, sums, ``sqrt`` and ``subq`` end a product leaf.  Every call of a
-product leaf is checked where it appears, so an invalid one fails with the
-same message, naming it, as in the node-by-node evaluation.
+(times its constant), a ``constructors.EtaTypeProduct`` of its calls and
+q power: the calls' factor dicts merge into one, and a single q-product
+forms the leaf (``constructors.eta_type_product``), with the prefactors
+added, the sign law's signs multiplied and the window the node-by-node
+product reaches; a single bare call is a one-factor product leaf.  One
+``theta`` call to a positive power, times a q power, is formed from the
+triple-product sum at the same window.  A zero power is the constant 1,
+and a product of q powers alone is a q power, or a constant where the
+powers cancel; symbols, sums, ``sqrt`` and ``subq`` end a product leaf.
+Every call of a product leaf is checked where it appears, so an invalid
+one fails with the same message, naming it, as in the node-by-node
+evaluation.
 """
 
 import math
@@ -62,21 +63,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from operator import add, mul, sub, truediv
-from typing import NamedTuple
 
 from .constructors import (
-    ThetaPower,
+    _ETA_TYPE,
+    EtaTypeProduct,
     _positive,
     bailey_specialization,
-    eta_statement,
     eta_type_product,
-    gen_eta_statement,
     gosper_symbols,
     lambert_L,
     lambert_L_odd,
     lambert_mod,
-    pi_statement,
-    theta_statement,
 )
 from .errors import DSLError
 from .relations import MultiPoly, eval_poly
@@ -168,8 +165,8 @@ class Subq:
 
 # the callable names: their argument kinds ("i" integer, "n" name,
 # "e" expression) and their builders, which take the order first; the
-# eta-type calls have none, since each forms a product leaf, and subq
-# parses to a Subq node instead of a Call
+# eta-type calls (constructors._ETA_TYPE) have none, since each forms a
+# product leaf, and subq parses to a Subq node instead of a Call
 _CALLS = {
     "eta": ("i", None),
     "geta": ("ii", None),
@@ -181,15 +178,6 @@ _CALLS = {
     "bailey": ("ii", lambda order, i, m: bailey_specialization(i, m, order)),
     "symbol": ("n", lambda order, name: gosper_symbols(name, order)),
     "subq": ("ei", None),
-}
-
-#: the eta-type calls and their statements: a product of their integer powers,
-#: a single call included, is evaluated as one q-product
-_ETA_TYPE = {
-    "eta": eta_statement,
-    "geta": gen_eta_statement,
-    "pi": pi_statement,
-    "theta": theta_statement,
 }
 
 
@@ -559,21 +547,11 @@ def _nesting(root) -> int:
 _CHECK = "check"
 
 
-class _Product(NamedTuple):
-    """The product leaf  q^qexp * prod call^r  over the pairs (call, r) of
-    ``calls``, all eta-type calls.  A call whose exponents cancel stays in,
-    since it still bounds the truncation.  A tuple, so that its ``==`` and
-    hash as a registry key run in C."""
-
-    calls: frozenset
-    qexp: Fraction
-
-
 class _Pending:
     """c * q^qexp * prod call^r over ``calls`` {call: r}: a product that
-    _convert has met but not yet made a leaf, since an enclosing product may
-    still take it in.  Its calls are registered as _CHECK leaves where they
-    appear."""
+    _convert has met but not yet made a leaf (an ``EtaTypeProduct``), since
+    an enclosing product may still take it in.  Its calls are registered as
+    _CHECK leaves where they appear."""
 
     __slots__ = ("calls", "qexp", "c")
 
@@ -624,15 +602,9 @@ def _leaf(node, order: int) -> QSeries:
         return qpow(node.exponent)
     if isinstance(node, Call):
         return _wrap(node, _CALLS[node.name][1], order, *node.args)
-    if isinstance(node, _Product):
+    if isinstance(node, EtaTypeProduct):
         # its calls were checked by their _CHECK leaves before it
-        (call, r), *rest = node.calls
-        if call.name == "theta" and r > 0 and not rest:
-            # theta's prefactor is 0, so its unit part is known modulo
-            # q^order, as eta_type_product would know it
-            return ThetaPower(*call.args, r, node.qexp).series(node.qexp + order)
-        parts = [(_ETA_TYPE[call.name](*call.args), r) for call, r in node.calls]
-        return eta_type_product(parts, order, node.qexp)
+        return eta_type_product(node, order)
     if isinstance(node, Subq):
         # q -> q^k takes q^ceil(order/k) to at least q^order
         return _eval(node.node, -(-order // node.power)).subs_qpow(node.power)
@@ -682,7 +654,7 @@ def _product_calls(node):
         return calls if poly == {(): 1} else None
     leaf, i = rest[0]
     m = (0,) * i + (1,)
-    if rest[1:] or poly != {m: 1} or not isinstance(leaf, _Product) or leaf.qexp:
+    if rest[1:] or poly != {m: 1} or not isinstance(leaf, EtaTypeProduct) or leaf.q_exponent:
         return None
     return {**calls, **dict(leaf.calls)}
 
@@ -786,15 +758,15 @@ def _raised(x: "_Pending", k: int) -> "_Pending":
 
 def _poly(x, leaves: dict) -> dict:
     """x, or for a _Pending x the polynomial c * leaf: the leaf is a q power
-    when x has no calls and a _Product otherwise, and the constant c stands
-    alone when x has neither calls nor a q power."""
+    when x has no calls and an ``EtaTypeProduct`` otherwise, and the
+    constant c stands alone when x has neither calls nor a q power."""
     if not isinstance(x, _Pending):
         return x
     c = x.c
     c = c.numerator if c.denominator == 1 else c
     if not (c and (x.calls or x.qexp)):
         return {(): c} if c else {}
-    leaf = _Product(frozenset(x.calls.items()), x.qexp) if x.calls else Q(x.qexp)
+    leaf = EtaTypeProduct(frozenset(x.calls.items()), x.qexp) if x.calls else Q(x.qexp)
     (m,) = _register(leaf, leaves, None)
     return {m: c}
 

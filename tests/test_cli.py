@@ -245,6 +245,31 @@ def test_expand_reports_evaluation_errors(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, err",
+    [
+        (("expand", "q^^2", "--order", "4"), "expected an exponent, got '^' (line 1, column 3)"),
+        (
+            ("verify", "--expr", "eta(1) =="),
+            "expected a number, 'q', a call, '(' or '-', got end of input (line 1, column 10)",
+        ),
+        (
+            ("expand", "sqrt(2 + q)", "--order", "4"),
+            "no rational square root: leading coefficient 2 is not the square of a"
+            " rational in 'sqrt((2 + q))'",
+        ),
+        (
+            ("ord-table", "eta(0)", "--level", "14"),
+            "eta argument must be a positive integer in 'eta(0)'",
+        ),
+    ],
+)
+def test_dsl_errors_print_their_text_and_exit_2(capsys, argv, err):
+    # syntax errors, with their line and column, and evaluation errors are
+    # DSLErrors: ValueErrors whose first argument is their text
+    assert run(capsys, *argv) == (2, "", f"error: {err}\n")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("expand", "theta(1,1,1,1)", "--order", "100000000000"),

@@ -21,12 +21,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import dsl_oracle
 import products_oracle as oracle
 import qlambert
-from qlambert import constructors
+from qlambert import constructors, dsl
 from qlambert.constructors import (
     SYMBOL_NAMES,
     EtaQuotient,
+    EtaTypeProduct,
     GenEtaQuotient,
     eta,
     eta_type_product,
@@ -36,9 +38,8 @@ from qlambert.constructors import (
     pi_q,
     pochhammer,
     theta_f,
-    theta_statement,
 )
-from qlambert.dsl import evaluate, parse
+from qlambert.dsl import Call, evaluate, parse
 from qlambert.series import QSeries
 
 signs = st.sampled_from([1, -1])
@@ -526,9 +527,14 @@ def test_concurrent_widening_of_one_sequence_leaves_one_entry(monkeypatch):
 # -- theta leaves from the triple-product sum --------------------------------
 
 
+def theta_power(sa, a, sb, b, r):
+    """theta(sa,a,sb,b)^r as the DSL's product leaf: one theta call."""
+    return EtaTypeProduct(frozenset({(Call("theta", (sa, a, sb, b)), r)}))
+
+
 def theta_leaf(sa, a, sb, b, r, order):
-    """The DSL's value of theta(sa,a,sb,b)^r, a leaf that the sum forms."""
-    return evaluate(parse(f"theta({sa},{a},{sb},{b})^{r}"), order)
+    """The value of the leaf theta(sa,a,sb,b)^r, which the sum forms."""
+    return eta_type_product(theta_power(sa, a, sb, b, r), order)
 
 
 #: (sa, a, sb, b, r): both signs, a != b, a and b past each other, r = 1..4
@@ -550,11 +556,44 @@ def test_a_theta_leaf_equals_the_kernel_and_the_sum_oracle(sa, a, sb, b, r, orde
     memo.cache_clear()
     got = theta_leaf(sa, a, sb, b, r, order)
     memo.cache_clear()
-    fused = eta_type_product([(theta_statement(sa, a, sb, b), r)], order)
+    kernel = constructors._qproduct(theta_power(sa, a, sb, b, r).statement(), order)
     assert memo.cache_info().misses == (order <= constructors._MEMO_SLOTS)
-    assert exact(got) == exact(fused)
+    assert exact(got) == exact(kernel)
+    assert exact(got) == exact(evaluate(parse(f"theta({sa},{a},{sb},{b})^{r}"), order))
     assert exact(got) == exact(theta_f(sa, a, sb, b, order) ** r)
     assert exact(got) == exact(oracle.theta_sum(sa, a, sb, b, order) ** r)
+
+
+@pytest.mark.parametrize(
+    "text, routed",
+    [
+        ("theta(1,1,1,1)^4", True),
+        ("theta(-1,2,1,3)", True),
+        ("q^(1/3)*theta(1,5,-1,13)^2/q", True),
+        # a zero power leaves its call out of the product
+        ("theta(1,1,1,1)^4*eta(1)^0", True),
+        ("theta(1,1,1,1)^-1", False),
+        ("q*theta(-1,1,-1,1)^-3", False),
+        # a call whose exponents cancel stays in the product
+        ("theta(1,1,1,1)^4*eta(1)/eta(1)", False),
+        ("theta(1,1,1,1)*theta(1,1,1,2)", False),
+        ("theta(1,1,1,1)^2*eta(1)", False),
+        ("theta(-1,1,-1,1)^2/theta(1,1,1,1)", False),
+        ("eta(1)*eta(2)", False),
+        ("eta(1)", False),
+        ("pi(1)^2", False),
+    ],
+)
+def test_only_one_theta_call_to_a_positive_power_takes_the_sum_route(text, routed):
+    (leaf,) = [
+        leaf for leaf, _ in dsl._converted(parse(text))[1] if isinstance(leaf, EtaTypeProduct)
+    ]
+    assert (leaf._route is not None) == routed
+    if routed:
+        ((call, r),) = leaf.calls
+        got = QSeries._make(leaf._route(60), 0, 1, 60)
+        assert exact(got) == exact(oracle.theta_sum(*call.args, 60) ** r)
+    assert exact(evaluate(parse(text), 60)) == exact(dsl_oracle.evaluate(parse(text), 60))
 
 
 def test_a_theta_leaf_serves_its_eta_quotient_twin(monkeypatch):

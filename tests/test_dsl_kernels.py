@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import dsl_oracle as oracle
 from qlambert import catalog, constructors, dsl
-from qlambert.constructors import gosper_symbols
+from qlambert.constructors import EtaTypeProduct, gosper_symbols
 from qlambert.dsl import BinOp, Call, Lit, Neg, Pow, Q, Sqrt, Subq, evaluate, parse
 from qlambert.errors import DSLError
 from qlambert.relations import eval_poly
@@ -380,10 +380,10 @@ def test_a_division_that_does_not_fuse_is_one_leaf():
     assert [leaf for leaf, _ in leaves] == [
         parse("L(1)"),
         eta2,
-        dsl._Product(frozenset({(eta2, 1)}), F(0)),
+        EtaTypeProduct(frozenset({(eta2, 1)}), F(0)),
         node.left,
         eta3,
-        dsl._Product(frozenset({(eta3, 1)}), F(0)),
+        EtaTypeProduct(frozenset({(eta3, 1)}), F(0)),
         node,
     ]
     assert [spec for _, (_, spec) in leaves][1::3] == [dsl._CHECK, dsl._CHECK]
@@ -403,8 +403,8 @@ def test_an_unfused_division_leaves_earlier_calls_as_they_were(text):
     specs = {leaf: spec for leaf, (_, spec) in leaves}
     eta1, eta2 = parse("eta(1)"), parse("eta(2)")
     assert specs[eta1] == specs[eta2] == dsl._CHECK
-    fused = dsl._Product(frozenset({(eta1, 1), (eta2, 1)}), F(0))
-    alone = dsl._Product(frozenset({(eta1, 1)}), F(0))
+    fused = EtaTypeProduct(frozenset({(eta1, 1), (eta2, 1)}), F(0))
+    alone = EtaTypeProduct(frozenset({(eta1, 1)}), F(0))
     assert [leaf for leaf, _ in leaves][2:4] == [fused, alone]
     assert leaves[-1][0] == node.right
     assert specs[node.right][0] == {(0, 0, 0, 1): 1, (): 1}
@@ -486,13 +486,12 @@ def test_a_product_leaf_goes_through_the_quotient_series_method(monkeypatch):
         constructors.EtaQuotient,
         constructors.GenEtaQuotient,
         constructors.EtaTypeProduct,
-        constructors.ThetaPower,
     ):
         assert vars(cls)["series"] is original
         monkeypatch.setattr(cls, "series", wrapped)
     text = "pi(1)^2/pi(2) + geta(11,1)*geta(11,2) + eta(1) + theta(1,1,1,2)^2"
     evaluate(parse(text), 20)
-    assert seen == ["EtaTypeProduct", "EtaTypeProduct", "EtaTypeProduct", "ThetaPower"]
+    assert seen == ["EtaTypeProduct"] * 4
 
 
 def test_bare_calls_and_zero_powers_stay_as_they_are():
@@ -502,7 +501,7 @@ def test_bare_calls_and_zero_powers_stay_as_they_are():
         terms, leaves = dsl._converted(call)
         assert leaves == (
             (call, (0, dsl._CHECK)),
-            (dsl._Product(frozenset({(call, 1)}), F(0)), (1, None)),
+            (EtaTypeProduct(frozenset({(call, 1)}), F(0)), (1, None)),
         )
         assert terms == {(0, 1): 1}
     # a zero power leaves its call only checked
@@ -511,7 +510,7 @@ def test_bare_calls_and_zero_powers_stay_as_they_are():
     assert [leaf for leaf, _ in leaves] == [
         parse("eta(1)"),
         eta2,
-        dsl._Product(frozenset({(eta2, 1)}), F(0)),
+        EtaTypeProduct(frozenset({(eta2, 1)}), F(0)),
     ]
     assert [spec for _, (_, spec) in leaves] == [dsl._CHECK, dsl._CHECK, None]
     assert terms == {(0, 0, 1): 1}

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from qlambert import dsl, level14
 from qlambert.catalog import IdentityRecord, VerifyReport, verify
-from qlambert.constructors import EtaQuotient, EtaTypeProduct, GenEtaQuotient, ThetaPower
+from qlambert.constructors import EtaQuotient, EtaTypeProduct, GenEtaQuotient
 from qlambert.gamma0 import Cusp, CuspTable, cusp_set
 from qlambert.level14 import TableReport, order_table
 
@@ -100,12 +100,12 @@ def test_quotients_clean_their_exponents():
     assert list(quot.exponents) == [1, 7]
     assert repr(quot) == "EtaQuotient(level=14, exponents={1: -2, 7: 2})"
     assert GenEtaQuotient(14, {6: 2, 1: -2, 3: 0}).exponents == {1: -2, 6: 2}
-    assert EtaTypeProduct([]).q_exponent == 0
+    assert EtaTypeProduct(frozenset()).q_exponent == 0
 
 
 def test_the_quotient_series_method_is_bound_in_each_class():
     # a tracer wraps the product layer where each class binds it
-    for cls in (EtaQuotient, GenEtaQuotient, EtaTypeProduct, ThetaPower):
+    for cls in (EtaQuotient, GenEtaQuotient, EtaTypeProduct):
         assert "series" in vars(cls)
 
 
@@ -121,7 +121,7 @@ def test_the_quotient_series_method_is_bound_in_each_class():
         (verify(IdentityRecord("x", dsl.parse("q"), dsl.parse("q"), 5)), "status"),
         (GenEtaQuotient(14, {1: -2, 6: 2}), "level"),
         (order_table("3.1"), "rows"),
-        (dsl._Product(frozenset(), F(0)), "qexp"),
+        (EtaTypeProduct(frozenset(), F(0)), "q_exponent"),
         (EtaQuotient(14, {1: 1}), "exponents"),
         (level14.F3_RELATION, "variables"),
     ],
@@ -143,11 +143,11 @@ def test_fields_cannot_be_assigned(record, field):
         IdentityRecord("x", dsl.parse("q"), dsl.parse("q"), 5),
         verify(IdentityRecord("x", dsl.parse("q"), dsl.parse("q"), 5)),
         order_table("4.1"),
-        dsl._Product(frozenset({(dsl.Call("eta", (1,)), 2)}), F(1, 2)),
+        EtaTypeProduct(frozenset({(dsl.Call("eta", (1,)), 2)}), F(1, 2)),
         EtaQuotient(14, {1: 1}),
         GenEtaQuotient(14, {1: -2, 6: 2}),
-        EtaTypeProduct([], F(1, 3)),
-        ThetaPower(-1, 1, -1, 1, 2, F(1, 3)),
+        EtaTypeProduct(frozenset(), F(1, 3)),
+        EtaTypeProduct(frozenset({(dsl.Call("theta", (-1, 1, -1, 1)), 2)}), F(1, 3)),
         level14.F3_RELATION,
     ],
 )
@@ -160,8 +160,8 @@ def test_records_copy_and_pickle(record):
 def test_product_keys_compare_and_hash_in_c():
     # a product leaf is a memo key; generic Python methods would slow
     # every evaluation down
-    assert dsl._Product.__eq__ is tuple.__eq__
-    assert dsl._Product.__hash__ is tuple.__hash__
+    assert EtaTypeProduct.__eq__ is tuple.__eq__
+    assert EtaTypeProduct.__hash__ is tuple.__hash__
 
 
 def test_records_keep_their_fields_and_methods():
