@@ -299,9 +299,10 @@ def eta_type_product(product: EtaTypeProduct, order) -> QSeries:
     that is one ``_qproduct`` call, forms it.
     """
     parts = product.parts()
-    w = min(max(1, math.ceil(Fraction(order) - p)) for (_, p, _), _ in parts)
-    pref = Fraction(product.q_exponent) + sum(r * p for (_, p, _), r in parts)
-    return product.series(pref + w)
+    # the least relative window is the one of the greatest prefactor
+    top = max(p for (_, p, _), _ in parts)
+    pref = sum((r * p for (_, p, _), r in parts), product.q_exponent)
+    return product.series(pref + max(1, math.ceil(order - top)))
 
 
 def _factor_dict(triples) -> dict:
